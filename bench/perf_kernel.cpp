@@ -1,18 +1,17 @@
 // P1: the recorded perf baseline for the scan-free protocol hot path.
 //
 // Standalone harness (no external benchmark framework): sweeps the
-// per-interval cluster step across cluster sizes with the regime index
-// enabled and disabled (8 warmup intervals past the placement transient,
-// then the median of individually timed intervals), times the sharded
-// fabric (10 x 100 anchor, 100 x 1000 = 1e5-server scale point) and
-// smoke-checks its thread-count determinism, measures steady-state
-// event-queue throughput with a global allocation counter, and emits the
-// results as BENCH_perf.json (schema "eclb-perf-2").  With --check <reference.json> it compares the
-// measured indexed-over-legacy speedups against the checked-in reference
-// and exits non-zero on a >2x regression, gates the SoA data plane's
+// per-interval cluster step across cluster sizes (8 warmup intervals past
+// the placement transient, then the median of individually timed
+// intervals), times the sharded fabric (10 x 100 anchor, 100 x 1000 =
+// 1e5-server scale point) and smoke-checks its thread-count determinism,
+// measures steady-state event-queue throughput with a global allocation
+// counter, and emits the results as BENCH_perf.json (schema "eclb-perf-2").
+// With --check <reference.json> it gates the SoA data plane's
 // bytes-per-server footprint at 1.5x the recorded value, the fabric
 // overhead ratio at half the recorded figure and fabric determinism hard --
-// the CI perf smoke gate.
+// the CI perf smoke gate.  End-to-end run times are the perfbench/ harness's
+// job.
 //
 // Usage:
 //   perf_kernel [--ci] [--tiny] [--full] [--phases] [--out BENCH_perf.json]
@@ -22,8 +21,7 @@
 //     --tiny   smallest possible sweep (100 flat + 10 x 10 fabric, short
 //              queue/request cycles): a seconds-long smoke of every code
 //              path, for the CI perf-smoke job.
-//     --full   adds the legacy path at 100000 servers and the 1e6-server
-//              fabric (minutes, local only).
+//     --full   adds the 1e6-server fabric (minutes, local only).
 //     --phases breaks the coalesced notification pipeline's interval down
 //              into classify / diff / refile / protocol wall-clock at the
 //              largest flat size of the run (emitted as pipeline_phases).
@@ -88,7 +86,6 @@ double seconds_since(Clock::time_point start) {
 
 struct StepSample {
   std::size_t servers{0};
-  bool indexed{false};
   std::size_t intervals{0};
   double ms_per_interval{0.0};
   double bytes_per_server{0.0};
@@ -97,19 +94,17 @@ struct StepSample {
 /// Intervals to time per size, derived from a fixed work budget of
 /// ~50k server-intervals per sample rather than a hand-tuned table: the
 /// counts scale automatically as sizes are added and as the kernel gets
-/// faster, instead of drifting in BENCH_perf.json.  Floor of 3 keeps the
-/// legacy path at large N tractable; cap of 200 bounds tiny-cluster runs.
+/// faster, instead of drifting in BENCH_perf.json.  Floor of 5 keeps the
+/// median meaningful at large N; cap of 200 bounds tiny-cluster runs.
 std::size_t intervals_for(std::size_t servers) {
   constexpr std::size_t kServerIntervalBudget = 50000;
   const std::size_t k = kServerIntervalBudget / (servers == 0 ? 1 : servers);
   return std::clamp<std::size_t>(k, 5, 200);
 }
 
-StepSample time_cluster_step(std::size_t servers, bool indexed) {
-  auto cfg = experiment::paper_cluster_config(
-      servers, experiment::AverageLoad::kLow30, 42);
-  cfg.use_regime_index = indexed;
-  cluster::Cluster c(cfg);
+StepSample time_cluster_step(std::size_t servers) {
+  cluster::Cluster c(experiment::paper_cluster_config(
+      servers, experiment::AverageLoad::kLow30, 42));
   // Warmup: the opening intervals are a placement transient (the initial
   // sleep wave plus consolidation churn, roughly 1.5-2x the sustained cost);
   // run past it so the figure reports steady-state throughput.
@@ -131,7 +126,6 @@ StepSample time_cluster_step(std::size_t servers, bool indexed) {
                             : 0.5 * (laps[k / 2 - 1] + laps[k / 2]);
   StepSample s;
   s.servers = servers;
-  s.indexed = indexed;
   s.intervals = k;
   s.ms_per_interval = 1e3 * median;
   s.bytes_per_server = c.memory_stats().bytes_per_server;
@@ -391,19 +385,19 @@ QueueSample time_event_queue(std::size_t n) {
 
 // --- JSON output ------------------------------------------------------------
 
-/// Indexed-mode bytes/server at the canonical 1000-server size: present in
+/// Bytes/server at the canonical 1000-server size: present in
 /// both --ci and full runs, so the reference file can carry one stable
 /// memory figure for the CI gate.
 std::optional<double> bytes_per_server_1000(
     const std::vector<StepSample>& steps) {
   for (const auto& s : steps) {
-    if (s.indexed && s.servers == 1000) return s.bytes_per_server;
+    if (s.servers == 1000) return s.bytes_per_server;
   }
   return std::nullopt;
 }
 
 /// Fabric-over-flat ratio at the canonical 1000-server size: the flat
-/// indexed 1000-server step time over the 10 x 100 fabric step time (same
+/// 1000-server step time over the 10 x 100 fabric step time (same
 /// total servers, 1 worker thread).  Present in both --ci and full runs and
 /// gated as a ratio so the figure survives CI runners of any speed; a
 /// collapse toward zero means the fabric layer's per-interval overhead
@@ -414,7 +408,7 @@ std::optional<double> fabric_efficiency_1000(
   for (const auto& f : fabrics) {
     if (f.shards != 10 || f.servers_per_shard != 100 || f.threads != 1) continue;
     for (const auto& s : steps) {
-      if (s.indexed && s.servers == 1000) {
+      if (s.servers == 1000) {
         return s.ms_per_interval / f.ms_per_interval;
       }
     }
@@ -457,8 +451,7 @@ std::string json_report(const std::vector<StepSample>& steps,
   out << "  \"cluster_step\": [\n";
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const auto& s = steps[i];
-    out << "    {\"servers\": " << s.servers << ", \"mode\": \""
-        << (s.indexed ? "indexed" : "legacy") << "\", \"intervals\": "
+    out << "    {\"servers\": " << s.servers << ", \"intervals\": "
         << s.intervals << ", \"ms_per_interval\": " << s.ms_per_interval
         << ", \"bytes_per_server\": " << s.bytes_per_server << "}"
         << (i + 1 < steps.size() ? "," : "") << "\n";
@@ -502,18 +495,7 @@ std::string json_report(const std::vector<StepSample>& steps,
   if (const auto bps = bytes_per_server_1000(steps); bps.has_value()) {
     out << "  \"bytes_per_server_1000\": " << *bps << ",\n";
   }
-  out << "  \"step_speedup\": {";
-  bool first = true;
-  for (const auto& a : steps) {
-    if (!a.indexed) continue;
-    for (const auto& b : steps) {
-      if (b.indexed || b.servers != a.servers) continue;
-      out << (first ? "" : ", ") << "\"" << a.servers
-          << "\": " << b.ms_per_interval / a.ms_per_interval;
-      first = false;
-    }
-  }
-  out << "},\n  \"event_queue\": {\"events\": " << queue.events
+  out << "  \"event_queue\": {\"events\": " << queue.events
       << ", \"ns_per_event\": " << queue.ns_per_event
       << ", \"allocs_per_event\": " << queue.allocs_per_event << "},\n";
   out << "  \"request_engine\": {\"requests\": " << requests.requests
@@ -552,30 +534,7 @@ int check_against_reference(const std::string& ref_path,
   const std::string ref = buf.str();
   int failures = 0;
 
-  for (const auto& a : steps) {
-    if (!a.indexed) continue;
-    for (const auto& b : steps) {
-      if (b.indexed || b.servers != a.servers) continue;
-      const double measured = b.ms_per_interval / a.ms_per_interval;
-      const auto expect = json_number(ref, std::to_string(a.servers));
-      if (!expect.has_value()) continue;  // size not in the reference
-      // Gate at half the recorded speedup: generous enough for CI-runner
-      // noise, tight enough to catch the index silently falling back to
-      // scans (which would drop the ratio to ~1).
-      if (measured < *expect / 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: step speedup at %zu servers regressed: "
-                     "measured %.2fx, reference %.2fx (gate %.2fx)\n",
-                     a.servers, measured, *expect, *expect / 2.0);
-        ++failures;
-      } else {
-        std::printf("ok: step speedup at %zu servers %.2fx (reference %.2fx)\n",
-                    a.servers, measured, *expect);
-      }
-    }
-  }
-
-  // Memory gate: the SoA data plane's indexed bytes/server at 1000 servers
+  // Memory gate: the SoA data plane's bytes/server at 1000 servers
   // must stay within 1.5x of the recorded footprint.  Catches regressions
   // like per-server heap churn sneaking back into the index or recorder.
   const auto ref_bps = json_number(ref, "bytes_per_server_1000");
@@ -716,28 +675,14 @@ int main(int argc, char** argv) {
   if (!tiny) sizes.push_back(1000);
   if (!ci) sizes.push_back(10000);
 
+  // The whole point of the index: 1e5 servers is interactive.
+  if (!ci) sizes.push_back(100000);
   std::vector<StepSample> steps;
   for (const auto n : sizes) {
-    for (const bool indexed : {true, false}) {
-      std::printf("cluster step: %zu servers, %s...\n", n,
-                  indexed ? "indexed" : "legacy");
-      std::fflush(stdout);
-      steps.push_back(time_cluster_step(n, indexed));
-      std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
-    }
-  }
-  if (!ci) {
-    // The whole point of the index: 1e5 servers is interactive.
-    std::printf("cluster step: 100000 servers, indexed...\n");
+    std::printf("cluster step: %zu servers...\n", n);
     std::fflush(stdout);
-    steps.push_back(time_cluster_step(100000, true));
+    steps.push_back(time_cluster_step(n));
     std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
-    if (full) {
-      std::printf("cluster step: 100000 servers, legacy (slow)...\n");
-      std::fflush(stdout);
-      steps.push_back(time_cluster_step(100000, false));
-      std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
-    }
   }
 
   // Fabric sweep: 10 x 100 at 1 thread anchors the efficiency gate in every

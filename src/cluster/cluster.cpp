@@ -32,12 +32,9 @@ Cluster::Cluster(ClusterConfig config)
               "Cluster: invalid initial load range");
   populate();
   membership_.form(servers_.size(), common::ServerId{0});
-  if (config_.use_regime_index) {
-    index_ = std::make_unique<index::RegimeIndex>(
-        std::span<const server::Server>(servers_));
-    index_->set_coalescing(config_.coalesce_notifications);
-    for (auto& s : servers_) s.set_state_listener(index_.get());
-  }
+  index_ = std::make_unique<index::RegimeIndex>(
+      std::span<const server::Server>(servers_));
+  for (auto& s : servers_) s.set_state_listener(index_.get());
   energy_at_last_step_ = total_energy();
 }
 
@@ -110,12 +107,7 @@ double Cluster::total_demand() const {
   return total;
 }
 
-std::size_t Cluster::total_vms() const {
-  if (index_ != nullptr) return index_->total_vms();
-  std::size_t total = 0;
-  for (const auto& s : servers_) total += s.vm_count();
-  return total;
-}
+std::size_t Cluster::total_vms() const { return index_->total_vms(); }
 
 double Cluster::usable_capacity() const {
   // Failed servers contribute nothing, derated servers their lowered
@@ -138,46 +130,16 @@ double Cluster::load_fraction() const {
   return total_demand() / capacity;
 }
 
-std::size_t Cluster::sleeping_count() const {
-  if (index_ != nullptr) return index_->sleeping_count();
-  std::size_t count = 0;
-  for (const auto& s : servers_) {
-    if (!s.failed() && !s.awake(now())) ++count;
-  }
-  return count;
-}
+std::size_t Cluster::sleeping_count() const { return index_->sleeping_count(); }
 
-std::size_t Cluster::parked_count() const {
-  if (index_ != nullptr) return index_->parked_count();
-  std::size_t count = 0;
-  for (const auto& s : servers_) {
-    if (s.effective_cstate() == energy::CState::kC1) ++count;
-  }
-  return count;
-}
+std::size_t Cluster::parked_count() const { return index_->parked_count(); }
 
 std::size_t Cluster::deep_sleeping_count() const {
-  if (index_ != nullptr) return index_->deep_sleeping_count();
-  std::size_t count = 0;
-  for (const auto& s : servers_) {
-    const auto c = s.effective_cstate();
-    if (c == energy::CState::kC3 || c == energy::CState::kC6) ++count;
-  }
-  return count;
+  return index_->deep_sleeping_count();
 }
 
 energy::RegimeHistogram Cluster::regime_histogram() const {
-  if (index_ != nullptr) return index_->regime_histogram();
-  energy::RegimeHistogram hist{};
-  for (const auto& s : servers_) {
-    // Servers transitioning into a sleep state still report C0 as their
-    // settled state; exclude everything that is not fully awake so the
-    // histogram and sleeping_count() partition the cluster.
-    if (!s.awake(now())) continue;
-    const auto r = s.regime();
-    if (r.has_value()) ++hist[energy::regime_index(*r)];
-  }
-  return hist;
+  return index_->regime_histogram();
 }
 
 common::Joules Cluster::total_energy() const {
@@ -198,30 +160,20 @@ common::VmId Cluster::inject_vm(common::ServerId server, common::AppId app,
 
 std::optional<common::ServerId> Cluster::pick_placement(
     double demand, common::ServerId exclude) {
-  if (membership_.partitioned()) {
-    // Horizontal capacity is only brokered on the quorum side; minority
-    // sub-leaders run degraded (vertical/local scaling only).  The regime
-    // index is not side-aware, so partitioned searches take the legacy scan
-    // with a side filter; the rebuilt index resumes after reconciliation.
-    const std::int32_t side = exclude.valid() ? membership_.group_of(exclude)
-                                              : membership_.quorum();
-    if (side != membership_.quorum()) return std::nullopt;
-    const policy::PlacementFilter filter{&membership_.groups(), side};
-    if (config_.placement == PlacementStrategy::kEnergyAware) {
-      return policy::find_tiered_target(servers_, now(), demand, exclude,
-                                        policy::PlacementTier::kStaySuboptimal,
-                                        &filter);
-    }
-    return placement_->pick(servers_, now(), demand, exclude, rng_, &filter);
+  // Horizontal capacity is only brokered on the quorum side; minority
+  // sub-leaders run degraded (vertical/local scaling only).
+  if (degraded(exclude)) return std::nullopt;
+  const policy::PlacementFilter filter = side_filter(membership_.quorum());
+  if (placement_ == nullptr) {
+    return index_->find_tiered_target(
+        demand, exclude, policy::PlacementTier::kStaySuboptimal, &filter);
   }
-  if (index_ != nullptr &&
-      config_.placement == PlacementStrategy::kEnergyAware) {
-    // EnergyAwarePlacement::pick never consumes randomness, so routing
-    // around it through the index cannot shift the RNG stream.
-    return index_->find_tiered_target(demand, exclude,
-                                      policy::PlacementTier::kStaySuboptimal);
-  }
-  return placement_->pick(servers_, now(), demand, exclude, rng_);
+  return placement_->pick(servers_, now(), demand, exclude, rng_, &filter);
+}
+
+policy::PlacementFilter Cluster::side_filter(std::int32_t side) const {
+  if (!membership_.partitioned()) return {};
+  return {&membership_.groups(), side};
 }
 
 bool Cluster::accept_external(common::AppId app, double demand) {
@@ -706,10 +658,7 @@ std::optional<std::string> Cluster::self_audit() const {
       }
     }
   }
-  if (index_ != nullptr) {
-    if (auto err = index_->self_check(); err.has_value()) return err;
-  }
-  return std::nullopt;
+  return index_->self_check();
 }
 
 void Cluster::schedule_transition(common::ServerId id, common::Seconds done) {
@@ -779,17 +728,15 @@ void Cluster::sweep_settle_and_energy(common::Seconds now, bool settle) {
 }
 
 index::PipelineStats Cluster::pipeline_stats() const {
-  return index_ != nullptr ? index_->pipeline_stats() : index::PipelineStats{};
+  return index_->pipeline_stats();
 }
 
-void Cluster::set_pipeline_phase_timing(bool on) {
-  if (index_ != nullptr) index_->set_phase_timing(on);
-}
+void Cluster::set_pipeline_phase_timing(bool on) { index_->set_phase_timing(on); }
 
 ClusterMemoryStats Cluster::memory_stats() const {
   ClusterMemoryStats m;
   m.state_table_bytes = state_.memory_bytes();
-  if (index_ != nullptr) m.index_bytes = index_->memory_bytes();
+  m.index_bytes = index_->memory_bytes();
   m.server_objects_bytes = servers_.capacity() * sizeof(server::Server);
   for (const auto& s : servers_) m.vm_storage_bytes += s.vm_storage_bytes();
   m.recorder_bytes = recorder_.memory_bytes();

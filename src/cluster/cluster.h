@@ -5,8 +5,11 @@
 // thin shell over three layers:
 //   * the protocol engine (cluster/protocol/) -- the per-regime actions of
 //     one reallocation round, run against a narrow ClusterView facade,
-//   * the placement layer (policy/placement.h) -- the pluggable rule picking
-//     horizontal-scaling targets (energy-aware vs the traditional baselines),
+//   * the regime index (cluster/index/) -- the leader's incremental view of
+//     every member's regime, answering the energy-aware placement, drain
+//     and wake queries (partition-side filtered while the fabric is split),
+//   * the placement layer (policy/placement.h) -- the traditional scanning
+//     baselines the energy-aware rule is compared against,
 //   * the instrumentation layer (cluster/recorder.h) -- actions emit typed
 //     events; the recorder rolls them into the per-interval reports.
 //
@@ -29,7 +32,6 @@
 #include "cluster/config.h"
 #include "cluster/faults.h"
 #include "cluster/index/pipeline_stats.h"
-#include "cluster/leader.h"
 #include "cluster/membership.h"
 #include "cluster/messages.h"
 #include "cluster/recorder.h"
@@ -129,11 +131,6 @@ class Cluster {
   [[nodiscard]] const vm::ScalingCost& in_cluster_cost_total() const {
     return in_cluster_cost_;
   }
-  /// The active placement policy (as selected by config().placement).
-  [[nodiscard]] const policy::PlacementPolicy& placement() const {
-    return *placement_;
-  }
-
   /// The SoA table holding every server's hot state (slot == id index).
   /// Fleet-wide passes read its column spans instead of walking Server
   /// objects.
@@ -145,14 +142,13 @@ class Cluster {
   [[nodiscard]] ClusterMemoryStats memory_stats() const;
 
   /// Cumulative counters of the index's coalesced notification pipeline
-  /// (src/cluster/index/pipeline_stats.h); all-zero when the index is off
-  /// or running eagerly.  Kept out of IntervalReport on purpose: the report
-  /// digest is part of the eager-vs-coalesced bit-identity contract, and
-  /// these figures differ between the modes by design.
+  /// (src/cluster/index/pipeline_stats.h).  Kept out of IntervalReport on
+  /// purpose: they count execution work (flushes, refiles), not protocol
+  /// facts, and the report digests pin protocol facts only.
   [[nodiscard]] index::PipelineStats pipeline_stats() const;
 
   /// Enables wall-clock timing of the index's flush phases (classify /
-  /// diff / refile buckets of pipeline_stats()).  No-op without an index.
+  /// diff / refile buckets of pipeline_stats()).
   void set_pipeline_phase_timing(bool on);
 
   // --- driving -------------------------------------------------------------
@@ -247,8 +243,8 @@ class Cluster {
   std::int32_t begin_partition(const std::vector<std::int32_t>& group_of);
   /// Marks the fabric whole again.  Membership stays split until the next
   /// protocol round, whose anti-entropy reconciliation pass merges the
-  /// views, resolves duplicated/orphaned placements and rebuilds the regime
-  /// index; the gap is the heal-convergence window the recorder reports.
+  /// views and resolves duplicated/orphaned placements; the gap is the
+  /// heal-convergence window the recorder reports.
   void heal_partition();
 
   /// The membership view: sides, side leaders, epochs.
@@ -295,8 +291,7 @@ class Cluster {
   [[nodiscard]] const vm::DemandGrowthSpec* growth_of(common::VmId id) const;
   /// The RNG (forked from the master seed).
   [[nodiscard]] common::Rng& rng() { return rng_; }
-  /// The incremental regime index; nullptr when config().use_regime_index is
-  /// false (legacy scan mode).
+  /// The incremental regime index (always present).
   [[nodiscard]] const index::RegimeIndex* regime_index() const {
     return index_.get();
   }
@@ -308,12 +303,16 @@ class Cluster {
   common::VmId spawn_vm(server::Server& host, common::AppId app, double demand,
                         bool force);
   server::Server& server_ref(common::ServerId id);
-  /// Placement through the configured policy, routed through the regime
-  /// index when it is enabled and the policy is the energy-aware one (the
-  /// only strategy the index models).  Shared by the protocol view and
-  /// accept_external so both take the same fast path.
+  /// Placement through the configured strategy: the regime index's widest
+  /// tiered search for the energy-aware rule, the scanning policy object
+  /// otherwise.  While partitioned, only quorum-side requests are brokered
+  /// and the search is confined to the quorum side.  Shared by the protocol
+  /// view and accept_external.
   std::optional<common::ServerId> pick_placement(double demand,
                                                  common::ServerId exclude);
+  /// Confines a search to `side` while the fabric is partitioned; admits
+  /// every server when it is whole.
+  [[nodiscard]] policy::PlacementFilter side_filter(std::int32_t side) const;
   /// Executes one protocol round at the current kernel time.
   IntervalReport run_round();
   /// Fleet-wide settle + energy step over the state table's pending column:
@@ -366,7 +365,7 @@ class Cluster {
   /// The anti-entropy pass after a heal: merges the membership views under
   /// the surviving highest-epoch leader at a fresh epoch, retires duplicate
   /// shadow placements (original survived) or adopts them (original lost),
-  /// rebuilds the regime index and emits the convergence metrics.  Defined
+  /// and emits the convergence metrics.  Defined
   /// in protocol/reconcile_partitions.cpp beside the action that drives it.
   void reconcile_partitions();
   /// Drops the ledger entry tracking `vm` as a shadow; true when it was one.
@@ -379,15 +378,15 @@ class Cluster {
 
   ClusterConfig config_;
   common::Rng rng_;
-  Leader leader_;
   OverflowHandler overflow_handler_;
   /// The shared SoA state table.  Declared before servers_ (servers write
   /// their rows through it during construction) and therefore destroyed
   /// after them, so a Server never outlives its row.
   server::ServerStateTable state_;
   std::vector<server::Server> servers_;
-  /// Declared after servers_ so it is destroyed first; servers never notify
-  /// from their destructor, so the dangling listener pointer is harmless.
+  /// Built once the servers exist and never null.  Declared after servers_
+  /// so it is destroyed first; servers never notify from their destructor,
+  /// so the dangling listener pointer is harmless.
   std::unique_ptr<index::RegimeIndex> index_;
   /// Growth specs by VM id.  Ids are allocated sequentially (next_vm_id_),
   /// so a flat id-indexed registry replaces the hash map on the evolve hot
@@ -407,6 +406,7 @@ class Cluster {
   vm::ScalingCost in_cluster_cost_{};
   common::Joules traffic_energy_{};  ///< Network energy (messages + migration data).
   sim::Simulation sim_;              ///< The one clock everything runs on.
+  /// The scanning baseline policy; null for the energy-aware strategy.
   std::unique_ptr<policy::PlacementPolicy> placement_;
   std::unique_ptr<protocol::ProtocolEngine> engine_;
   IntervalRecorder recorder_;

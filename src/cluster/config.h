@@ -148,24 +148,6 @@ struct ClusterConfig {
   /// supports the sleep-state ablation bench).
   std::optional<energy::CState> forced_sleep_state{};
 
-  /// When true (the default) the cluster maintains the incremental regime
-  /// index (src/cluster/index) and the protocol's placement searches,
-  /// cursors and fleet aggregates run scan-free in O(log n) / O(1).  When
-  /// false every query falls back to the legacy full scans.  Both paths are
-  /// bit-identical by contract (the randomized equivalence suite and the
-  /// golden-hash tests enforce it); the switch exists for the perf bench
-  /// and for differential testing.
-  bool use_regime_index{true};
-
-  /// When true (the default) the regime index coalesces state-change
-  /// notifications into a per-phase DirtySet and re-classifies/refiles the
-  /// dirty slots in one batch kernel at the next index query (the phase
-  /// barrier).  When false every notification is processed eagerly, one
-  /// classify + refile at a time -- the --eager-notify escape hatch.  Both
-  /// modes are bit-identical by construction (flush-on-query); the switch
-  /// exists for differential testing and for isolating pipeline bugs.
-  bool coalesce_notifications{true};
-
   /// Retry schedule for dropped control messages.  The fault layer's
   /// FaultPlan can override individual fields per plan (`retries=`,
   /// `backoff=`, `cap=` spec parameters); unset overrides fall back here.

@@ -14,7 +14,7 @@ namespace eclb::cluster::index {
 namespace {
 /// The protocol's comparison epsilon (matches placement and the actions).
 constexpr double kEps = 1e-9;
-/// Safety margin between the approximate key distance and the exact legacy
+/// Safety margin between the approximate key distance and the exact scan
 /// score.  The two differ only by rounding error of sums of values <= ~2
 /// (a handful of ulps, ~1e-15); 1e-9 is nine orders of magnitude above that
 /// and still far below any load difference the simulation produces.
@@ -70,10 +70,6 @@ void RegimeIndex::rebuild() {
 
 void RegimeIndex::server_state_changed(const server::Server& s) {
   const std::size_t i = s.id().index();
-  if (!coalesce_) {
-    update_slot(i);
-    return;
-  }
   ECLB_ASSERT(i < slots_.size(), "RegimeIndex: server index out of range");
   // The no-op gate: a notification whose packed row still matches the
   // mirror cannot change any index structure (Slot is a pure function of
@@ -86,8 +82,8 @@ void RegimeIndex::server_state_changed(const server::Server& s) {
 RegimeIndex::Slot RegimeIndex::classify(const server::Server& s) const {
   // Read the server's packed state-table record: sync_derived rewrites it
   // from the scalar columns at every notification point, so between
-  // mutations it matches what the legacy per-accessor classification
-  // computed -- awake in particular is time-independent (see
+  // mutations it matches what the per-accessor classification
+  // computes -- awake in particular is time-independent (see
   // Server::transition_pending and ServerStateTable::awake).  One aligned
   // 32-byte load replaces ten scattered column reads on the refile path.
   return slot_from_row(s.state_table().index_row(s.slot()));
@@ -229,7 +225,7 @@ void RegimeIndex::flush_impl() {
   // interleave queries with a handful of mutations each, so most flushes
   // carry only a few dirty slots.  For those the batch machinery (gather
   // kernel, run lists, grouped bucket rebuilds) costs more than it saves;
-  // per-slot eager updates in ascending slot order produce the identical end
+  // per-slot updates in ascending slot order produce the identical end
   // state (every structure is canonical: sorted buckets, bitsets, integer
   // aggregates), so the path choice -- a pure function of the dirty count --
   // can never leak into query answers.
@@ -328,50 +324,6 @@ void RegimeIndex::flush_impl() {
   }
 }
 
-void RegimeIndex::refresh_changed() {
-  if (servers_.empty()) return;
-  // The full-fleet pass below re-derives and refiles every changed slot, so
-  // pending dirty marks are subsumed by it.
-  dirty_.clear();
-  // One vectorized sweep re-derives every server's regime from the shared
-  // state-table columns; the per-slot compare below then refiles only the
-  // servers whose classification actually moved (the regime-delta list).
-  // Cluster fleets share one table with slot == id; a mixed fleet of
-  // standalone servers (unit tests) skips the batch pass and classifies
-  // row-by-row, which reads the identical columns.
-  const server::ServerStateTable& table = servers_.front().state_table();
-  const bool shared = table.size() == servers_.size();
-  if (shared) {
-    batch_scratch_.resize(table.size());
-    energy::classify_regimes(table.loads(), table.capacities(),
-                             table.alpha_sopt_lows(), table.alpha_opt_lows(),
-                             table.alpha_opt_highs(), table.alpha_sopt_highs(),
-                             batch_scratch_);
-  }
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    const server::Server& srv = servers_[i];
-    const server::ServerStateTable::IndexRow& row =
-        srv.state_table().index_row(srv.slot());
-    // Refresh the row mirror unconditionally: the mirror's invariant is
-    // "slots_[i] was derived from rows_[i]", and this pass re-derives every
-    // slot from the live row whether or not it ends up refiled.
-    rows_[i] = row;
-    Slot fresh = slot_from_row(row);
-    if (shared) {
-      const server::ServerSlot slot = srv.slot();
-      ECLB_ASSERT(batch_scratch_[slot] == table.classified(slot),
-                  "refresh_changed: batch pass disagrees with classified column");
-      fresh.regime = fresh.awake ? batch_scratch_[slot]
-                                 : server::ServerStateTable::kNone;
-    }
-    if (fresh == slots_[i]) continue;
-    const auto id = static_cast<std::uint32_t>(i);
-    unfile_slot(id, slots_[i]);
-    file_slot(id, fresh);
-    slots_[i] = fresh;
-  }
-}
-
 std::size_t RegimeIndex::memory_bytes() const {
   flush();  // A mid-phase arena would under- or over-count the key axes.
   std::size_t bytes = counting_.live_bytes();
@@ -381,7 +333,6 @@ std::size_t RegimeIndex::memory_bytes() const {
   bytes += above_center_.memory_bytes() + awake_empty_.memory_bytes();
   bytes += slots_.capacity() * sizeof(Slot);
   bytes += rows_.capacity() * sizeof(server::ServerStateTable::IndexRow);
-  bytes += batch_scratch_.capacity();
   bytes += dirty_.memory_bytes() + gather_out_.capacity();
   for (const auto& r : erase_runs_) bytes += r.capacity() * sizeof(LoadKey);
   for (const auto& r : insert_runs_) bytes += r.capacity() * sizeof(LoadKey);
@@ -400,12 +351,12 @@ energy::RegimeHistogram RegimeIndex::regime_histogram() const {
 template <class Admit>
 std::optional<common::ServerId> RegimeIndex::search(
     std::span<const BucketRef> buckets, double demand, common::ServerId exclude,
-    const Admit& admit) const {
+    const policy::PlacementFilter* filter, const Admit& admit) const {
   // Bidirectional expansion per bucket around the ideal key -demand (where
   // post-placement load would land exactly on the center): `up` walks keys
   // >= the pivot in increasing order, `down_pos` walks keys below it in
   // decreasing order.  At each step the globally closest unexamined
-  // candidate (by key distance) is rescored with the exact legacy
+  // candidate (by key distance) is rescored with the exact scan
   // expression; the search stops once every remaining candidate is provably
   // worse than the best exact score found.
   // Each cursor keeps its two frontier candidates (key and id) materialized:
@@ -499,6 +450,7 @@ std::optional<common::ServerId> RegimeIndex::search(
       }
     }
     if (id == exclude.value) continue;
+    if (filter != nullptr && !filter->admits(common::ServerId{id})) continue;
     const std::optional<double> score = admit(servers_[id], pick->regime_idx);
     if (score.has_value() &&
         (*score < best_score || (*score == best_score && id < best_id))) {
@@ -511,11 +463,11 @@ std::optional<common::ServerId> RegimeIndex::search(
 }
 
 std::optional<common::ServerId> RegimeIndex::find_tiered_target(
-    double demand, common::ServerId exclude,
-    policy::PlacementTier max_tier) const {
+    double demand, common::ServerId exclude, policy::PlacementTier max_tier,
+    const policy::PlacementFilter* filter) const {
   flush();
   // Per tier, bucket membership already encodes "awake" plus the tier's
-  // regime restriction; the remaining legacy admissibility condition (the
+  // regime restriction; the remaining admissibility condition (the
   // post-placement threshold) and the score are evaluated exactly.  The
   // regime containment is sound because post <= alpha implies
   // served = min(load, capacity) <= alpha, so the candidate's regime is at
@@ -542,7 +494,7 @@ std::optional<common::ServerId> RegimeIndex::find_tiered_target(
     }
     for (int r = 0; r <= max_regime_idx; ++r) buckets[n++] = {r, cutoff};
     const auto found = search(
-        std::span<const BucketRef>(buckets, n), demand, exclude,
+        std::span<const BucketRef>(buckets, n), demand, exclude, filter,
         [&](const server::Server& s, int /*regime_idx*/) -> std::optional<double> {
           const double post = s.load() + demand;
           const auto& th = s.thresholds();
@@ -558,14 +510,15 @@ std::optional<common::ServerId> RegimeIndex::find_tiered_target(
 }
 
 std::optional<common::ServerId> RegimeIndex::find_below_center_target(
-    double demand, common::ServerId exclude) const {
+    double demand, common::ServerId exclude,
+    const policy::PlacementFilter* filter) const {
   flush();
   // Admissible targets end at or below their own center, so load < center:
   // every candidate is awake in R1..R3 and its key + demand is <= rounding
   // error -- the upward cutoff is just the slop margin.
   const BucketRef buckets[3] = {{0, kSlop}, {1, kSlop}, {2, kSlop}};
   return search(
-      std::span<const BucketRef>(buckets, 3), demand, exclude,
+      std::span<const BucketRef>(buckets, 3), demand, exclude, filter,
       [&](const server::Server& s, int /*regime_idx*/) -> std::optional<double> {
         const double post = s.load() + demand;
         if (post > s.thresholds().optimal_center()) return std::nullopt;
@@ -574,9 +527,10 @@ std::optional<common::ServerId> RegimeIndex::find_below_center_target(
 }
 
 std::optional<common::ServerId> RegimeIndex::find_drain_target(
-    const server::Server& donor, double demand) const {
+    const server::Server& donor, double demand,
+    const policy::PlacementFilter* filter) const {
   flush();
-  // Legacy conditions, re-checked exactly per candidate: strictly-uphill
+  // The scan's conditions, re-checked exactly per candidate: strictly-uphill
   // load, R1/R2 peer or R3 staying below center, post within the optimal
   // region (+kEps).  The R3 bucket's cutoff encodes its tighter
   // below-center bound.
@@ -585,7 +539,7 @@ std::optional<common::ServerId> RegimeIndex::find_drain_target(
                                 {1, max_opt_halfwidth_ + kEps + kSlop},
                                 {2, kEps + kSlop}};
   return search(
-      std::span<const BucketRef>(buckets, 3), demand, donor.id(),
+      std::span<const BucketRef>(buckets, 3), demand, donor.id(), filter,
       [&](const server::Server& t, int regime_idx) -> std::optional<double> {
         if (t.load() <= donor_load + kEps) return std::nullopt;  // uphill only
         const double post = t.load() + demand;
@@ -598,13 +552,16 @@ std::optional<common::ServerId> RegimeIndex::find_drain_target(
       });
 }
 
-std::optional<common::ServerId> RegimeIndex::pick_wake_candidate() const {
+std::optional<common::ServerId> RegimeIndex::pick_wake_candidate(
+    const policy::PlacementFilter* filter) const {
   flush();
-  // Legacy scan keeps the first (lowest-id) server with the shallowest
-  // settled sleep state; depth buckets in id order reproduce that directly.
+  // The scan keeps the first (lowest-id) server with the shallowest settled
+  // sleep state; depth buckets in id order reproduce that directly, walking
+  // past ids the filter rejects.
   for (const auto& depth : sleepers_) {
-    if (const auto first = depth.first(); first.has_value()) {
-      return common::ServerId{static_cast<std::uint32_t>(*first)};
+    for (auto id = next_in_set(depth, std::nullopt); id.has_value();
+         id = next_in_set(depth, id)) {
+      if (filter == nullptr || filter->admits(*id)) return id;
     }
   }
   return std::nullopt;

@@ -16,21 +16,28 @@
 //     regime-report fan-in) that previously cost one fleet scan each per
 //     interval snapshot.
 //
-// Bit-identity contract: every query reproduces the corresponding legacy
-// full-scan *exactly* -- same winner, same tie-breaks, same floating-point
-// comparisons -- so golden-hash CSVs are unchanged with the index enabled.
-// Two techniques make that possible:
+// Bit-identity contract: every query reproduces the corresponding full
+// O(N) scan of the fleet *exactly* -- same winner, same tie-breaks, same
+// floating-point comparisons -- so the protocol's decisions are those of the
+// paper's scan-based leader.  The scans live on as the test-only oracle
+// (tests/support/scan_oracle.h).  Two techniques make that possible:
 //   1. Candidate enumeration is approximate, scoring is exact.  The ordered
-//      buckets are keyed by (load - center), which tracks the legacy score
+//      buckets are keyed by (load - center), which tracks the scan's score
 //      |load + demand - center| only up to FP rounding.  Searches therefore
-//      expand outward from the ideal key, re-compute the *legacy* score
+//      expand outward from the ideal key, re-compute the scan's score
 //      expression for every candidate examined, and only stop once the key
 //      distance provably exceeds the best exact score by kSlop (a margin
 //      nine orders of magnitude above the achievable rounding error).
 //   2. Cursor queries return a *superset* in id order and the actions keep
-//      their original visit-time condition checks, so mid-pass mutations
-//      (a donor shedding out of its regime) resolve identically to the
-//      legacy scan-and-test loop.
+//      their visit-time condition checks, so mid-pass mutations (a donor
+//      shedding out of its regime) resolve identically to a scan-and-test
+//      loop.
+//
+// Every search takes an optional policy::PlacementFilter: while a fabric is
+// partitioned the protocol confines searches to one side, and the filter
+// rejects other-side ids as candidates.  The winner is still the exact
+// (score, id) minimum over the admitted set, so a filtered search equals
+// the filtered scan.
 //
 // Storage (this PR): the id-ordered membership sets are dense bitsets over
 // the slot universe (one word write per refile, word-scan cursors), and the
@@ -70,11 +77,9 @@ class RegimeIndex final : public server::ServerStateListener {
   /// Builds the index from the servers' current state.
   explicit RegimeIndex(std::span<const server::Server> servers);
 
-  /// ServerStateListener: records the change.  Coalescing (the default)
-  /// appends a slot-level dirty mark to the per-phase DirtySet; the deferred
-  /// reclassify + refile happens in one batch at the next flush().  Eager
-  /// mode (set_coalescing(false), the --eager-notify escape hatch) re-files
-  /// immediately, one notification at a time.
+  /// ServerStateListener: records the change as a slot-level dirty mark in
+  /// the per-phase DirtySet; the deferred reclassify + refile happens in one
+  /// batch at the next flush().
   void server_state_changed(const server::Server& s) override;
 
   // --- phase-coalesced pipeline -------------------------------------------
@@ -83,23 +88,15 @@ class RegimeIndex final : public server::ServerStateListener {
   /// the dirty lanes, an old/new slot diff, and sorted grouped refile runs
   /// into the key axes (each bucket touched once).  Every public query calls
   /// this first, so an index answer is always computed on exactly the state
-  /// the eager per-notification path would have shown -- which is why the
-  /// two modes are bit-identical by construction.  No-op when nothing is
-  /// dirty; cheap enough to sit on every query.
+  /// applying each notification at its instant would have shown (the state
+  /// self_check's fresh rebuild reproduces).  No-op when nothing is dirty;
+  /// cheap enough to sit on every query.
   void flush() const {
     if (dirty_.empty()) return;
     // Logically const: flushing publishes already-committed server state
     // into the index's internal structures and changes no query answer.
     const_cast<RegimeIndex*>(this)->flush_impl();
   }
-
-  /// Switches between coalesced (true, default) and eager notification
-  /// handling.  Turning coalescing off flushes pending marks first.
-  void set_coalescing(bool on) {
-    if (!on) flush();
-    coalesce_ = on;
-  }
-  [[nodiscard]] bool coalescing() const { return coalesce_; }
 
   /// Enables wall-clock timing of the flush phases (classify/diff/refile in
   /// pipeline_stats()).  Off by default so the hot path never reads a clock.
@@ -110,14 +107,6 @@ class RegimeIndex final : public server::ServerStateListener {
 
   /// Rebuilds everything from scratch (constructor body; test hook).
   void rebuild();
-
-  /// Delta refresh: batch-reclassifies the fleet from the state table's
-  /// columns (energy/regime_batch) and refiles only the servers whose
-  /// classification changed.  End state identical to rebuild(), but bulk
-  /// transitions that touch a fraction of the fleet (partition heal,
-  /// membership reconciliation) cost O(changed) refiles instead of
-  /// O(N log N) reconstruction.
-  void refresh_changed();
 
   /// Exact heap bytes held by the index (bitsets, slot mirror, and the
   /// arena feeding the key-ordered search trees).
@@ -150,36 +139,47 @@ class RegimeIndex final : public server::ServerStateListener {
   [[nodiscard]] energy::RegimeHistogram regime_histogram() const;
   /// Servers that report their regime to the leader each interval (regime
   /// defined and != R3; includes servers still settling into sleep, exactly
-  /// like the legacy RegimeReport scan).
+  /// like a RegimeReport scan).
   [[nodiscard]] std::size_t regime_reporter_count() const {
     flush();
     return reporters_;
   }
 
   // --- exact-equivalent placement searches --------------------------------
+  //
+  // `exclude` is never a candidate; `filter` (when given) admits only the
+  // servers of one partition side.
 
-  /// The paper's tiered search; bit-identical to policy::find_tiered_target
-  /// over the same servers.
+  /// The paper's tiered search: widens from kLowRegimesOnly up to
+  /// `max_tier`; within a tier the winner minimizes the post-placement
+  /// distance to its own optimal-region center (concentrating load).
   [[nodiscard]] std::optional<common::ServerId> find_tiered_target(
-      double demand, common::ServerId exclude,
-      policy::PlacementTier max_tier) const;
+      double demand, common::ServerId exclude, policy::PlacementTier max_tier,
+      const policy::PlacementFilter* filter = nullptr) const;
 
-  /// Bit-identical to policy::find_below_center_target.
+  /// A target able to absorb `demand` while ending at or below its own
+  /// optimal center; fullest viable target wins.  Used by the
+  /// even-distribution rebalance: a VM only moves from an above-center
+  /// server to one that stays below center, so rebalancing converges.
   [[nodiscard]] std::optional<common::ServerId> find_below_center_target(
-      double demand, common::ServerId exclude) const;
+      double demand, common::ServerId exclude,
+      const policy::PlacementFilter* filter = nullptr) const;
 
-  /// The consolidation (drain) uphill search: bit-identical to the donor's
-  /// inline scan in DrainAndSleep -- an R1/R2 peer, or an R3 peer staying
-  /// below its center, with strictly more load than `donor`, ending within
-  /// its optimal region; fullest-fit (closest to its own center) wins.
+  /// The consolidation (drain) uphill search: an R1/R2 peer, or an R3 peer
+  /// staying below its center, with strictly more load than `donor`, ending
+  /// within its optimal region; fullest-fit (closest to its own center)
+  /// wins.
   [[nodiscard]] std::optional<common::ServerId> find_drain_target(
-      const server::Server& donor, double demand) const;
+      const server::Server& donor, double demand,
+      const policy::PlacementFilter* filter = nullptr) const;
 
-  /// Bit-identical to Leader::pick_wake_candidate: the lowest-id settled
-  /// sleeper in the shallowest occupied sleep state.
-  [[nodiscard]] std::optional<common::ServerId> pick_wake_candidate() const;
+  /// The leader's wake pick: the lowest-id settled sleeper in the
+  /// shallowest occupied sleep state (servers mid-transition are not
+  /// wakeable).
+  [[nodiscard]] std::optional<common::ServerId> pick_wake_candidate(
+      const policy::PlacementFilter* filter = nullptr) const;
 
-  // --- ordered cursors (id order; supersets of the legacy visit sets) -----
+  // --- ordered cursors (id order; supersets of the actions' visit sets) ---
 
   /// Next awake server in `r` with id greater than `after` (nullopt = from
   /// the start).  Returns nullopt when exhausted.
@@ -255,29 +255,28 @@ class RegimeIndex final : public server::ServerStateListener {
   void unfile_slot_deferred(std::uint32_t id, const Slot& slot);
 
   /// Bidirectional best-score search over `buckets` around the ideal key
-  /// -demand.  `admit(server, regime_idx)` returns the *exact legacy score*
-  /// when the candidate is admissible, nullopt otherwise.  The winner is the
-  /// exact lexicographic minimum of (score, id) -- the legacy scan's answer.
+  /// -demand.  `admit(server, regime_idx)` returns the *exact scan score*
+  /// when the candidate is admissible, nullopt otherwise; `exclude` and ids
+  /// `filter` rejects are skipped before it.  The winner is the exact
+  /// lexicographic minimum of (score, id) -- the scan's answer.
   template <class Admit>
   [[nodiscard]] std::optional<common::ServerId> search(
       std::span<const BucketRef> buckets, double demand,
-      common::ServerId exclude, const Admit& admit) const;
+      common::ServerId exclude, const policy::PlacementFilter* filter,
+      const Admit& admit) const;
 
   std::span<const server::Server> servers_;
   std::vector<Slot> slots_;
   /// Mirror of each server's packed IndexRow as of the last time the index
-  /// applied it (rebuild, refresh, eager update or flush).  A notification
-  /// whose current row equals the mirror is a no-op for every structure the
-  /// index keeps, so both the eager path and the dirty-mark path drop it
-  /// after one 32-byte compare -- settle sweeps and other fact-free
-  /// notifications never reach the refile machinery.
+  /// applied it (rebuild or flush).  A notification whose current row
+  /// equals the mirror is a no-op for every structure the index keeps, so
+  /// the dirty-mark path drops it after one 32-byte compare -- settle
+  /// sweeps and other fact-free notifications never reach the refile
+  /// machinery.
   std::vector<server::ServerStateTable::IndexRow> rows_;
-  /// Scratch for refresh_changed's batch classification pass.
-  std::vector<std::int8_t> batch_scratch_;
 
   // --- coalesced-pipeline state -------------------------------------------
 
-  bool coalesce_{true};
   bool phase_timing_{false};
   DirtySet dirty_;
   PipelineStats stats_;

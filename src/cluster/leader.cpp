@@ -2,58 +2,6 @@
 
 namespace eclb::cluster {
 
-std::optional<common::ServerId> Leader::find_target(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, PlacementTier max_tier,
-    const policy::PlacementFilter* filter) const {
-  return policy::find_tiered_target(servers, now, demand, exclude, max_tier,
-                                    filter);
-}
-
-std::optional<common::ServerId> Leader::find_below_center_target(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, const policy::PlacementFilter* filter) const {
-  return policy::find_below_center_target(servers, now, demand, exclude, filter);
-}
-
-std::vector<common::ServerId> Leader::servers_in(
-    std::span<const server::Server> servers, common::Seconds now,
-    std::initializer_list<energy::Regime> regimes) const {
-  std::vector<common::ServerId> out;
-  for (const auto& s : servers) {
-    if (!s.awake(now)) continue;
-    const auto r = s.regime();
-    if (!r.has_value()) continue;
-    for (auto want : regimes) {
-      if (*r == want) {
-        out.push_back(s.id());
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::optional<common::ServerId> Leader::pick_wake_candidate(
-    std::span<const server::Server> servers, common::Seconds now,
-    const policy::PlacementFilter* filter) const {
-  const server::Server* best = nullptr;
-  for (const auto& s : servers) {
-    if (filter != nullptr && !filter->admits(s.id())) continue;
-    if (s.awake(now)) continue;
-    // A server mid-transition (falling asleep or already waking) cannot be
-    // redirected; only settled sleepers are wakeable.
-    if (s.in_transition(now)) continue;
-    if (s.cstate() == energy::CState::kC0) continue;
-    if (best == nullptr ||
-        static_cast<int>(s.cstate()) < static_cast<int>(best->cstate())) {
-      best = &s;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->id();
-}
-
 energy::CState Leader::choose_sleep_state(double cluster_load_fraction,
                                           double threshold) {
   return cluster_load_fraction > threshold ? energy::CState::kC3

@@ -1,68 +1,20 @@
-// The cluster leader: matchmaking and sleep/wake arbitration.
+// The cluster leader's sleep arbitration.
 //
 // Section 4's protocol routes every placement decision through a
-// per-cluster leader that knows each member's regime.  The leader here is
-// deliberately stateless over server data (it reads the live server array),
-// matching the paper's "local state information gathered from the members
-// of the cluster".
+// per-cluster leader that knows each member's regime.  The leader's
+// matchmaking queries -- the tiered and below-center placement searches,
+// the drain search and the wake pick -- are answered by the cluster's
+// regime index (cluster/index/regime_index.h); what remains here is the
+// sleep-depth rule that needs cluster-wide judgment.
 #pragma once
 
-#include <optional>
-#include <span>
-#include <vector>
-
-#include "common/types.h"
-#include "common/units.h"
 #include "energy/cstates.h"
-#include "energy/regimes.h"
-#include "policy/placement.h"
-#include "server/server.h"
 
 namespace eclb::cluster {
 
-/// The tier ladder lives with the placement layer; aliased here because it
-/// has always been part of the leader's vocabulary.
-using PlacementTier = policy::PlacementTier;
-
-/// Leader decision logic.  Holds no mutable server state; the cluster passes
-/// its live server array into each query.  Matchmaking searches delegate to
-/// the shared placement layer (policy/placement.h); the leader adds the
-/// sleep/wake arbitration that needs cluster-wide judgment.
+/// Leader decision logic that is not a fleet query.
 class Leader {
  public:
-  /// Picks the best target able to absorb `demand` more load, searching
-  /// progressively wider tiers up to `max_tier`.  Within a tier the winner
-  /// minimizes the post-placement distance to its own optimal-region center
-  /// (concentrating load, per the paper's consolidation goal).  `exclude`
-  /// is skipped (the requesting server); `filter` (when given) restricts the
-  /// search to one partition side.  Returns nullopt when nothing fits.
-  [[nodiscard]] std::optional<common::ServerId> find_target(
-      std::span<const server::Server> servers, common::Seconds now, double demand,
-      common::ServerId exclude, PlacementTier max_tier,
-      const policy::PlacementFilter* filter = nullptr) const;
-
-  /// Picks a target able to absorb `demand` while ending *below its own
-  /// optimal center*.  Used by the even-distribution rebalance: a VM only
-  /// moves from an above-center server to a server that stays below center,
-  /// so rebalancing monotonically converges (no ping-pong).  Returns nullopt
-  /// when no such server exists.
-  [[nodiscard]] std::optional<common::ServerId> find_below_center_target(
-      std::span<const server::Server> servers, common::Seconds now, double demand,
-      common::ServerId exclude,
-      const policy::PlacementFilter* filter = nullptr) const;
-
-  /// Ids of awake servers currently in any of `regimes`.
-  [[nodiscard]] std::vector<common::ServerId> servers_in(
-      std::span<const server::Server> servers, common::Seconds now,
-      std::initializer_list<energy::Regime> regimes) const;
-
-  /// Picks a sleeping, settled server to wake, preferring the shallowest
-  /// sleep state (fastest / cheapest wake).  `filter` (when given) restricts
-  /// the candidates to one partition side.  Returns nullopt when none.
-  [[nodiscard]] std::optional<common::ServerId> pick_wake_candidate(
-      std::span<const server::Server> servers, common::Seconds now,
-      const policy::PlacementFilter* filter = nullptr) const;
-
   /// The Section 6 rule: when cluster load exceeds `threshold` (default
   /// 60 %) new sleepers go to C3 (fast wake likely needed soon); below it
   /// they go to C6 (deep sleep, demand unlikely to return quickly).

@@ -17,8 +17,8 @@ namespace eclb::cluster::protocol {
 
 /// Anti-entropy reconciliation after a partition heals: merges the sides'
 /// membership under the highest-epoch leader, resolves shadow-restarted
-/// duplicates, adopts stranded VMs and rebuilds the regime index.  No-op
-/// (and zero-cost) unless a heal is pending.
+/// duplicates and adopts stranded VMs.  No-op (and zero-cost) unless a heal
+/// is pending.
 class ReconcilePartitions final : public ProtocolAction {
  public:
   [[nodiscard]] std::string_view name() const override {

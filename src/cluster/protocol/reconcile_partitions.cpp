@@ -5,8 +5,10 @@
 // applications that kept running on a minority side.  This pass merges the
 // views under the surviving highest-epoch leader at a fresh epoch, resolves
 // the ledger of shadow placements (original survived -> retire the shadow as
-// a duplicate; original lost -> the shadow *is* the surviving instance),
-// rebuilds the regime index and emits the heal-convergence metrics.
+// a duplicate; original lost -> the shadow *is* the surviving instance) and
+// emits the heal-convergence metrics.  The regime index needs no rebuild:
+// it tracked every server through the split, serving the side-filtered
+// searches.
 //
 // Cluster::reconcile_partitions lives here beside the action that drives it:
 // the merge logic is protocol policy, not cluster bookkeeping, and keeping
@@ -17,7 +19,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/config.h"
-#include "cluster/index/regime_index.h"
 #include "cluster/protocol/actions.h"
 #include "cluster/protocol/view.h"
 #include "common/assert.h"
@@ -123,11 +124,6 @@ void Cluster::reconcile_partitions() {
                    config_.costs.energy_per_message);
   traffic_energy_ +=
       config_.costs.energy_per_message * static_cast<double>(live);
-
-  // 5. The index bypassed its buckets while partitioned (side-filtered
-  // legacy scans); a batch reclassification sweep refiles only the servers
-  // the partition actually moved, and the next round is scan-free again.
-  if (index_ != nullptr) index_->refresh_changed();
 
   const common::Seconds convergence = when - heal_time_;
   recorder_.reconciled(convergence, new_leader);

@@ -1,8 +1,6 @@
 #include "cluster/protocol/view.h"
 
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "cluster/cluster.h"
@@ -82,20 +80,10 @@ std::optional<common::ServerId> ClusterView::find_target(
   if (!leader_available()) return std::nullopt;
   if (cluster_.degraded(exclude)) return std::nullopt;
   PlacementPhase phase(cluster_);
-  if (cluster_.membership_.partitioned()) {
-    // The regime index is not side-aware: partitioned searches take the
-    // legacy scan confined to the quorum side (degraded requesters were
-    // already turned away above).
-    const policy::PlacementFilter filter{&cluster_.membership_.groups(),
-                                         cluster_.membership_.quorum()};
-    return cluster_.leader_.find_target(cluster_.servers_, now(), demand,
-                                        exclude, max_tier, &filter);
-  }
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->find_tiered_target(demand, exclude, max_tier);
-  }
-  return cluster_.leader_.find_target(cluster_.servers_, now(), demand, exclude,
-                                      max_tier);
+  // Degraded requesters were turned away above; a partitioned search stays
+  // on the quorum side.
+  const auto filter = cluster_.side_filter(cluster_.membership_.quorum());
+  return cluster_.index_->find_tiered_target(demand, exclude, max_tier, &filter);
 }
 
 std::optional<common::ServerId> ClusterView::find_below_center_target(
@@ -103,125 +91,48 @@ std::optional<common::ServerId> ClusterView::find_below_center_target(
   if (!leader_available()) return std::nullopt;
   if (cluster_.degraded(exclude)) return std::nullopt;
   PlacementPhase phase(cluster_);
-  if (cluster_.membership_.partitioned()) {
-    const policy::PlacementFilter filter{&cluster_.membership_.groups(),
-                                         cluster_.membership_.quorum()};
-    return cluster_.leader_.find_below_center_target(cluster_.servers_, now(),
-                                                     demand, exclude, &filter);
-  }
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->find_below_center_target(demand, exclude);
-  }
-  return cluster_.leader_.find_below_center_target(cluster_.servers_, now(),
-                                                   demand, exclude);
+  const auto filter = cluster_.side_filter(cluster_.membership_.quorum());
+  return cluster_.index_->find_below_center_target(demand, exclude, &filter);
 }
 
 std::optional<common::ServerId> ClusterView::pick_wake_candidate() const {
   if (!leader_available()) return std::nullopt;
   PlacementPhase phase(cluster_);
-  if (cluster_.membership_.partitioned()) {
-    // Only quorum-side sleepers are wakeable: a wake command cannot cross
-    // the split fabric.
-    const policy::PlacementFilter filter{&cluster_.membership_.groups(),
-                                         cluster_.membership_.quorum()};
-    return cluster_.leader_.pick_wake_candidate(cluster_.servers_, now(),
-                                                &filter);
-  }
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->pick_wake_candidate();
-  }
-  return cluster_.leader_.pick_wake_candidate(cluster_.servers_, now());
+  // Only quorum-side sleepers are wakeable: a wake command cannot cross the
+  // split fabric.
+  const auto filter = cluster_.side_filter(cluster_.membership_.quorum());
+  return cluster_.index_->pick_wake_candidate(&filter);
 }
 
 std::optional<common::ServerId> ClusterView::find_drain_target(
     const server::Server& donor, double demand) const {
-  const bool split = cluster_.membership_.partitioned();
-  if (!split && cluster_.index_ != nullptr) {
-    return cluster_.index_->find_drain_target(donor, demand);
-  }
-  const std::int32_t donor_group =
-      split ? cluster_.membership_.group_of(donor.id()) : 0;
-  // Legacy scan (verbatim from the drain action): an R1/R2 peer with
-  // strictly more load, or an R3 peer staying below its own center, ending
-  // within its optimal region; fullest-fit (closest to its center) wins.
-  const common::Seconds at = cluster_.now();
-  const server::Server* chosen = nullptr;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& t : cluster_.servers_) {
-    if (t.id() == donor.id() || !t.awake(at)) continue;
-    if (split && cluster_.membership_.group_of(t.id()) != donor_group) continue;
-    if (t.load() <= donor.load() + kEps) continue;  // uphill only
-    const auto tr = t.regime();
-    if (!tr.has_value()) continue;
-    const double post = t.load() + demand;
-    const bool low = *tr == energy::Regime::kR1UndesirableLow ||
-                     *tr == energy::Regime::kR2SuboptimalLow;
-    const bool r3_below_center =
-        *tr == energy::Regime::kR3Optimal &&
-        post <= t.thresholds().optimal_center() + kEps;
-    if (!low && !r3_below_center) continue;
-    if (post > t.thresholds().alpha_opt_high + kEps) continue;
-    const double score = std::abs(post - t.thresholds().optimal_center());
-    if (score < best_score) {
-      best_score = score;
-      chosen = &t;
-    }
-  }
-  if (chosen == nullptr) return std::nullopt;
-  return chosen->id();
+  // A VM only drains to a peer on the donor's own side.
+  const auto filter = cluster_.side_filter(cluster_.membership_.group_of(donor.id()));
+  return cluster_.index_->find_drain_target(donor, demand, &filter);
 }
-
-namespace {
-/// Legacy cursor: plain id iteration; the caller's visit-time checks do the
-/// filtering, exactly like the original full-scan loops.
-std::optional<common::ServerId> next_id(std::size_t server_count,
-                                        std::optional<common::ServerId> after) {
-  const std::size_t start = after.has_value() ? after->index() + 1 : 0;
-  if (start >= server_count) return std::nullopt;
-  return common::ServerId{start};
-}
-}  // namespace
 
 std::optional<common::ServerId> ClusterView::next_in_regime(
     energy::Regime r, std::optional<common::ServerId> after) const {
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->next_in_regime(r, after);
-  }
-  return next_id(cluster_.servers_.size(), after);
+  return cluster_.index_->next_in_regime(r, after);
 }
 
 std::optional<common::ServerId> ClusterView::next_above_center(
     std::optional<common::ServerId> after) const {
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->next_above_center(after);
-  }
-  return next_id(cluster_.servers_.size(), after);
+  return cluster_.index_->next_above_center(after);
 }
 
 std::optional<common::ServerId> ClusterView::next_parked(
     std::optional<common::ServerId> after) const {
-  if (cluster_.index_ != nullptr) return cluster_.index_->next_parked(after);
-  return next_id(cluster_.servers_.size(), after);
+  return cluster_.index_->next_parked(after);
 }
 
 std::optional<common::ServerId> ClusterView::next_awake_empty(
     std::optional<common::ServerId> after) const {
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->next_awake_empty(after);
-  }
-  return next_id(cluster_.servers_.size(), after);
+  return cluster_.index_->next_awake_empty(after);
 }
 
 std::size_t ClusterView::count_regime_reporters() const {
-  if (cluster_.index_ != nullptr) {
-    return cluster_.index_->regime_reporter_count();
-  }
-  std::size_t count = 0;
-  for (const auto& s : cluster_.servers_) {
-    const auto r = s.regime();
-    if (r.has_value() && *r != energy::Regime::kR3Optimal) ++count;
-  }
-  return count;
+  return cluster_.index_->regime_reporter_count();
 }
 
 void ClusterView::grant_vertical(common::ServerId server) {

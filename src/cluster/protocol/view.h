@@ -71,6 +71,11 @@ class ClusterView {
   /// policy (the strategy under evaluation).
   [[nodiscard]] std::optional<common::ServerId> pick_horizontal_target(
       double demand, common::ServerId exclude);
+  // Every energy-aware query below is answered by the cluster's regime
+  // index.  While the fabric is partitioned each is confined to one side:
+  // the quorum's for the leader's searches and wake pick, the donor's own
+  // for the drain search.
+
   /// The leader's tiered energy-aware search (shedding, strict tiers).
   [[nodiscard]] std::optional<common::ServerId> find_target(
       double demand, common::ServerId exclude, policy::PlacementTier max_tier) const;
@@ -88,11 +93,10 @@ class ClusterView {
 
   // --- scan-free cursors & counts ------------------------------------------
   //
-  // Id-ordered *supersets* of the legacy visit sets.  Actions re-apply their
-  // visit-time condition checks on every returned server, so the indexed and
-  // legacy modes make bit-identical decisions: with the regime index the
-  // cursor walks the relevant bucket; without it, it degenerates to plain id
-  // iteration over all servers -- exactly the legacy loop.
+  // Id-ordered *supersets* of each action's visit set, walked from the
+  // index's buckets.  Actions re-apply their visit-time condition checks on
+  // every returned server, so a cursor walk decides exactly what a plain id
+  // loop over all servers with the same checks would.
 
   /// Next awake server in regime `r` with id greater than `after`
   /// (nullopt = start); nullopt when exhausted.

@@ -1,35 +1,11 @@
 #include "policy/placement.h"
 
-#include <cmath>
-#include <limits>
 #include <vector>
 
 namespace eclb::policy {
 
 namespace {
 constexpr double kEps = 1e-9;
-
-/// Tier admissibility: can `s` absorb `demand` under `tier`'s rule?
-bool admissible(const server::Server& s, common::Seconds now, double demand,
-                PlacementTier tier) {
-  if (!s.awake(now)) return false;
-  const double post = s.load() + demand;
-  const auto& t = s.thresholds();
-  switch (tier) {
-    case PlacementTier::kLowRegimesOnly: {
-      const auto r = s.regime();
-      const bool low = r.has_value() && (*r == energy::Regime::kR1UndesirableLow ||
-                                         *r == energy::Regime::kR2SuboptimalLow);
-      return low && post <= t.alpha_opt_high;
-    }
-    case PlacementTier::kStayOptimal:
-      return post <= t.alpha_opt_high;
-    case PlacementTier::kStaySuboptimal:
-      return post <= t.alpha_sopt_high;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string_view to_string(PlacementStrategy s) {
@@ -40,61 +16,6 @@ std::string_view to_string(PlacementStrategy s) {
     case PlacementStrategy::kRoundRobin: return "round-robin";
   }
   return "?";
-}
-
-std::optional<common::ServerId> find_tiered_target(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, PlacementTier max_tier,
-    const PlacementFilter* filter) {
-  for (int tier = 0; tier <= static_cast<int>(max_tier); ++tier) {
-    const auto t = static_cast<PlacementTier>(tier);
-    const server::Server* best = nullptr;
-    double best_score = std::numeric_limits<double>::infinity();
-    for (const auto& s : servers) {
-      if (s.id() == exclude) continue;
-      if (filter != nullptr && !filter->admits(s.id())) continue;
-      if (!admissible(s, now, demand, t)) continue;
-      // Prefer the target whose post-placement load lands closest to its own
-      // optimal center: consolidates load and keeps targets in-regime.
-      const double score =
-          std::abs(s.load() + demand - s.thresholds().optimal_center());
-      if (score < best_score) {
-        best_score = score;
-        best = &s;
-      }
-    }
-    if (best != nullptr) return best->id();
-  }
-  return std::nullopt;
-}
-
-std::optional<common::ServerId> find_below_center_target(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, const PlacementFilter* filter) {
-  const server::Server* best = nullptr;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& s : servers) {
-    if (s.id() == exclude || !s.awake(now)) continue;
-    if (filter != nullptr && !filter->admits(s.id())) continue;
-    const double post = s.load() + demand;
-    if (post > s.thresholds().optimal_center()) continue;
-    // Fullest viable target first: concentrates load.
-    const double score = s.thresholds().optimal_center() - post;
-    if (score < best_score) {
-      best_score = score;
-      best = &s;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->id();
-}
-
-std::optional<common::ServerId> EnergyAwarePlacement::pick(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, common::Rng& /*rng*/,
-    const PlacementFilter* filter) {
-  return find_tiered_target(servers, now, demand, exclude,
-                            PlacementTier::kStaySuboptimal, filter);
 }
 
 std::optional<common::ServerId> LeastLoadedPlacement::pick(
@@ -144,7 +65,7 @@ std::optional<common::ServerId> RoundRobinPlacement::pick(
 std::unique_ptr<PlacementPolicy> make_placement(PlacementStrategy strategy) {
   switch (strategy) {
     case PlacementStrategy::kEnergyAware:
-      return std::make_unique<EnergyAwarePlacement>();
+      return nullptr;
     case PlacementStrategy::kLeastLoaded:
       return std::make_unique<LeastLoadedPlacement>();
     case PlacementStrategy::kRandom:
@@ -152,7 +73,7 @@ std::unique_ptr<PlacementPolicy> make_placement(PlacementStrategy strategy) {
     case PlacementStrategy::kRoundRobin:
       return std::make_unique<RoundRobinPlacement>();
   }
-  return std::make_unique<EnergyAwarePlacement>();
+  return nullptr;
 }
 
 }  // namespace eclb::policy

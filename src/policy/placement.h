@@ -2,14 +2,13 @@
 //
 // Section 4 routes every horizontal-scaling request through the cluster
 // leader; the *rule* used to pick the target server is the policy under
-// evaluation.  Each rule is a PlacementPolicy object so the protocol engine,
-// Cluster::accept_external, and the comparison benches (x2/x9) all draw from
-// the same implementations instead of a switch buried in the cluster.
-//
-// The energy-aware rule is the paper's: search progressively wider
-// admissibility tiers, preferring targets whose post-placement load lands
-// closest to the center of their own optimal region.  The other three are
-// the traditional baselines Section 1 reformulates.
+// evaluation.  The energy-aware rule is the paper's: search progressively
+// wider admissibility tiers (PlacementTier), preferring targets whose
+// post-placement load lands closest to the center of their own optimal
+// region.  The cluster's regime index answers it without scanning
+// (cluster/index/regime_index.h).  The other three rules are the
+// traditional baselines Section 1 reformulates; they genuinely scan the
+// fleet, so each is a PlacementPolicy object here.
 #pragma once
 
 #include <cstdint>
@@ -70,23 +69,6 @@ struct PlacementFilter {
   }
 };
 
-/// The paper's tiered search: widens from kLowRegimesOnly up to `max_tier`;
-/// within a tier the winner minimizes the post-placement distance to its own
-/// optimal-region center (concentrating load).  `exclude` is skipped, as is
-/// every server `filter` (when given) does not admit.
-[[nodiscard]] std::optional<common::ServerId> find_tiered_target(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, PlacementTier max_tier,
-    const PlacementFilter* filter = nullptr);
-
-/// Picks a target able to absorb `demand` while ending *below its own
-/// optimal center*.  Used by the even-distribution rebalance: a VM only
-/// moves from an above-center server to a server that stays below center,
-/// so rebalancing monotonically converges (no ping-pong).
-[[nodiscard]] std::optional<common::ServerId> find_below_center_target(
-    std::span<const server::Server> servers, common::Seconds now, double demand,
-    common::ServerId exclude, const PlacementFilter* filter = nullptr);
-
 /// One target-selection rule.  Policies are stateful where the rule demands
 /// it (round-robin cursor); all randomness flows through the caller's RNG so
 /// a policy object never perturbs the experiment's determinism.
@@ -107,16 +89,6 @@ class PlacementPolicy {
 
   /// Display name (matches to_string of the corresponding strategy).
   [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-/// The paper's energy-aware rule at the widest tier (kStaySuboptimal).
-class EnergyAwarePlacement final : public PlacementPolicy {
- public:
-  [[nodiscard]] std::optional<common::ServerId> pick(
-      std::span<const server::Server> servers, common::Seconds now,
-      double demand, common::ServerId exclude, common::Rng& rng,
-      const PlacementFilter* filter = nullptr) override;
-  [[nodiscard]] std::string_view name() const override { return "energy-aware"; }
 };
 
 /// Least-loaded awake server with capacity for the demand.
@@ -152,7 +124,8 @@ class RoundRobinPlacement final : public PlacementPolicy {
   std::size_t cursor_{0};
 };
 
-/// Builds the policy object implementing `strategy`.
+/// Builds the scanning policy object implementing `strategy`; nullptr for
+/// kEnergyAware, which the cluster's regime index serves.
 [[nodiscard]] std::unique_ptr<PlacementPolicy> make_placement(
     PlacementStrategy strategy);
 

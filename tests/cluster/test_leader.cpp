@@ -1,3 +1,5 @@
+// The cluster leader's decisions: the matchmaking queries, answered by the
+// regime index over hand-built servers, and the sleep-depth rule.
 #include "cluster/leader.h"
 
 #include <gtest/gtest.h>
@@ -5,8 +7,14 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/index/regime_index.h"
+#include "policy/placement.h"
+
 namespace eclb::cluster {
 namespace {
+
+using index::RegimeIndex;
+using policy::PlacementTier;
 
 using common::AppId;
 using common::Seconds;
@@ -25,7 +33,8 @@ server::ServerConfig make_config() {
   return cfg;
 }
 
-/// Builds a small cluster with the given per-server loads.
+/// Builds a small cluster with the given per-server loads.  Tests build the
+/// RegimeIndex after the last state change, so it needs no notifications.
 std::vector<server::Server> make_servers(const std::vector<double>& loads) {
   std::vector<server::Server> servers;
   std::uint32_t next_vm = 0;
@@ -41,10 +50,9 @@ std::vector<server::Server> make_servers(const std::vector<double>& loads) {
 
 TEST(Leader, FindsLowRegimeTarget) {
   auto servers = make_servers({0.10, 0.30, 0.60});
-  Leader leader;
-  const auto target = leader.find_target(servers, Seconds{0.0}, 0.1,
-                                         ServerId{99},
-                                         PlacementTier::kLowRegimesOnly);
+  const RegimeIndex leader(servers);
+  const auto target = leader.find_tiered_target(0.1, ServerId{99},
+                                                PlacementTier::kLowRegimesOnly);
   ASSERT_TRUE(target.has_value());
   // Both 0.10 (R1) and 0.30 (R2) qualify; 0.30 + 0.1 = 0.40 is closer to the
   // optimal center (0.525) than 0.20, so the fuller server wins.
@@ -53,43 +61,42 @@ TEST(Leader, FindsLowRegimeTarget) {
 
 TEST(Leader, ExcludesRequestingServer) {
   auto servers = make_servers({0.30});
-  Leader leader;
-  const auto target = leader.find_target(servers, Seconds{0.0}, 0.1,
-                                         ServerId{0},
-                                         PlacementTier::kLowRegimesOnly);
+  const RegimeIndex leader(servers);
+  const auto target = leader.find_tiered_target(0.1, ServerId{0},
+                                                PlacementTier::kLowRegimesOnly);
   EXPECT_FALSE(target.has_value());
 }
 
 TEST(Leader, StrictTierRejectsOptimalServers) {
   auto servers = make_servers({0.50});  // R3
-  Leader leader;
-  EXPECT_FALSE(leader.find_target(servers, Seconds{0.0}, 0.05, ServerId{99},
-                                  PlacementTier::kLowRegimesOnly)
+  const RegimeIndex leader(servers);
+  EXPECT_FALSE(leader.find_tiered_target(0.05, ServerId{99},
+                                         PlacementTier::kLowRegimesOnly)
                    .has_value());
   // The wider tier accepts it while the result stays within optimal.
-  EXPECT_TRUE(leader.find_target(servers, Seconds{0.0}, 0.05, ServerId{99},
-                                 PlacementTier::kStayOptimal)
+  EXPECT_TRUE(leader.find_tiered_target(0.05, ServerId{99},
+                                        PlacementTier::kStayOptimal)
                   .has_value());
 }
 
 TEST(Leader, RejectsPlacementsBreachingOptimal) {
   auto servers = make_servers({0.68});  // R3 near the top
-  Leader leader;
+  const RegimeIndex leader(servers);
   // 0.68 + 0.1 = 0.78 > alpha_opt_high (0.70): not admissible at kStayOptimal.
-  EXPECT_FALSE(leader.find_target(servers, Seconds{0.0}, 0.1, ServerId{99},
-                                  PlacementTier::kStayOptimal)
+  EXPECT_FALSE(leader.find_tiered_target(0.1, ServerId{99},
+                                         PlacementTier::kStayOptimal)
                    .has_value());
   // kStaySuboptimal allows up to 0.82.
-  EXPECT_TRUE(leader.find_target(servers, Seconds{0.0}, 0.1, ServerId{99},
-                                 PlacementTier::kStaySuboptimal)
+  EXPECT_TRUE(leader.find_tiered_target(0.1, ServerId{99},
+                                        PlacementTier::kStaySuboptimal)
                   .has_value());
 }
 
 TEST(Leader, NothingFitsReturnsNullopt) {
   auto servers = make_servers({0.80, 0.81});
-  Leader leader;
-  EXPECT_FALSE(leader.find_target(servers, Seconds{0.0}, 0.3, ServerId{99},
-                                  PlacementTier::kStaySuboptimal)
+  const RegimeIndex leader(servers);
+  EXPECT_FALSE(leader.find_tiered_target(0.3, ServerId{99},
+                                         PlacementTier::kStaySuboptimal)
                    .has_value());
 }
 
@@ -97,47 +104,49 @@ TEST(Leader, SkipsSleepingServers) {
   auto servers = make_servers({0.0, 0.30});
   servers[0].begin_sleep(energy::CState::kC6, Seconds{0.0});
   servers[0].settle(Seconds{100.0});
-  Leader leader;
-  const auto target = leader.find_target(servers, Seconds{100.0}, 0.1,
-                                         ServerId{99},
-                                         PlacementTier::kLowRegimesOnly);
+  const RegimeIndex leader(servers);
+  const auto target = leader.find_tiered_target(0.1, ServerId{99},
+                                                PlacementTier::kLowRegimesOnly);
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(*target, ServerId{1});
 }
 
 TEST(Leader, BelowCenterTargetStaysBelowCenter) {
   auto servers = make_servers({0.40, 0.50});
-  Leader leader;
+  const RegimeIndex leader(servers);
   // Demand 0.05: 0.50 + 0.05 = 0.55 > center 0.525 -> excluded;
   // 0.40 + 0.05 = 0.45 <= 0.525 -> accepted.
-  const auto target = leader.find_below_center_target(servers, Seconds{0.0},
-                                                      0.05, ServerId{99});
+  const auto target = leader.find_below_center_target(0.05, ServerId{99});
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(*target, ServerId{0});
 }
 
 TEST(Leader, BelowCenterPrefersFullest) {
   auto servers = make_servers({0.10, 0.40});
-  Leader leader;
-  const auto target = leader.find_below_center_target(servers, Seconds{0.0},
-                                                      0.05, ServerId{99});
+  const RegimeIndex leader(servers);
+  const auto target = leader.find_below_center_target(0.05, ServerId{99});
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(*target, ServerId{1});
 }
 
 TEST(Leader, ServersInFiltersByRegime) {
   auto servers = make_servers({0.10, 0.30, 0.50, 0.75, 0.95});
-  Leader leader;
-  const auto low = leader.servers_in(servers, Seconds{0.0},
-                                     {energy::Regime::kR1UndesirableLow,
-                                      energy::Regime::kR2SuboptimalLow});
-  ASSERT_EQ(low.size(), 2U);
-  EXPECT_EQ(low[0], ServerId{0});
-  EXPECT_EQ(low[1], ServerId{1});
-  const auto high = leader.servers_in(servers, Seconds{0.0},
-                                      {energy::Regime::kR5UndesirableHigh});
-  ASSERT_EQ(high.size(), 1U);
-  EXPECT_EQ(high[0], ServerId{4});
+  const RegimeIndex leader(servers);
+  // The leader's per-regime member lists are the index's regime cursors.
+  const auto members = [&](energy::Regime r) {
+    std::vector<ServerId> out;
+    for (auto id = leader.next_in_regime(r, std::nullopt); id.has_value();
+         id = leader.next_in_regime(r, id)) {
+      out.push_back(*id);
+    }
+    return out;
+  };
+  EXPECT_EQ(members(energy::Regime::kR1UndesirableLow),
+            std::vector<ServerId>{ServerId{0}});
+  EXPECT_EQ(members(energy::Regime::kR2SuboptimalLow),
+            std::vector<ServerId>{ServerId{1}});
+  EXPECT_EQ(members(energy::Regime::kR5UndesirableHigh),
+            std::vector<ServerId>{ServerId{4}});
 }
 
 TEST(Leader, WakeCandidatePrefersShallowestSleep) {
@@ -145,24 +154,25 @@ TEST(Leader, WakeCandidatePrefersShallowestSleep) {
   servers[0].begin_sleep(energy::CState::kC6, Seconds{0.0});
   servers[1].begin_sleep(energy::CState::kC3, Seconds{0.0});
   for (auto& s : servers) s.settle(Seconds{100.0});
-  Leader leader;
-  const auto candidate = leader.pick_wake_candidate(servers, Seconds{100.0});
+  const RegimeIndex leader(servers);
+  const auto candidate = leader.pick_wake_candidate();
   ASSERT_TRUE(candidate.has_value());
   EXPECT_EQ(*candidate, ServerId{1});  // C3 wakes faster than C6
 }
 
 TEST(Leader, NoWakeCandidateWhenAllAwake) {
   auto servers = make_servers({0.3, 0.4});
-  Leader leader;
-  EXPECT_FALSE(leader.pick_wake_candidate(servers, Seconds{0.0}).has_value());
+  const RegimeIndex leader(servers);
+  EXPECT_FALSE(leader.pick_wake_candidate().has_value());
 }
 
 TEST(Leader, WakeSkipsInFlightTransitions) {
   auto servers = make_servers({0.0});
   servers[0].begin_sleep(energy::CState::kC6, Seconds{0.0});
   // Entry latency of C6 is 5 s; at t = 1 s the transition is in flight.
-  Leader leader;
-  EXPECT_FALSE(leader.pick_wake_candidate(servers, Seconds{1.0}).has_value());
+  servers[0].settle(Seconds{1.0});
+  const RegimeIndex leader(servers);
+  EXPECT_FALSE(leader.pick_wake_candidate().has_value());
 }
 
 TEST(Leader, SleepStateSixtyPercentRule) {

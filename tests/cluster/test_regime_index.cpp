@@ -1,44 +1,46 @@
 // Equivalence suite for the incremental regime index (src/cluster/index).
 //
-// The index's contract is *bit-identity* with the legacy full scans: every
-// aggregate, cursor and placement search must reproduce the scan answer
-// exactly, under arbitrary interleavings of protocol rounds, crashes,
-// recoveries, derates and injected VMs.  Three layers of checking:
-//   1. self_check(): the index audits itself against a fresh classification
-//      of every server (catches stale incremental state).
-//   2. Naive oracles: tests recompute each aggregate/search with the legacy
-//      scan expressions and compare.
-//   3. Differential full runs: an indexed cluster and a use_regime_index =
-//      false cluster with the same seed must emit identical interval
-//      reports, message stats and energy -- fault-free and under a
-//      FaultPlan.
+// The index is the protocol's only query path, and its contract is
+// *bit-identity* with plain full-fleet scans: every aggregate, cursor and
+// placement search must reproduce the scan answer exactly, under arbitrary
+// interleavings of protocol rounds, crashes, recoveries, derates and
+// injected VMs.  Three layers of checking:
+//   1. self_check(): the index audits itself against a freshly rebuilt index
+//      over the same servers (catches stale incremental state).
+//   2. The scan oracle (tests/support/scan_oracle.h): every search, wake
+//      pick and cursor walk is recomputed by an O(N) scan and compared.
+//   3. Pinned full runs: the folded report digests of fault-free and
+//      faulted runs, captured while the scan path still ran in production
+//      and both paths were proven to emit identical reports.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <bit>
 #include <cstdint>
+#include <ios>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/index/regime_index.h"
-#include "cluster/leader.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "policy/placement.h"
+#include "support/scan_oracle.h"
 
 namespace eclb::cluster {
 namespace {
 
 using common::Seconds;
 using common::ServerId;
+namespace oracle = test_support;
 
-ClusterConfig base_config(std::uint64_t seed, bool indexed = true) {
+ClusterConfig base_config(std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.server_count = 60;
   cfg.initial_load_min = 0.2;
   cfg.initial_load_max = 0.4;
   cfg.seed = seed;
-  cfg.use_regime_index = indexed;
   return cfg;
 }
 
@@ -60,11 +62,24 @@ void churn(Cluster& c, int round) {
   }
 }
 
-TEST(RegimeIndex, InstalledByDefaultAndAbsentWhenDisabled) {
-  Cluster on(base_config(1));
-  EXPECT_NE(on.regime_index(), nullptr);
-  Cluster off(base_config(1, /*indexed=*/false));
-  EXPECT_EQ(off.regime_index(), nullptr);
+/// Folds the end-of-run totals into a run digest.
+void fold_totals(std::uint64_t& h, const Cluster& c) {
+  oracle::fold_digest(h, std::bit_cast<std::uint64_t>(c.total_demand()));
+  oracle::fold_digest(h, std::bit_cast<std::uint64_t>(c.total_energy().value));
+  oracle::fold_digest(h, c.total_vms());
+  oracle::fold_digest(h, c.message_stats().total());
+}
+
+TEST(RegimeIndex, InstalledUnconditionally) {
+  for (const auto strategy :
+       {PlacementStrategy::kEnergyAware, PlacementStrategy::kLeastLoaded,
+        PlacementStrategy::kRandom, PlacementStrategy::kRoundRobin}) {
+    ClusterConfig cfg = base_config(1);
+    cfg.placement = strategy;
+    Cluster c(cfg);
+    ASSERT_NE(c.regime_index(), nullptr) << policy::to_string(strategy);
+    EXPECT_EQ(c.regime_index()->self_check(), std::nullopt);
+  }
 }
 
 TEST(RegimeIndex, SelfCheckPassesAfterConstruction) {
@@ -109,8 +124,8 @@ TEST(RegimeIndex, AggregatesMatchNaiveScans) {
         const auto r = s.regime();
         if (r.has_value()) ++hist[energy::regime_index(*r)];
       }
-      // The j_k fan-in counts every server whose regime is *defined* -- the
-      // legacy loop includes hosts still settling into sleep.
+      // The j_k fan-in counts every server whose regime is *defined*,
+      // including hosts still settling into sleep.
       const auto r = s.regime();
       if (r.has_value() && *r != energy::Regime::kR3Optimal) ++reporters;
     }
@@ -126,7 +141,6 @@ TEST(RegimeIndex, AggregatesMatchNaiveScans) {
 TEST(RegimeIndex, PlacementSearchesMatchLegacyScans) {
   Cluster c(base_config(7));
   ASSERT_NE(c.regime_index(), nullptr);
-  const Leader leader;
   for (int round = 0; round < 16; ++round) {
     c.step();
     churn(c, round);
@@ -141,22 +155,21 @@ TEST(RegimeIndex, PlacementSearchesMatchLegacyScans) {
                           policy::PlacementTier::kStayOptimal,
                           policy::PlacementTier::kStaySuboptimal}) {
           EXPECT_EQ(idx.find_tiered_target(demand, exclude, tier),
-                    policy::find_tiered_target(servers, now, demand, exclude, tier))
+                    oracle::find_tiered_target(servers, now, demand, exclude, tier))
               << "round " << round << " demand " << demand << " ex " << ex;
         }
         EXPECT_EQ(idx.find_below_center_target(demand, exclude),
-                  policy::find_below_center_target(servers, now, demand, exclude))
+                  oracle::find_below_center_target(servers, now, demand, exclude))
             << "round " << round << " demand " << demand << " ex " << ex;
       }
     }
-    EXPECT_EQ(idx.pick_wake_candidate(), leader.pick_wake_candidate(servers, now));
+    EXPECT_EQ(idx.pick_wake_candidate(), oracle::pick_wake_candidate(servers, now));
   }
 }
 
 TEST(RegimeIndex, DrainSearchMatchesLegacyScan) {
   Cluster c(base_config(9));
   ASSERT_NE(c.regime_index(), nullptr);
-  constexpr double kEps = 1e-9;
   std::size_t compared = 0;
   for (int round = 0; round < 16; ++round) {
     c.step();
@@ -165,30 +178,8 @@ TEST(RegimeIndex, DrainSearchMatchesLegacyScan) {
     for (const auto& donor : servers) {
       if (!donor.awake(now) || donor.vms().empty()) continue;
       const double demand = donor.vms().front().demand();
-
-      // The legacy inline scan from DrainAndSleep, verbatim.
-      std::optional<ServerId> want;
-      double best = 0.0;
-      for (const auto& t : servers) {
-        if (t.id() == donor.id() || !t.awake(now)) continue;
-        if (t.load() <= donor.load() + kEps) continue;
-        const auto r = t.regime();
-        if (!r.has_value()) continue;
-        const auto& th = t.thresholds();
-        const double post = t.load() + demand;
-        const bool low = *r == energy::Regime::kR1UndesirableLow ||
-                         *r == energy::Regime::kR2SuboptimalLow;
-        const bool r3_below = *r == energy::Regime::kR3Optimal &&
-                              post <= th.optimal_center() + kEps;
-        if (!low && !r3_below) continue;
-        if (post > th.alpha_opt_high + kEps) continue;
-        const double score = std::abs(post - th.optimal_center());
-        if (!want.has_value() || score < best) {
-          want = t.id();
-          best = score;
-        }
-      }
-      EXPECT_EQ(c.regime_index()->find_drain_target(donor, demand), want)
+      EXPECT_EQ(c.regime_index()->find_drain_target(donor, demand),
+                oracle::find_drain_target(servers, now, donor, demand))
           << "round " << round << " donor " << donor.id().value;
       ++compared;
     }
@@ -196,53 +187,36 @@ TEST(RegimeIndex, DrainSearchMatchesLegacyScan) {
   EXPECT_GT(compared, 100U);  // the oracle actually exercised real donors
 }
 
-/// Field-by-field interval report comparison (operator== would hide which
-/// counter diverged).
-void expect_reports_equal(const IntervalReport& a, const IntervalReport& b,
-                          std::size_t i) {
-  EXPECT_EQ(a.local_decisions, b.local_decisions) << "interval " << i;
-  EXPECT_EQ(a.in_cluster_decisions, b.in_cluster_decisions) << "interval " << i;
-  EXPECT_EQ(a.migrations, b.migrations) << "interval " << i;
-  EXPECT_EQ(a.shed_migrations, b.shed_migrations) << "interval " << i;
-  EXPECT_EQ(a.rebalance_migrations, b.rebalance_migrations) << "interval " << i;
-  EXPECT_EQ(a.consolidation_migrations, b.consolidation_migrations)
-      << "interval " << i;
-  EXPECT_EQ(a.horizontal_starts, b.horizontal_starts) << "interval " << i;
-  EXPECT_EQ(a.drains, b.drains) << "interval " << i;
-  EXPECT_EQ(a.sleeps, b.sleeps) << "interval " << i;
-  EXPECT_EQ(a.wakes, b.wakes) << "interval " << i;
-  EXPECT_EQ(a.sla_violations, b.sla_violations) << "interval " << i;
-  EXPECT_EQ(a.crashes, b.crashes) << "interval " << i;
-  EXPECT_EQ(a.recoveries, b.recoveries) << "interval " << i;
-  EXPECT_EQ(a.failovers, b.failovers) << "interval " << i;
-  EXPECT_EQ(a.dropped_messages, b.dropped_messages) << "interval " << i;
-  EXPECT_EQ(a.retried_messages, b.retried_messages) << "interval " << i;
-  EXPECT_EQ(a.orphans_replaced, b.orphans_replaced) << "interval " << i;
-  EXPECT_EQ(a.failed_migrations, b.failed_migrations) << "interval " << i;
-  EXPECT_EQ(a.sleeping_servers, b.sleeping_servers) << "interval " << i;
-  EXPECT_EQ(a.parked_servers, b.parked_servers) << "interval " << i;
-  EXPECT_EQ(a.deep_sleeping_servers, b.deep_sleeping_servers) << "interval " << i;
-  EXPECT_EQ(a.failed_servers, b.failed_servers) << "interval " << i;
-  EXPECT_EQ(a.regimes, b.regimes) << "interval " << i;
-  EXPECT_DOUBLE_EQ(a.unserved_demand, b.unserved_demand) << "interval " << i;
-  EXPECT_DOUBLE_EQ(a.interval_energy.value, b.interval_energy.value)
-      << "interval " << i;
+/// One indexed run: after every interval the index must pass self_check and
+/// agree with the scan oracle; the folded report digests must match the
+/// value pinned for it.
+template <class Setup>
+std::uint64_t checked_run(std::uint64_t seed, std::size_t intervals,
+                          const Setup& setup) {
+  Cluster c(base_config(seed));
+  [[maybe_unused]] const auto attachment = setup(c);
+  std::uint64_t h = oracle::kDigestSeed;
+  for (std::size_t i = 0; i < intervals; ++i) {
+    oracle::fold_digest(h, oracle::report_digest(c.step()));
+    const auto stale = c.regime_index()->self_check();
+    EXPECT_FALSE(stale.has_value()) << "interval " << i << ": " << *stale;
+    const auto diverged = oracle::query_mismatch(c);
+    EXPECT_FALSE(diverged.has_value()) << "interval " << i << ": " << *diverged;
+  }
+  fold_totals(h, c);
+  return h;
 }
 
 TEST(RegimeIndex, FullRunBitIdenticalToLegacyScans) {
-  for (std::uint64_t seed : {13u, 99u}) {
-    Cluster indexed(base_config(seed, /*indexed=*/true));
-    Cluster legacy(base_config(seed, /*indexed=*/false));
-    for (std::size_t i = 0; i < 80; ++i) {
-      const auto ra = indexed.step();
-      const auto rb = legacy.step();
-      expect_reports_equal(ra, rb, i);
-    }
-    EXPECT_DOUBLE_EQ(indexed.total_demand(), legacy.total_demand());
-    EXPECT_DOUBLE_EQ(indexed.total_energy().value, legacy.total_energy().value);
-    EXPECT_EQ(indexed.total_vms(), legacy.total_vms());
-    EXPECT_EQ(indexed.message_stats().total(),
-              legacy.message_stats().total());
+  // Pinned when the legacy full-scan path still ran in production and the
+  // two paths produced identical reports for these seeds.
+  constexpr std::uint64_t kPinned[][2] = {{13, 0xc6487890069db19fULL},
+                                          {99, 0x3c0933e643bd942fULL}};
+  for (const auto& [seed, pinned] : kPinned) {
+    const std::uint64_t digest =
+        checked_run(seed, 80, [](Cluster&) { return 0; });
+    EXPECT_EQ(digest, pinned) << "seed " << seed << " digest 0x" << std::hex
+                              << digest;
   }
 }
 
@@ -260,22 +234,11 @@ fault::FaultPlan stress_plan() {
 }
 
 TEST(RegimeIndex, FullRunBitIdenticalToLegacyScansUnderFaultPlan) {
-  Cluster indexed(base_config(21, /*indexed=*/true));
-  Cluster legacy(base_config(21, /*indexed=*/false));
-  fault::FaultInjector fi(indexed, stress_plan());
-  fault::FaultInjector fl(legacy, stress_plan());
-  for (std::size_t i = 0; i < 40; ++i) {
-    const auto ra = indexed.step();
-    const auto rb = legacy.step();
-    expect_reports_equal(ra, rb, i);
-    if (indexed.regime_index() != nullptr) {
-      const auto err = indexed.regime_index()->self_check();
-      ASSERT_FALSE(err.has_value()) << "interval " << i << ": " << *err;
-    }
-  }
-  EXPECT_DOUBLE_EQ(indexed.total_energy().value, legacy.total_energy().value);
-  EXPECT_EQ(fi.stats().crashes, fl.stats().crashes);
-  EXPECT_EQ(fi.stats().failovers, fl.stats().failovers);
+  constexpr std::uint64_t kPinned = 0x7b1b753d0014c5c1ULL;
+  const std::uint64_t digest = checked_run(21, 40, [](Cluster& c) {
+    return std::make_unique<fault::FaultInjector>(c, stress_plan());
+  });
+  EXPECT_EQ(digest, kPinned) << "digest 0x" << std::hex << digest;
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/leader.h"
+#include "cluster/index/regime_index.h"
 #include "common/rng.h"
 #include "experiment/scenario.h"
+#include "support/scan_oracle.h"
 
 namespace eclb::policy {
 namespace {
@@ -151,30 +152,34 @@ TEST(PlacementParity, RoundRobinMatchesReferenceAcrossCalls) {
   }
 }
 
+/// The energy-aware rule (the regime index's widest tiered search) against
+/// the leader's tiered scan.
 TEST(PlacementParity, EnergyAwareMatchesLeaderTieredSearch) {
   Rng fleet_rng(404);
-  Rng unused(0);
-  EnergyAwarePlacement policy;
-  cluster::Leader leader;
   for (int trial = 0; trial < 20; ++trial) {
     auto servers = make_fleet(fleet_rng, 12);
+    const cluster::index::RegimeIndex index(servers);
     const Seconds now{30.0};
     for (double demand : {0.02, 0.1, 0.25}) {
-      const auto expected = leader.find_target(servers, now, demand, ServerId{3},
-                                               PlacementTier::kStaySuboptimal);
-      const auto got = policy.pick(servers, now, demand, ServerId{3}, unused);
+      const auto expected = test_support::find_tiered_target(
+          servers, now, demand, ServerId{3}, PlacementTier::kStaySuboptimal);
+      const auto got = index.find_tiered_target(demand, ServerId{3},
+                                                PlacementTier::kStaySuboptimal);
       EXPECT_EQ(got, expected) << "demand=" << demand;
     }
   }
 }
 
 TEST(Placement, FactoryBuildsMatchingPolicy) {
-  for (auto s : {PlacementStrategy::kEnergyAware, PlacementStrategy::kLeastLoaded,
-                 PlacementStrategy::kRandom, PlacementStrategy::kRoundRobin}) {
+  for (auto s : {PlacementStrategy::kLeastLoaded, PlacementStrategy::kRandom,
+                 PlacementStrategy::kRoundRobin}) {
     const auto policy = make_placement(s);
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->name(), to_string(s));
   }
+  // The energy-aware rule has no scanning policy object: the cluster's
+  // regime index serves it.
+  EXPECT_EQ(make_placement(PlacementStrategy::kEnergyAware), nullptr);
 }
 
 TEST(Placement, NoFeasibleTargetReturnsNullopt) {
@@ -183,12 +188,17 @@ TEST(Placement, NoFeasibleTargetReturnsNullopt) {
   servers.back().force_place(vm::Vm(VmId{0}, AppId{0}, 0.99));
   Rng rng(1);
   const Seconds now{0.0};
-  for (auto s : {PlacementStrategy::kEnergyAware, PlacementStrategy::kLeastLoaded,
-                 PlacementStrategy::kRandom, PlacementStrategy::kRoundRobin}) {
+  for (auto s : {PlacementStrategy::kLeastLoaded, PlacementStrategy::kRandom,
+                 PlacementStrategy::kRoundRobin}) {
     const auto policy = make_placement(s);
     EXPECT_EQ(policy->pick(servers, now, 0.5, ServerId{9}, rng), std::nullopt)
         << policy->name();
   }
+  const cluster::index::RegimeIndex index(servers);
+  EXPECT_EQ(index.find_tiered_target(0.5, ServerId{9},
+                                     PlacementTier::kStaySuboptimal),
+            std::nullopt)
+      << to_string(PlacementStrategy::kEnergyAware);
 }
 
 /// End-to-end determinism: for every strategy, two clusters built from the

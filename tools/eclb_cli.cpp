@@ -11,6 +11,7 @@
 //   eclb_cli farm --policy autoscale --workload spiky --servers 100
 //   eclb_cli migrate --ram 4096 --dirty 200 --bandwidth 1000
 //   eclb_cli model --a-avg 0.3 --b-avg 0.6 --a-opt 0.9 --b-opt 0.8
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -43,7 +44,7 @@ int usage() {
       "\n"
       "commands:\n"
       "  cluster   --servers N --load 30|70 --intervals K --seed S [--tau SEC]\n"
-      "            [--no-sleep] [--no-rebalance] [--legacy-scan] [--eager-notify]\n"
+      "            [--no-sleep] [--no-rebalance]\n"
       "            [--faults SPEC]\n"
       "            [--shards M] [--fabric-threads T]\n"
       "            [--trace DIR] [--metrics FILE] [--profile] [--mem-stats]\n"
@@ -57,11 +58,8 @@ int usage() {
       "            writes aggregated counters as JSON, --profile prints a\n"
       "            wall-clock phase table to stderr, --mem-stats prints peak\n"
       "            RSS and the data-plane memory breakdown (state table,\n"
-      "            regime index, per-server bytes) plus the notification\n"
-      "            pipeline counters; --eager-notify applies every index\n"
-      "            update at its notification instead of coalescing per\n"
-      "            phase (bit-identical by contract; the flag exists to\n"
-      "            prove it); --faults injects a\n"
+      "            regime index, per-server bytes; summed over shards) plus\n"
+      "            the notification pipeline counters; --faults injects a\n"
       "            deterministic fault schedule, e.g.\n"
       "            \"leader@1200;loss@0:p=0.05;crash@600:s=3;seed=9\" or\n"
       "            \"part@600:g=0-49|50-99,heal=1800\"\n"
@@ -199,6 +197,79 @@ void print_pipeline_stats(const cluster::index::PipelineStats& p, bool timed) {
   }
 }
 
+/// The fault trailer (stderr): resilience counters, plus the partition line
+/// when the plan split the fabric.
+void print_fault_trailer(const char* label, const fault::ResilienceStats& st) {
+  std::cerr << label << ": " << st.crashes << " crashes, " << st.recoveries
+            << " recoveries, " << st.failovers << " failovers, "
+            << st.dropped_messages << " dropped, " << st.retried_messages
+            << " retried, " << st.migration_failures
+            << " failed migrations, MTTR " << st.mttr() << " s\n";
+  if (st.partitions > 0) {
+    std::cerr << "partitions: " << st.partitions << " splits, " << st.heals
+              << " heals, " << st.fenced_commands << " fenced commands, "
+              << st.shadow_restarts << " shadow restarts, "
+              << st.duplicates_resolved << " duplicates resolved, "
+              << st.orphans_adopted << " orphans adopted, heal convergence "
+              << (st.heal_convergence.count() > 0 ? st.heal_convergence.mean()
+                                                  : 0.0)
+              << " s\n";
+  }
+}
+
+/// Writes --metrics, then prints the --profile and --mem-stats trailers
+/// (stderr).  `memory` is set exactly when --mem-stats was given.  Returns
+/// 2 when the metrics file cannot be written.
+int finish_observability(obs::MetricsRegistry& registry,
+                         const std::string& metrics_file,
+                         const obs::Profiler* profiler,
+                         const cluster::index::PipelineStats& pstats,
+                         const std::optional<cluster::ClusterMemoryStats>& memory) {
+  if (!metrics_file.empty()) record_pipeline_metrics(registry, pstats);
+  if (!metrics_file.empty() && !registry.write_json_file(metrics_file)) {
+    std::cerr << "could not write metrics file: " << metrics_file << "\n";
+    return 2;
+  }
+  if (profiler != nullptr) {
+    profiler->write(std::cerr);
+    print_pipeline_stats(pstats, /*timed=*/true);
+  }
+  if (memory.has_value()) {
+    const auto& m = *memory;
+    std::cerr << "memory: state table " << m.state_table_bytes
+              << " B, regime index " << m.index_bytes << " B, server objects "
+              << m.server_objects_bytes << " B, vm storage "
+              << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
+              << " B\n"
+              << "memory: total " << m.total_bytes << " B ("
+              << m.bytes_per_server << " B/server)";
+    if (const auto rss = common::peak_rss_bytes(); rss > 0) {
+      std::cerr << ", peak RSS " << rss << " B";
+    }
+    std::cerr << "\n";
+    // --profile already printed the (timed) pipeline trailer above.
+    if (profiler == nullptr) print_pipeline_stats(pstats, false);
+  }
+  return 0;
+}
+
+/// Data-plane memory summed over the fabric's shards.
+cluster::ClusterMemoryStats fabric_memory_stats(const cluster::Fabric& fabric) {
+  cluster::ClusterMemoryStats sum;
+  for (std::size_t i = 0; i < fabric.size(); ++i) {
+    const cluster::ClusterMemoryStats m = fabric.cluster(i).memory_stats();
+    sum.state_table_bytes += m.state_table_bytes;
+    sum.index_bytes += m.index_bytes;
+    sum.server_objects_bytes += m.server_objects_bytes;
+    sum.vm_storage_bytes += m.vm_storage_bytes;
+    sum.recorder_bytes += m.recorder_bytes;
+    sum.total_bytes += m.total_bytes;
+  }
+  sum.bytes_per_server = static_cast<double>(sum.total_bytes) /
+                         static_cast<double>(fabric.total_servers());
+  return sum;
+}
+
 /// The end-of-run SLA trailer (stderr, like the energy summary).
 void print_sla_trailer(const experiment::SlaSummary& s) {
   std::fprintf(stderr,
@@ -220,14 +291,55 @@ void print_sla_trailer(const experiment::SlaSummary& s) {
                s.p99, s.p999);
 }
 
+/// The validated size flags of the cluster command.
+struct RunShape {
+  std::size_t servers{0};
+  std::size_t intervals{0};
+  std::size_t shards{0};
+  std::size_t threads{0};  ///< --fabric-threads (0 = hardware).
+  double tau{0.0};         ///< Reallocation interval, seconds.
+};
+
+/// Reads a flag that must be a whole number >= `min`.  Returns false (after
+/// printing a diagnostic) when it is out of range.
+bool read_count(common::Flags& flags, const char* name, long long fallback,
+                long long min, std::size_t* out) {
+  const long long v = flags.get_int(name, fallback);
+  if (v < min) {
+    std::cerr << "--" << name << " must be >= " << min << " (got " << v
+              << ")\n";
+    return false;
+  }
+  *out = static_cast<std::size_t>(v);
+  return true;
+}
+
+/// Reads --servers, --intervals, --shards, --fabric-threads and --tau.
+/// Returns false (after printing a diagnostic) on the first bad value.
+bool read_run_shape(common::Flags& flags, RunShape* shape) {
+  if (!read_count(flags, "servers", 100, 1, &shape->servers) ||
+      !read_count(flags, "intervals", 40, 0, &shape->intervals) ||
+      !read_count(flags, "shards", 1, 1, &shape->shards) ||
+      !read_count(flags, "fabric-threads", 1, 0, &shape->threads)) {
+    return false;
+  }
+  shape->tau = flags.get_double("tau", 60.0);
+  if (!std::isfinite(shape->tau) || shape->tau <= 0.0) {
+    std::cerr << "--tau must be a positive number of seconds (got "
+              << shape->tau << ")\n";
+    return false;
+  }
+  return true;
+}
+
 /// The fabric variant of the cluster command (--shards >= 2): same flag
 /// surface, per-shard fault streams and traces, fabric-aggregated CSV rows.
-int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
-  const auto servers = static_cast<std::size_t>(flags.get_int("servers", 100));
+int cmd_cluster_fabric(common::Flags& flags, const RunShape& shape) {
+  const std::size_t servers = shape.servers;
+  const std::size_t shards = shape.shards;
   const long long load = flags.get_int("load", 30);
-  const auto intervals = static_cast<std::size_t>(flags.get_int("intervals", 40));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  if (servers < shards || servers % shards != 0) {
+  if (servers % shards != 0) {
     std::cerr << "--servers (" << servers << ") must be a positive multiple"
               << " of --shards (" << shards << ")\n";
     return 2;
@@ -235,23 +347,16 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
 
   cluster::FabricConfig fcfg;
   fcfg.shard_count = shards;
-  fcfg.threads = static_cast<std::size_t>(flags.get_int("fabric-threads", 1));
+  fcfg.threads = shape.threads;
   fcfg.cluster_template = experiment::paper_cluster_config(
       servers / shards,
       load >= 50 ? experiment::AverageLoad::kHigh70
                  : experiment::AverageLoad::kLow30,
       seed);
-  fcfg.cluster_template.reallocation_interval =
-      common::Seconds{flags.get_double("tau", 60.0)};
+  fcfg.cluster_template.reallocation_interval = common::Seconds{shape.tau};
   if (flags.get_bool("no-sleep")) fcfg.cluster_template.allow_sleep = false;
   if (flags.get_bool("no-rebalance")) {
     fcfg.cluster_template.rebalance_enabled = false;
-  }
-  if (flags.get_bool("legacy-scan")) {
-    fcfg.cluster_template.use_regime_index = false;
-  }
-  if (flags.get_bool("eager-notify")) {
-    fcfg.cluster_template.coalesce_notifications = false;
   }
 
   std::optional<fault::FaultPlan> plan;
@@ -317,7 +422,7 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
                          "migrations", "sleeps", "wakes", "parked",
                          "deep_sleeping", "sla_violations", "offloaded",
                          "unplaced", "energy_kwh"});
-  for (std::size_t i = 0; i < intervals; ++i) {
+  for (std::size_t i = 0; i < shape.intervals; ++i) {
     if (session.has_value()) session->advance_interval();
     const auto r = fabric.step();
     std::size_t migrations = 0;
@@ -362,12 +467,7 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
             << "total energy: " << fabric.total_energy().kwh() << " kWh, "
             << messages << " control messages\n";
   if (faults.has_value()) {
-    const auto st = faults->combined_stats();
-    std::cerr << "resilience (all shards): " << st.crashes << " crashes, "
-              << st.recoveries << " recoveries, " << st.failovers
-              << " failovers, " << st.dropped_messages << " dropped, "
-              << st.retried_messages << " retried, " << st.migration_failures
-              << " failed migrations, MTTR " << st.mttr() << " s\n";
+    print_fault_trailer("resilience (all shards)", faults->combined_stats());
   }
   if (session.has_value()) print_sla_trailer(session->summary());
   for (const auto& probe : probes) {
@@ -375,40 +475,26 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
       std::cerr << "trace: " << probe->trace()->path() << "\n";
     }
   }
-  const auto pstats = fabric.pipeline_stats();
-  if (!metrics_file.empty()) record_pipeline_metrics(registry, pstats);
-  if (!metrics_file.empty() && !registry.write_json_file(metrics_file)) {
-    std::cerr << "could not write metrics file: " << metrics_file << "\n";
-    return 2;
-  }
-  if (obs_cfg.profiler != nullptr) {
-    profiler.write(std::cerr);
-    print_pipeline_stats(pstats, /*timed=*/true);
-  }
-  return 0;
+  std::optional<cluster::ClusterMemoryStats> memory;
+  if (flags.get_bool("mem-stats")) memory = fabric_memory_stats(fabric);
+  return finish_observability(registry, metrics_file, obs_cfg.profiler,
+                              fabric.pipeline_stats(), memory);
 }
 
 int cmd_cluster(common::Flags& flags) {
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
-  if (shards >= 2) return cmd_cluster_fabric(flags, shards);
-  const auto servers = static_cast<std::size_t>(flags.get_int("servers", 100));
+  RunShape shape;
+  if (!read_run_shape(flags, &shape)) return 2;
+  if (shape.shards >= 2) return cmd_cluster_fabric(flags, shape);
   const long long load = flags.get_int("load", 30);
-  const auto intervals = static_cast<std::size_t>(flags.get_int("intervals", 40));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   auto cfg = experiment::paper_cluster_config(
-      servers,
+      shape.servers,
       load >= 50 ? experiment::AverageLoad::kHigh70
                  : experiment::AverageLoad::kLow30,
       seed);
-  cfg.reallocation_interval = common::Seconds{flags.get_double("tau", 60.0)};
+  cfg.reallocation_interval = common::Seconds{shape.tau};
   if (flags.get_bool("no-sleep")) cfg.allow_sleep = false;
   if (flags.get_bool("no-rebalance")) cfg.rebalance_enabled = false;
-  // Differential escape hatch: run the legacy full-scan protocol path (the
-  // output is bit-identical by contract; the flag exists to prove it).
-  if (flags.get_bool("legacy-scan")) cfg.use_regime_index = false;
-  // Eager-notify escape hatch: apply every index update at its notification
-  // instead of coalescing per protocol phase (same bit-identity contract).
-  if (flags.get_bool("eager-notify")) cfg.coalesce_notifications = false;
 
   std::optional<fault::FaultPlan> plan;
   if (flags.has("faults")) {
@@ -461,7 +547,7 @@ int cmd_cluster(common::Flags& flags) {
                         {"interval", "local", "in_cluster", "ratio", "migrations",
                          "sleeps", "wakes", "parked", "deep_sleeping",
                          "sla_violations", "energy_kwh"});
-  for (std::size_t i = 0; i < intervals; ++i) {
+  for (std::size_t i = 0; i < shape.intervals; ++i) {
     if (rdriver.has_value()) rdriver->advance_interval();
     const auto r = cluster.step();
     csv.row({common::CsvWriter::cell(static_cast<long long>(r.interval_index)),
@@ -478,56 +564,15 @@ int cmd_cluster(common::Flags& flags) {
   }
   std::cerr << "total energy: " << cluster.total_energy().kwh() << " kWh, "
             << cluster.message_stats().total() << " control messages\n";
-  if (injector.has_value()) {
-    const auto& st = injector->stats();
-    std::cerr << "resilience: " << st.crashes << " crashes, " << st.recoveries
-              << " recoveries, " << st.failovers << " failovers, "
-              << st.dropped_messages << " dropped, " << st.retried_messages
-              << " retried, " << st.migration_failures
-              << " failed migrations, MTTR " << st.mttr() << " s\n";
-    if (st.partitions > 0) {
-      std::cerr << "partitions: " << st.partitions << " splits, " << st.heals
-                << " heals, " << st.fenced_commands << " fenced commands, "
-                << st.shadow_restarts << " shadow restarts, "
-                << st.duplicates_resolved << " duplicates resolved, "
-                << st.orphans_adopted << " orphans adopted, heal convergence "
-                << (st.heal_convergence.count() > 0
-                        ? st.heal_convergence.mean()
-                        : 0.0)
-                << " s\n";
-    }
-  }
+  if (injector.has_value()) print_fault_trailer("resilience", injector->stats());
   if (rdriver.has_value()) print_sla_trailer(rdriver->summary());
   if (probe != nullptr && probe->trace() != nullptr) {
     std::cerr << "trace: " << probe->trace()->path() << "\n";
   }
-  const auto pstats = cluster.pipeline_stats();
-  if (!metrics_file.empty()) record_pipeline_metrics(registry, pstats);
-  if (!metrics_file.empty() && !registry.write_json_file(metrics_file)) {
-    std::cerr << "could not write metrics file: " << metrics_file << "\n";
-    return 2;
-  }
-  if (obs_cfg.profiler != nullptr) {
-    profiler.write(std::cerr);
-    print_pipeline_stats(pstats, /*timed=*/true);
-  }
-  if (flags.get_bool("mem-stats")) {
-    const auto m = cluster.memory_stats();
-    std::cerr << "memory: state table " << m.state_table_bytes
-              << " B, regime index " << m.index_bytes << " B, server objects "
-              << m.server_objects_bytes << " B, vm storage "
-              << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
-              << " B\n"
-              << "memory: total " << m.total_bytes << " B ("
-              << m.bytes_per_server << " B/server)";
-    if (const auto rss = common::peak_rss_bytes(); rss > 0) {
-      std::cerr << ", peak RSS " << rss << " B";
-    }
-    std::cerr << "\n";
-    // --profile already printed the (timed) pipeline trailer above.
-    if (obs_cfg.profiler == nullptr) print_pipeline_stats(pstats, false);
-  }
-  return 0;
+  std::optional<cluster::ClusterMemoryStats> memory;
+  if (flags.get_bool("mem-stats")) memory = cluster.memory_stats();
+  return finish_observability(registry, metrics_file, obs_cfg.profiler,
+                              cluster.pipeline_stats(), memory);
 }
 
 std::unique_ptr<policy::CapacityPolicy> make_policy(const std::string& name) {
