@@ -296,6 +296,14 @@ std::vector<FabricIntervalReport> Fabric::run(std::size_t count) {
   return reports;
 }
 
+void Fabric::for_each_shard(const std::function<void(std::size_t)>& fn) {
+  if (pool_ != nullptr && shards_.size() > 1) {
+    pool_->parallel_for_static(shards_.size(), fn);
+  } else {
+    for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);
+  }
+}
+
 std::uint64_t Fabric::state_digest() const {
   std::uint64_t h = kFnvOffset;
   fnv_mix(h, shards_.size());

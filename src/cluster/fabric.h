@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -176,6 +177,13 @@ class Fabric {
 
   /// Runs `count` rounds.
   std::vector<FabricIntervalReport> run(std::size_t count);
+
+  /// Runs fn(i) for every shard index i on the parallel phase's workers
+  /// (inline, in shard order, when stepping inline) and returns once all
+  /// have finished.  fn(i) must touch only shard i's state; callers use this
+  /// to fan per-shard work that sits outside step() -- such as the request
+  /// drivers -- out on the same pool.
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   /// FNV-1a digest of the fabric's live state (per-shard demand, energy,
   /// VM and sleep counts) -- the end-of-run half of the determinism

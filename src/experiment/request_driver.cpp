@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/assert.h"
 #include "common/rng.h"
@@ -73,9 +72,11 @@ void RequestDriver::advance_interval() {
   const std::size_t nstreams = engine_.stream_count();
 
   // 1. Snapshot the live fleet in deterministic (server index, roster
-  //    position) order.  The capacity share is the host's oversubscription
-  //    discount: an overloaded server serves every hosted VM
-  //    proportionally, exactly how ServeAndAccount grants demand.
+  //    position) order, stamping each live VM's entry with this interval's
+  //    epoch and its slot index.  The capacity share is the host's
+  //    oversubscription discount: an overloaded server serves every hosted
+  //    VM proportionally, exactly how ServeAndAccount grants demand.
+  ++epoch_;
   slots_.clear();
   for (auto& t : targets_) t.clear();
   const std::span<server::Server> servers = cluster_.mutable_servers();
@@ -94,6 +95,10 @@ void RequestDriver::advance_interval() {
       slot.sla_seconds = nstreams == 0
                              ? 0.0
                              : engine_.config().streams[owner].sla_seconds;
+      if (slot.id.index() >= vms_.size()) vms_.resize(slot.id.index() + 1);
+      VmEntry& e = vms_[slot.id.index()];
+      e.live_epoch = epoch_;
+      e.slot = static_cast<std::uint32_t>(slots_.size());
       if (owner < targets_.size()) targets_[owner].push_back(slots_.size());
       slots_.push_back(slot);
     }
@@ -102,34 +107,35 @@ void RequestDriver::advance_interval() {
   // 1b. Detect migrations against the last-seen placements.  With draining
   //     enabled a moved VM's backlog stays behind as a source-side residue,
   //     served at the frozen pre-move rate; without it the queue travels
-  //     with the VM exactly as before.  last_seen_ also lets step 3 tell a
+  //     with the VM exactly as before.  last_seen also lets step 3 tell a
   //     crashed host from a retired VM.
   const std::uint32_t drain_window = engine_.config().drain_intervals;
   for (const VmSlot& slot : slots_) {
-    const auto seen = last_seen_.find(slot.id);
-    if (drain_window > 0 && seen != last_seen_.end() &&
-        seen->second.server != slot.server) {
-      const auto qit = queues_.find(slot.id);
-      if (qit != queues_.end() && qit->second.depth() > 0) {
-        DrainState st;
-        st.queue.prepend(qit->second.take_all());
-        const auto old_drain = draining_.find(slot.id);
-        if (old_drain != draining_.end()) {
-          // Second hop while still draining: the older residue re-joins at
-          // the front so overall arrival order survives.
-          st.queue.prepend(old_drain->second.queue.take_all());
-          draining_.erase(old_drain);
-        }
-        st.source = seen->second.server;
-        st.rate = seen->second.rate;
-        st.sla_seconds = slot.sla_seconds;
-        st.intervals_left = drain_window;
-        draining_.insert_or_assign(slot.id, std::move(st));
+    VmEntry& e = vms_[slot.id.index()];
+    if (drain_window > 0 && e.seen && e.last_seen.server != slot.server &&
+        e.queue.depth() > 0) {
+      if (draining_.size() < vms_.size()) draining_.resize(vms_.size());
+      DrainState& old = draining_[slot.id.index()];
+      DrainState st;
+      st.queue.prepend(e.queue.take_all());
+      if (old.intervals_left > 0) {
+        // Second hop while still draining: the older residue re-joins at
+        // the front so overall arrival order survives.
+        st.queue.prepend(old.queue.take_all());
+      } else {
+        ++drain_count_;
       }
+      st.source = e.last_seen.server;
+      st.rate = e.last_seen.rate;
+      st.sla_seconds = slot.sla_seconds;
+      st.intervals_left = drain_window;
+      old = std::move(st);
     }
   }
   for (const VmSlot& slot : slots_) {
-    last_seen_[slot.id] = LastSeen{slot.server, slot.rate};
+    VmEntry& e = vms_[slot.id.index()];
+    e.last_seen = LastSeen{slot.server, slot.rate};
+    e.seen = true;
   }
 
   // 2. Route each stream's arrivals round-robin over the VMs it owns
@@ -155,83 +161,89 @@ void RequestDriver::advance_interval() {
     }
     const bool admitting = engine_.config().admission !=
                            workload::engine::AdmissionPolicy::kNone;
+    const std::size_t n = reqs.size();
+    const std::size_t width = tgt->size();
     std::uint64_t accepted = 0;
-    for (const workload::engine::Request& r : reqs) {
-      const std::size_t idx = (*tgt)[rr_[s] % tgt->size()];
+    for (std::size_t j = 0; j < n; ++j) {
+      const VmSlot& slot = slots_[(*tgt)[rr_[s] % width]];
       ++rr_[s];
-      workload::engine::RequestQueue& queue = queues_[slots_[idx].id];
-      if (admitting && shed_decision(queue, slots_[idx])) {
+      VmEntry& e = vms_[slot.id.index()];
+      e.has_queue = true;
+      if (j < width && !admitting) {
+        // First arrival for this VM in the window: it will take every
+        // width-th request from here on, so size its queue once.
+        e.queue.reserve_more((n - j + width - 1) / width);
+      }
+      if (admitting && shed_decision(e.queue, slot)) {
         ++shed_;
         continue;
       }
-      queue.push(r);
+      e.queue.push(reqs[j]);
       ++accepted;
     }
     arrived_ += accepted;
   }
 
-  // 3. Serve every queue over the window at its VM's granted share; queues
-  //    whose VM vanished (crash orphan retired, shadow resolved) drop their
-  //    requests.  The map iterates in VmId order -- deterministic.
-  std::unordered_map<common::VmId, std::size_t> slot_of;
-  slot_of.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) slot_of[slots_[i].id] = i;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    const auto found = slot_of.find(it->first);
-    if (found == slot_of.end()) {
+  // 3. Serve every open queue over the window at its VM's granted share, in
+  //    VmId order; queues whose VM vanished (crash orphan retired, shadow
+  //    resolved) drop their requests and reset, so a VM that comes back
+  //    later starts from a fresh queue.
+  for (VmEntry& e : vms_) {
+    if (!e.has_queue) continue;
+    if (e.live_epoch != epoch_) {
       // The VM is gone.  If its last-known host is down this is stranded
       // backlog killed by the fault, not a routing drop.
-      const auto seen = last_seen_.find(it->first);
-      const bool host_failed = seen != last_seen_.end() &&
-                               seen->second.server < servers.size() &&
-                               servers[seen->second.server].failed();
+      const bool host_failed = e.seen &&
+                               e.last_seen.server < servers.size() &&
+                               servers[e.last_seen.server].failed();
       if (host_failed) {
-        failed_by_fault_ += it->second.drop_all();
+        failed_by_fault_ += e.queue.drop_all();
       } else {
-        dropped_ += it->second.drop_all();
+        dropped_ += e.queue.drop_all();
       }
-      if (seen != last_seen_.end()) last_seen_.erase(seen);
-      it = queues_.erase(it);
+      e.queue = workload::engine::RequestQueue{};
+      e.has_queue = false;
+      e.seen = false;
       continue;
     }
-    const VmSlot& slot = slots_[found->second];
+    const VmSlot& slot = slots_[e.slot];
     const workload::engine::QueueServeStats stats =
-        it->second.serve(t0, t1, slot.rate, slot.sla_seconds, &hist_);
+        e.queue.serve(t0, t1, slot.rate, slot.sla_seconds, &hist_);
     completed_ += stats.completed;
     violations_ += stats.sla_violations;
-    ++it;
   }
 
   // 3b. Serve draining residues on their source hosts (VmId order).  A
   //     crashed source fails its residue; an expired window hands whatever
   //     is left back to the VM's current queue, ahead of newer arrivals.
-  for (auto it = draining_.begin(); it != draining_.end();) {
-    DrainState& st = it->second;
+  for (std::size_t id = 0; drain_count_ > 0 && id < draining_.size(); ++id) {
+    DrainState& st = draining_[id];
+    if (st.intervals_left == 0) continue;
     if (st.source < servers.size() && servers[st.source].failed()) {
       failed_by_fault_ += st.queue.drop_all();
-      it = draining_.erase(it);
-      continue;
-    }
-    const workload::engine::QueueServeStats stats =
-        st.queue.serve(t0, t1, st.rate, st.sla_seconds, &hist_);
-    completed_ += stats.completed;
-    violations_ += stats.sla_violations;
-    if (st.intervals_left > 1 && st.queue.depth() > 0) {
-      --st.intervals_left;
-      ++it;
-      continue;
-    }
-    if (st.queue.depth() > 0) {
-      const auto found = slot_of.find(it->first);
-      if (found != slot_of.end()) {
-        queues_[it->first].prepend(st.queue.take_all());
-      } else {
-        // The VM vanished mid-drain with the source still up: the residue
-        // is a routing drop, same as a retired VM's queue.
-        dropped_ += st.queue.drop_all();
+    } else {
+      const workload::engine::QueueServeStats stats =
+          st.queue.serve(t0, t1, st.rate, st.sla_seconds, &hist_);
+      completed_ += stats.completed;
+      violations_ += stats.sla_violations;
+      if (st.intervals_left > 1 && st.queue.depth() > 0) {
+        --st.intervals_left;
+        continue;
+      }
+      if (st.queue.depth() > 0) {
+        VmEntry& e = vms_[id];
+        if (e.live_epoch == epoch_) {
+          e.has_queue = true;
+          e.queue.prepend(st.queue.take_all());
+        } else {
+          // The VM vanished mid-drain with the source still up: the
+          // residue is a routing drop, same as a retired VM's queue.
+          dropped_ += st.queue.drop_all();
+        }
       }
     }
-    it = draining_.erase(it);
+    st = DrainState{};
+    --drain_count_;
   }
 
   // 4. Convert backlog into each VM's next demand and refresh the queue
@@ -240,23 +252,20 @@ void RequestDriver::advance_interval() {
   const double util = engine_.config().target_utilization;
   double backlog_total = 0.0;
   for (const VmSlot& slot : slots_) {
-    double backlog = 0.0;
-    std::size_t depth = 0;
-    const auto it = queues_.find(slot.id);
-    if (it != queues_.end()) {
-      backlog = it->second.backlog_work();
-      depth = it->second.depth();
-    }
+    const workload::engine::RequestQueue& queue = vms_[slot.id.index()].queue;
+    const double backlog = queue.backlog_work();
     backlog_total += backlog;
     const double demand =
         std::clamp(backlog / (tau.value * util), 0.0, 1.0);
     server::Server& host = servers[slot.server];
     (void)host.force_demand(slot.id, demand);
-    (void)host.set_vm_queue_state(slot.id, static_cast<std::uint32_t>(depth),
-                                  backlog);
+    (void)host.set_vm_queue_state(
+        slot.id, static_cast<std::uint32_t>(queue.depth()), backlog);
   }
-  for (const auto& [id, st] : draining_) {
-    backlog_total += st.queue.backlog_work();
+  for (std::size_t id = 0; drain_count_ > 0 && id < draining_.size(); ++id) {
+    if (draining_[id].intervals_left > 0) {
+      backlog_total += draining_[id].queue.backlog_work();
+    }
   }
   backlog_ = backlog_total;
 
@@ -302,8 +311,8 @@ bool RequestDriver::shed_decision(const workload::engine::RequestQueue& queue,
 
 std::uint64_t RequestDriver::queued() const {
   std::uint64_t total = 0;
-  for (const auto& [id, queue] : queues_) total += queue.depth();
-  for (const auto& [id, st] : draining_) total += st.queue.depth();
+  for (const VmEntry& e : vms_) total += e.queue.depth();
+  for (const DrainState& st : draining_) total += st.queue.depth();
   return total;
 }
 
@@ -355,7 +364,8 @@ workload::engine::RequestWorkloadConfig shard_workload_config(
 
 FabricRequestSession::FabricRequestSession(
     cluster::Fabric& fabric,
-    const workload::engine::RequestWorkloadConfig& config) {
+    const workload::engine::RequestWorkloadConfig& config)
+    : fabric_(fabric) {
   drivers_.reserve(fabric.size());
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     drivers_.push_back(std::make_unique<RequestDriver>(
@@ -379,7 +389,9 @@ std::string FabricRequestSession::error() const {
 }
 
 void FabricRequestSession::advance_interval() {
-  for (const auto& d : drivers_) d->advance_interval();
+  fabric_.for_each_shard([this](std::size_t i) {
+    drivers_[i]->advance_interval();
+  });
 }
 
 SlaSummary FabricRequestSession::summary() const {

@@ -15,12 +15,23 @@
 // cluster must be built with demand_evolution_enabled = false (the driver
 // replaces the EvolveAndScale bernoulli pass).
 //
+// Storage: per-VM state (the FIFO queue, the last-seen placement, any
+// drain residue) lives in dense vectors indexed by VmId::value.  A cluster
+// allocates VM ids in sequence, so walking the indices in ascending order
+// visits VMs in VmId order.  Each interval's snapshot stamps the live VMs'
+// entries with an epoch and their slot index, so routing and serving reach
+// a VM's queue and its granted rate without a lookup.  When a VM with an
+// open queue vanishes, its entry resets to a fresh default, so an id that
+// comes back later starts from an empty queue.
+//
 // Determinism: arrivals are a pure function of (workload config, seed);
 // routing walks servers in index order and VM rosters in position order;
-// queues live in a VmId-ordered map.  Two runs with the same cluster seed
-// and workload config are bit-identical, which FabricRequestSession extends
-// to any fabric thread count by advancing the per-shard drivers serially
-// between fabric rounds.
+// serving, draining and the backlog sum walk VM ids in ascending order.
+// Two runs with the same cluster seed and workload config are
+// bit-identical.  FabricRequestSession advances the per-shard drivers in
+// parallel on the fabric's workers; each driver touches only its own
+// cluster, engine and histogram, so a fabric run stays bit-identical at any
+// thread count.
 //
 // Overload resilience (flag-gated; defaults reproduce PR 8 byte-for-byte):
 // admission control sheds arrivals whose target queue is past the policy's
@@ -32,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -134,6 +144,17 @@ class RequestDriver {
     double rate{0.0};
   };
 
+  /// Everything the driver keeps for one VM id.  A default-constructed
+  /// entry is an id the driver holds nothing for.
+  struct VmEntry {
+    workload::engine::RequestQueue queue;
+    LastSeen last_seen;
+    std::uint32_t live_epoch{0};  ///< == epoch_ while the VM is live.
+    std::uint32_t slot{0};        ///< Its slots_ index while live.
+    bool has_queue{false};  ///< Opened by routing or a drain handback.
+    bool seen{false};       ///< last_seen is set.
+  };
+
   /// True when admission refuses an arrival given the target queue's state
   /// -- a pure function of (policy, queue, rate), so no RNG stream moves.
   [[nodiscard]] bool shed_decision(
@@ -145,9 +166,14 @@ class RequestDriver {
   std::vector<VmSlot> slots_;
   std::vector<std::vector<std::size_t>> targets_;  ///< Slot indices per stream.
   std::vector<std::uint64_t> rr_;                  ///< Round-robin cursors.
-  std::map<common::VmId, workload::engine::RequestQueue> queues_;
-  std::map<common::VmId, DrainState> draining_;
-  std::map<common::VmId, LastSeen> last_seen_;
+  /// Per-VM state indexed by VmId::value.  A cluster allocates VM ids in
+  /// sequence, so ascending index order is VmId order.
+  std::vector<VmEntry> vms_;
+  /// Drain residues indexed by VmId::value; intervals_left == 0 marks an id
+  /// with no residue.  Sized on the first migration under a drain window.
+  std::vector<DrainState> draining_;
+  std::size_t drain_count_{0};  ///< Residues in draining_.
+  std::uint32_t epoch_{0};      ///< Intervals advanced; stamps live VMs.
   workload::engine::LatencyHistogram hist_;
   std::uint64_t arrived_{0};
   std::uint64_t completed_{0};
@@ -173,8 +199,9 @@ class RequestDriver {
     const workload::engine::RequestWorkloadConfig& config, std::size_t shard,
     std::size_t shard_count);
 
-/// One RequestDriver per fabric shard, advanced serially in shard order so
-/// a fabric run stays bit-identical at any worker thread count.  Call
+/// One RequestDriver per fabric shard, advanced in parallel on the fabric's
+/// workers (Fabric::for_each_shard).  Drivers share no mutable state, so a
+/// fabric run stays bit-identical at any worker thread count.  Call
 /// advance_interval() immediately before every fabric.step().
 class FabricRequestSession {
  public:
@@ -184,7 +211,7 @@ class FabricRequestSession {
   [[nodiscard]] bool ok() const;
   [[nodiscard]] std::string error() const;
 
-  /// Advances every shard's driver (serial, shard order).
+  /// Advances every shard's driver, one shard per worker task.
   void advance_interval();
 
   /// Merged accounting across the shards.
@@ -200,6 +227,7 @@ class FabricRequestSession {
   [[nodiscard]] RequestDriver& driver(std::size_t i) { return *drivers_.at(i); }
 
  private:
+  cluster::Fabric& fabric_;
   std::vector<std::unique_ptr<RequestDriver>> drivers_;
 };
 

@@ -7,10 +7,16 @@
 // remaining work over the service rate).  Sojourn times land in the shared
 // log-scale histogram; the remaining backlog is what the request driver
 // converts into the VM's next demand.
+//
+// Storage is a plain vector: serve walks a head cursor over the requests it
+// completes and erases them once at the end of the window.  A queue costs
+// one heap block (none until it first holds work), which serve trims back
+// when a past burst left it far larger than the current window needed, and
+// a vector of queues moves them, rather than copying, when it grows.
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "common/units.h"
 #include "workload/engine/arrivals.h"
@@ -37,6 +43,11 @@ class RequestQueue {
   /// Enqueues a request (callers push in arrival order).
   void push(const Request& r);
 
+  /// Makes room for `n` more requests without a reallocation per push
+  /// (grows by at least half the current capacity, so repeated calls stay
+  /// amortized).
+  void reserve_more(std::size_t n);
+
   /// Serves the window [t0, t1) at `rate` capacity-seconds per second (the
   /// VM's granted share; 0 while the host is overloaded away or gone).
   /// Completed sojourns are recorded into `hist` and checked against
@@ -55,15 +66,15 @@ class RequestQueue {
   /// Removes and returns every pending request, FIFO order preserved; the
   /// queue is left empty.  The migration-drain handoff uses this to freeze
   /// the source-side backlog.
-  [[nodiscard]] std::deque<Pending> take_all();
+  [[nodiscard]] std::vector<Pending> take_all();
 
   /// Splices `batch` in front of the current contents, preserving the
   /// batch's internal order, so a drain residue re-joins ahead of the
   /// requests that arrived after the migration.
-  void prepend(std::deque<Pending> batch);
+  void prepend(std::vector<Pending> batch);
 
  private:
-  std::deque<Pending> pending_;
+  std::vector<Pending> pending_;  ///< Oldest first.
   double backlog_work_{0.0};
   common::Seconds ready_at_{common::Seconds{0.0}};  ///< Server-free time.
 };

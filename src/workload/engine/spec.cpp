@@ -1,7 +1,9 @@
 #include "workload/engine/spec.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -15,6 +17,8 @@ constexpr std::string_view kKindGrammar =
 
 constexpr std::string_view kStreamOptionGrammar =
     "service=exp|lognormal|pareto, mean=S, sigma=F, alpha=F, sla=SECS";
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 constexpr std::string_view kParamGrammar =
     "seed=N, util=F, sla=SECS, admit=none|tail-drop|deadline-shed, cap=N, "
@@ -161,12 +165,24 @@ std::optional<RequestWorkloadConfig> RequestWorkloadConfig::parse(
       } else if (key == "admit" &&
                  parse_admission_policy(value, &config.admission)) {
         // Parsed in place.
-      } else if (key == "cap" && parse_u64(value, &n) && n > 0) {
-        config.admission_cap = static_cast<std::uint32_t>(n);
-      } else if (key == "budget" && parse_double(value, &d) && d >= 0.0) {
+      } else if ((key == "cap" || key == "drain") && parse_u64(value, &n)) {
+        // Both knobs are stored as u32; a wider value must not wrap (cap=2^32
+        // would become 0 and tail-drop would shed every arrival).
+        const std::uint64_t lo = key == "cap" ? 1 : 0;
+        if (n < lo || n > kMaxU32) {
+          set_error(error, "requests: " + std::string(key) +
+                               " out of range in '" + std::string(item) +
+                               "'" + at_offset(offset) +
+                               "; expected an integer in [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(kMaxU32) + "]");
+          return std::nullopt;
+        }
+        (key == "cap" ? config.admission_cap : config.drain_intervals) =
+            static_cast<std::uint32_t>(n);
+      } else if (key == "budget" && parse_double(value, &d) &&
+                 std::isfinite(d) && d >= 0.0) {
         config.admission_budget_seconds = d;
-      } else if (key == "drain" && parse_u64(value, &n)) {
-        config.drain_intervals = static_cast<std::uint32_t>(n);
       } else {
         set_error(error, "requests: bad parameter '" + std::string(item) +
                              "'" + at_offset(offset) + "; expected one of " +

@@ -283,28 +283,47 @@ TEST(FabricRequestSession, MergesShardSummaries) {
 }
 
 TEST(FabricRequestSession, ThreadCountDoesNotChangeTheRun) {
-  const auto workload =
-      parse_workload("flash:rate=45,burst=5,on=120,off=500,mean=0.2;seed=14");
-  auto run = [&](std::size_t threads) {
+  // The shard drivers advance on the fabric's workers; admission shedding,
+  // migration draining and crash-stranded failures all run inside that
+  // parallel advance, and none of them may depend on the worker count.
+  const auto workload = parse_workload(
+      "flash:rate=180,burst=5,on=120,off=500,mean=0.2;seed=14;"
+      "admit=tail-drop;cap=12;drain=2");
+  fault::FaultPlan plan;
+  plan.crash(common::Seconds{150.0}, common::ServerId{2});
+  plan.crash(common::Seconds{150.0}, common::ServerId{3});
+  plan.crash(common::Seconds{270.0}, common::ServerId{7});
+  std::size_t migrations = 0;
+  auto run = [&](std::size_t threads, SlaSummary* summary) {
     cluster::FabricConfig fcfg;
     fcfg.shard_count = 4;
     fcfg.threads = threads;
     fcfg.cluster_template = driver_cluster_config(12, 23);
     cluster::Fabric fabric(fcfg);
+    const fault::FabricFaultSession faults(fabric, plan);
     FabricRequestSession session(fabric, workload);
     EXPECT_TRUE(session.ok());
     std::vector<std::uint64_t> digests;
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < 8; ++i) {
       session.advance_interval();
-      digests.push_back(cluster::fabric_report_digest(fabric.step()));
+      const cluster::FabricIntervalReport report = fabric.step();
+      for (const auto& c : report.clusters) migrations += c.migrations;
+      digests.push_back(cluster::fabric_report_digest(report));
+      digests.push_back(session.summary().digest());
+      EXPECT_EQ(session.audit(), std::nullopt) << "interval " << i;
     }
     digests.push_back(fabric.state_digest());
-    digests.push_back(session.summary().digest());
+    *summary = session.summary();
     return digests;
   };
-  const auto one = run(1);
-  EXPECT_EQ(run(2), one);
-  EXPECT_EQ(run(8), one);
+  SlaSummary summary;
+  const auto one = run(1, &summary);
+  EXPECT_GT(summary.shed, 0U);
+  EXPECT_GT(summary.failed_by_fault, 0U);
+  EXPECT_GT(migrations, 0U);  // Moves under the drain window.
+  SlaSummary ignored;
+  EXPECT_EQ(run(2, &ignored), one);
+  EXPECT_EQ(run(8, &ignored), one);
 }
 
 }  // namespace

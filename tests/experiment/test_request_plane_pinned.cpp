@@ -1,0 +1,215 @@
+// Request-plane runs pinned end to end.
+//
+// Four request workloads on a 4-shard fabric -- a flash crowd with
+// migration draining, tail-drop admission, deadline-shed admission, and a
+// crash + partition plan under which VMs vanish with queued work -- each run
+// at 1 and 4 fabric threads.  Every interval records the fabric report
+// digest and the merged SlaSummary digest (the report digest carries no
+// request counters); the trail ends with the fabric state digest and the
+// final SlaSummary digest.  The request conservation audit must hold after
+// every interval.  The constants were captured while the driver still kept
+// its queues in VmId-ordered maps of deque-backed FIFOs and advanced the
+// shards serially, so they prove that dense per-VM storage, vector-backed
+// queues and the parallel advance change nothing.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "cluster/fabric.h"
+#include "experiment/request_driver.h"
+#include "experiment/scenario.h"
+#include "fault/fault_plan.h"
+#include "fault/injector.h"
+
+namespace eclb::experiment {
+namespace {
+
+constexpr std::size_t kShards = 4;
+constexpr std::size_t kIntervals = 14;
+
+struct Scenario {
+  const char* workload;      ///< --requests spec (fabric-wide rates).
+  std::size_t servers;       ///< Servers per shard.
+  std::uint64_t seed;        ///< Cluster template seed.
+  const char* faults;        ///< Per-shard fault plan, nullptr for none.
+};
+
+/// What a run exercised, beyond its digests: the pinned scenarios must keep
+/// reaching the branches they exist to cover.
+struct Coverage {
+  SlaSummary summary;
+  std::size_t migrations{0};
+};
+
+struct Trail {
+  std::vector<std::uint64_t> digests;
+  Coverage coverage;
+};
+
+Trail run(const Scenario& sc, std::size_t threads) {
+  cluster::FabricConfig fcfg;
+  fcfg.shard_count = kShards;
+  fcfg.threads = threads;
+  fcfg.cluster_template =
+      paper_cluster_config(sc.servers, AverageLoad::kLow30, sc.seed);
+  fcfg.cluster_template.demand_evolution_enabled = false;
+  cluster::Fabric fabric(fcfg);
+
+  std::optional<fault::FabricFaultSession> faults;
+  if (sc.faults != nullptr) {
+    std::string error;
+    const auto plan = fault::FaultPlan::parse(sc.faults, &error);
+    EXPECT_TRUE(plan.has_value()) << error;
+    if (!plan.has_value()) return {};
+    faults.emplace(fabric, *plan);
+  }
+  std::string error;
+  const auto workload =
+      workload::engine::RequestWorkloadConfig::parse(sc.workload, &error);
+  EXPECT_TRUE(workload.has_value()) << error;
+  if (!workload.has_value()) return {};
+  FabricRequestSession session(fabric, *workload);
+  EXPECT_TRUE(session.ok());
+
+  Trail trail;
+  for (std::size_t i = 0; i < kIntervals; ++i) {
+    session.advance_interval();
+    const cluster::FabricIntervalReport report = fabric.step();
+    for (const auto& c : report.clusters) {
+      trail.coverage.migrations += c.migrations;
+    }
+    trail.digests.push_back(cluster::fabric_report_digest(report));
+    trail.digests.push_back(session.summary().digest());
+    const auto audit = session.audit();
+    EXPECT_FALSE(audit.has_value()) << "interval " << i << ": " << *audit;
+  }
+  trail.digests.push_back(fabric.state_digest());
+  trail.coverage.summary = session.summary();
+  trail.digests.push_back(trail.coverage.summary.digest());
+  return trail;
+}
+
+std::string as_initializer(const std::vector<std::uint64_t>& digests) {
+  std::string out = "{";
+  char buf[32];
+  for (const std::uint64_t d : digests) {
+    std::snprintf(buf, sizeof buf, "0x%016llxULL, ",
+                  static_cast<unsigned long long>(d));
+    out += buf;
+  }
+  out += "}";
+  return out;
+}
+
+/// Runs `sc` at 1 and 4 threads; both trails must equal `pinned`.  Returns
+/// the 1-thread coverage for the scenario's own branch checks.
+Coverage expect_pinned(const Scenario& sc,
+                       const std::vector<std::uint64_t>& pinned) {
+  const Trail one = run(sc, 1);
+  EXPECT_EQ(one.digests, pinned) << "digests " << as_initializer(one.digests);
+  const Trail four = run(sc, 4);
+  EXPECT_EQ(four.digests, pinned)
+      << "4-thread digests " << as_initializer(four.digests);
+  return one.coverage;
+}
+
+TEST(RequestPlanePinned, FlashDrainDigestsPinned) {
+  // A lightly loaded fleet consolidates, so VMs migrate while their queues
+  // hold work and the two-interval drain window keeps residues behind.
+  const Scenario sc{
+      "flash:rate=160,burst=8,on=120,off=300,mean=0.2;seed=12;drain=2", 20,
+      5, nullptr};
+  const std::vector<std::uint64_t> pinned = {
+      0x824aeea6f9fa3d3cULL, 0xe77d7231bbc5a513ULL, 0x0ec61d1b51bc5994ULL,
+      0xa839fc51a9883ed8ULL, 0x36270c6e08efa379ULL, 0x8d70a21d7a49fb29ULL,
+      0x3961ffb75042549aULL, 0xc2eedf15ec3c5b34ULL, 0xf3ed72d8dbe46733ULL,
+      0xf9f40cfd95816d92ULL, 0x2df5032699938bfcULL, 0xba83372a5218bf1cULL,
+      0x2fb03c8acb628b4bULL, 0x88eb942f64cdacecULL, 0x8939e102995e7b7fULL,
+      0xc4ec46e5c0295b07ULL, 0x2d831bcad5885d57ULL, 0x08282d139d433691ULL,
+      0xc389f7f89be1e1f5ULL, 0xf739764757c01ac1ULL, 0x38d0cbc04ee9d398ULL,
+      0x37c62fecb138d2c2ULL, 0xa0f7c4707c77f7abULL, 0x06441ce09ec6ee02ULL,
+      0x90213ee636713bf2ULL, 0xf78ddee6a61eba09ULL, 0x1ba4adfcce94505eULL,
+      0xff828c8e6476549dULL, 0x9bb10ea86e7663feULL, 0xff828c8e6476549dULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.migrations, 0U);
+  EXPECT_GT(cov.summary.completed, 0U);
+}
+
+TEST(RequestPlanePinned, TailDropDigestsPinned) {
+  // Offered work far past the fleet's capacity against a 6-request cap.
+  const Scenario sc{
+      "poisson:rate=800,mean=0.3;seed=3;admit=tail-drop;cap=6", 10, 17,
+      nullptr};
+  const std::vector<std::uint64_t> pinned = {
+      0xd77a22b611a700e9ULL, 0x5a0b0d72847964daULL, 0x9bc1d69f2f8095c5ULL,
+      0xf98889057eb7ca73ULL, 0xa046d0f51c91c458ULL, 0x7f3f39da711ec887ULL,
+      0x76920dbe46f84013ULL, 0xdd07a1a37cf6cd13ULL, 0xd6b4be132f89e148ULL,
+      0x6fbe58b3fff4a7d5ULL, 0x08ec20ca0c68a85bULL, 0xdc82b072d1bf232eULL,
+      0x1ce7a4ef060791baULL, 0x6d18105ac715553bULL, 0x2b9481a347d9b157ULL,
+      0xc18b4d5344b3644eULL, 0x43452ff86be338b0ULL, 0xea9295eb6d8319adULL,
+      0xa71ac91129f47d90ULL, 0x863ebc2104978d84ULL, 0xb84d1bbc38e891b3ULL,
+      0xb70984a25b6dde82ULL, 0x5548f212e6e932afULL, 0x654fc9f809165b8dULL,
+      0x79803f6663a54ed2ULL, 0x85d4bdd1bc8f4f89ULL, 0xa67b01e831fcd49cULL,
+      0x105e2aeb96b8e347ULL, 0x3d6ac6bdaed78983ULL, 0x105e2aeb96b8e347ULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.summary.shed, 0U);
+  EXPECT_GT(cov.summary.completed, 0U);
+}
+
+TEST(RequestPlanePinned, DeadlineShedDigestsPinned) {
+  // No explicit budget: each arrival sheds against its own stream's SLA.
+  const Scenario sc{
+      "poisson:rate=600,mean=0.3,sla=2;diurnal:rate=200,amp=0.5,period=900,"
+      "mean=0.1,sla=0.5;seed=9;admit=deadline-shed",
+      10, 31, nullptr};
+  const std::vector<std::uint64_t> pinned = {
+      0x86ebcc2016a110fbULL, 0xea9fb4d84d9e62ddULL, 0xeb8d6221a7bce7e1ULL,
+      0x835ea0a1092a59f0ULL, 0x0a9a317557263c48ULL, 0x8908c45dfd2c0a0cULL,
+      0x1df37d81c3ff1443ULL, 0x39a34a63a9a4d283ULL, 0x9b38ef8e02409f78ULL,
+      0xa2c17253feb51783ULL, 0xd511d623c5848d17ULL, 0x08e45a6aa58a24bbULL,
+      0x80831ea2b64aa6abULL, 0x9141c14b22e9b6f3ULL, 0xa822978169085b08ULL,
+      0xfa2a4f2582862bc3ULL, 0x0b9fd38f40086fd4ULL, 0xd4b3ae71cbb78d26ULL,
+      0x1997a32cf170be29ULL, 0x1dea11fb98365b93ULL, 0x4a724b63aa10b185ULL,
+      0x9d70a6eb2e223233ULL, 0xbed2a49942b26470ULL, 0xcc1046c92feda22aULL,
+      0x4c8616c089075d4bULL, 0x9d69f644f9f64969ULL, 0xf1fde4862034fe97ULL,
+      0x6ffec9109fe74bc1ULL, 0x7a1b41ac86a3b87eULL, 0x6ffec9109fe74bc1ULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.summary.shed, 0U);
+  EXPECT_GT(cov.summary.completed, 0U);
+}
+
+TEST(RequestPlanePinned, CrashPartitionDigestsPinned) {
+  // Crashes strand queued requests and drain residues (failed_by_fault);
+  // orphans are re-placed under fresh VM ids, and the heal retires
+  // duplicate shadows, so queues of vanished VMs are dropped.
+  const Scenario sc{
+      "poisson:rate=240,mean=0.2;flash:rate=80,burst=6;seed=21;drain=2", 24,
+      2024,
+      "crash@180:s=3;crash@180:s=4;crash@240:s=5;part@300:g=0-11|12-23,"
+      "heal=540;crash@420:s=14;recover@600:s=3;migfail@0:p=0.1;seed=5"};
+  const std::vector<std::uint64_t> pinned = {
+      0x38cd46f5dc4de2a2ULL, 0x027b29023e57b1baULL, 0x47f948a528769af2ULL,
+      0x6f19875502526aaaULL, 0xb26b908c8480daa9ULL, 0xdc72b4200551c253ULL,
+      0xf9ff5ef387ed12e5ULL, 0x169feb7cf8a7035fULL, 0xbabcdfcd73915da8ULL,
+      0xeab696a03f31d66dULL, 0x4e57347d438c13fdULL, 0xe68a7e165872e58fULL,
+      0xb7dd5b8785527650ULL, 0x908dbe9fcbfab92bULL, 0x7040d8ab69666140ULL,
+      0xc922888edd3e9db3ULL, 0x443faeb4073feba0ULL, 0x985b52969c481a3bULL,
+      0x9a005ef3cbfaccb8ULL, 0x1441e7831a71f513ULL, 0x2128dac386f0487fULL,
+      0x7be54e2663af3b10ULL, 0xb2ee577c2689645cULL, 0x0beee753afefcda3ULL,
+      0x06ae4895f3a4e283ULL, 0x1f5b872546bbb9a4ULL, 0x735986c5d8442356ULL,
+      0x44569efb20392b0cULL, 0x6dcf68f629d76787ULL, 0x44569efb20392b0cULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.summary.failed_by_fault, 0U);
+  EXPECT_GT(cov.summary.dropped, 0U);
+}
+
+}  // namespace
+}  // namespace eclb::experiment

@@ -85,6 +85,60 @@ TEST(RequestSpec, DiagnosticsCarryByteOffsetAndGrammar) {
   EXPECT_NE(error.find("no stream"), std::string::npos) << error;
 }
 
+TEST(RequestSpec, RejectsKnobsThatWouldWrapOrBeNan) {
+  // cap and drain are stored as u32; 2^32 used to pass the parse and wrap
+  // (cap to 0, so tail-drop shed every arrival, and to_spec emitted cap=0,
+  // which does not re-parse).
+  std::string error;
+  for (const char* spec : {
+           "poisson:rate=5;admit=tail-drop;cap=4294967296",
+           "poisson:rate=5;admit=tail-drop;cap=18446744073709551615",
+           "poisson:rate=5;admit=tail-drop;cap=0",
+           "poisson:rate=5;drain=4294967296",
+       }) {
+    error.clear();
+    EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    const std::string offset =
+        "at offset " + std::to_string(std::string(spec).rfind(';') + 1);
+    EXPECT_NE(error.find(offset), std::string::npos) << error;
+  }
+  for (const char* spec : {
+           "poisson:rate=5;admit=deadline-shed;budget=nan",
+           "poisson:rate=5;admit=deadline-shed;budget=inf",
+           "poisson:rate=5;admit=deadline-shed;budget=-1",
+       }) {
+    error.clear();
+    EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec;
+    EXPECT_NE(error.find("bad parameter"), std::string::npos) << error;
+  }
+}
+
+TEST(RequestSpec, U32KnobLimitsRoundTrip) {
+  std::string error;
+  const auto cfg = RequestWorkloadConfig::parse(
+      "poisson:rate=5;admit=tail-drop;cap=4294967295;drain=4294967295",
+      &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  EXPECT_EQ(cfg->admission_cap, 4294967295U);
+  EXPECT_EQ(cfg->drain_intervals, 4294967295U);
+  const auto again = RequestWorkloadConfig::parse(cfg->to_spec(), &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(again->to_spec(), cfg->to_spec());
+  EXPECT_EQ(again->admission_cap, cfg->admission_cap);
+  EXPECT_EQ(again->drain_intervals, cfg->drain_intervals);
+
+  const auto one = RequestWorkloadConfig::parse(
+      "poisson:rate=5;admit=tail-drop;cap=1;drain=0", &error);
+  ASSERT_TRUE(one.has_value()) << error;
+  const auto one_again = RequestWorkloadConfig::parse(one->to_spec(), &error);
+  ASSERT_TRUE(one_again.has_value()) << error;
+  EXPECT_EQ(one_again->admission_cap, 1U);
+  EXPECT_EQ(one_again->drain_intervals, 0U);
+}
+
 // --- service-time sampler ---------------------------------------------------
 
 TEST(ServiceSampler, EmpiricalMeanMatchesEveryLaw) {
@@ -339,6 +393,31 @@ TEST(RequestQueue, DropAllEmptiesTheQueue) {
   EXPECT_EQ(q.drop_all(), 2U);
   EXPECT_EQ(q.depth(), 0U);
   EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
+}
+
+TEST(RequestQueue, TakeAllAndPrependKeepFifoOrder) {
+  // The migration-drain handoff: a residue taken from one queue re-joins
+  // another ahead of that queue's own requests, oldest first.
+  RequestQueue residue;
+  residue.push({Seconds{0.0}, 1.0});
+  residue.push({Seconds{1.0}, 2.0});
+  RequestQueue current;
+  current.push({Seconds{5.0}, 4.0});
+  current.prepend(residue.take_all());
+  EXPECT_EQ(residue.depth(), 0U);
+  EXPECT_DOUBLE_EQ(residue.backlog_work(), 0.0);
+  EXPECT_EQ(current.depth(), 3U);
+  EXPECT_DOUBLE_EQ(current.backlog_work(), 7.0);
+  // Rate 1 from t = 0: completions at 1, 3 and 9 -- FIFO across the splice.
+  LatencyHistogram hist;
+  auto stats = current.serve(Seconds{0.0}, Seconds{4.0}, 1.0, 100.0, &hist);
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(current.depth(), 1U);
+  EXPECT_DOUBLE_EQ(current.backlog_work(), 4.0);
+  stats = current.serve(Seconds{4.0}, Seconds{10.0}, 1.0, 100.0, &hist);
+  EXPECT_EQ(stats.completed, 1U);
+  EXPECT_EQ(current.depth(), 0U);
+  EXPECT_EQ(hist.count(), 3U);
 }
 
 // --- latency histogram ------------------------------------------------------

@@ -12,8 +12,10 @@
 //   eclb_cli migrate --ram 4096 --dirty 200 --bandwidth 1000
 //   eclb_cli model --a-avg 0.3 --b-avg 0.6 --a-opt 0.9 --b-opt 0.8
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -142,26 +144,31 @@ int apply_resilience_flags(
       return 2;
     }
   }
+  // Both counts are stored as u32: a wider value must not wrap.
+  constexpr long long kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   if (flags.has("admission-cap")) {
     const long long cap = flags.get_int("admission-cap", 256);
-    if (cap <= 0) {
-      std::cerr << "--admission-cap must be > 0\n";
+    if (cap <= 0 || cap > kMaxU32) {
+      std::cerr << "--admission-cap must be in [1, " << kMaxU32 << "] (got "
+                << cap << ")\n";
       return 2;
     }
     cfg.admission_cap = static_cast<std::uint32_t>(cap);
   }
   if (flags.has("admission-budget")) {
     const double budget = flags.get_double("admission-budget", 0.0);
-    if (budget < 0.0) {
-      std::cerr << "--admission-budget must be >= 0\n";
+    if (!std::isfinite(budget) || budget < 0.0) {
+      std::cerr << "--admission-budget must be a finite number >= 0 (got "
+                << budget << ")\n";
       return 2;
     }
     cfg.admission_budget_seconds = budget;
   }
   if (flags.has("drain-intervals")) {
     const long long n = flags.get_int("drain-intervals", 0);
-    if (n < 0) {
-      std::cerr << "--drain-intervals must be >= 0\n";
+    if (n < 0 || n > kMaxU32) {
+      std::cerr << "--drain-intervals must be in [0, " << kMaxU32 << "] (got "
+                << n << ")\n";
       return 2;
     }
     cfg.drain_intervals = static_cast<std::uint32_t>(n);
