@@ -266,7 +266,7 @@ class Cluster {
 
   // --- multi-cluster hooks ---------------------------------------------------
 
-  /// Installs the overflow handler (see Cloud).  Pass nullptr to remove.
+  /// Installs the overflow handler (see Fabric).  Pass nullptr to remove.
   void set_overflow_handler(OverflowHandler handler) {
     overflow_handler_ = std::move(handler);
   }

@@ -52,8 +52,7 @@ std::vector<std::size_t> OverflowRouter::candidate_order(
     std::size_t origin) const {
   // Snapshot spares once: evaluating loads inside the comparator would both
   // waste work and -- if a load were ever re-derived from live state -- risk
-  // an inconsistent strict weak ordering.  (The old Cloud dispatcher did
-  // exactly that, on top of a non-stable sort.)
+  // an inconsistent strict weak ordering.
   std::vector<std::size_t> order;
   order.reserve(loads_.size());
   for (std::size_t i = 0; i < loads_.size(); ++i) {
@@ -164,11 +163,15 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
   shards_.reserve(config_.shard_count);
   for (std::size_t i = 0; i < config_.shard_count; ++i) {
     ClusterConfig member = config_.cluster_template;
-    member.seed = shard_seed(config_.cluster_template.seed, i);
+    member.seed =
+        shard_seed(config_.cluster_template.seed, i, config_.shard_count);
     shards_.push_back(std::make_unique<Cluster>(std::move(member)));
   }
-  outboxes_.resize(shards_.size());
+  // A lone shard is a plain cluster: no sibling to route overflow to, and
+  // nothing to step in parallel.
+  if (shards_.size() == 1) return;
   if (config_.inter_cluster_overflow) {
+    outboxes_.resize(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       // Deferred accept: the handler only queues the request in shard i's
       // own outbox (touched by no other shard during the parallel phase)
@@ -210,8 +213,8 @@ double Fabric::load_fraction() const {
     demand += c->total_demand();
     capacity += c->usable_capacity();
   }
-  // An all-failed (or zero-capacity) fabric carries no servable load; the
-  // old Cloud divided by total_servers() unguarded and could return NaN.
+  // An all-failed (or zero-capacity) fabric carries no servable load, so
+  // never divide by a zero capacity.
   if (capacity <= 0.0) return 0.0;
   return demand / capacity;
 }
@@ -232,7 +235,10 @@ void Fabric::set_pipeline_phase_timing(bool on) {
   for (auto& c : shards_) c->set_pipeline_phase_timing(on);
 }
 
-std::uint64_t Fabric::shard_seed(std::uint64_t base, std::size_t shard) {
+std::uint64_t Fabric::shard_seed(std::uint64_t base, std::size_t shard,
+                                 std::size_t shard_count) {
+  ECLB_ASSERT(shard < shard_count, "Fabric::shard_seed: shard out of range");
+  if (shard_count == 1) return base;
   return common::mix_seed(base, static_cast<std::uint64_t>(shard));
 }
 
@@ -272,16 +278,11 @@ void Fabric::route_and_apply(FabricIntervalReport& report) {
 FabricIntervalReport Fabric::step() {
   FabricIntervalReport report;
   report.clusters.resize(shards_.size());
-  auto step_shard = [this, &report](std::size_t i) {
+  for_each_shard([this, &report](std::size_t i) {
     // Each worker touches only shard i's kernel, outbox and report slot;
     // the phase shares nothing mutable across indices.
     report.clusters[i] = shards_[i]->step();
-  };
-  if (pool_ != nullptr && shards_.size() > 1) {
-    pool_->parallel_for_static(shards_.size(), step_shard);
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) step_shard(i);
-  }
+  });
   // The barrier: single-threaded, (shard id, sequence)-ordered resolution,
   // applied before the next interval begins.  Everything that feeds it is a
   // pure function of per-shard results, so thread count cannot leak in.
@@ -289,15 +290,8 @@ FabricIntervalReport Fabric::step() {
   return report;
 }
 
-std::vector<FabricIntervalReport> Fabric::run(std::size_t count) {
-  std::vector<FabricIntervalReport> reports;
-  reports.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) reports.push_back(step());
-  return reports;
-}
-
 void Fabric::for_each_shard(const std::function<void(std::size_t)>& fn) {
-  if (pool_ != nullptr && shards_.size() > 1) {
+  if (pool_ != nullptr) {
     pool_->parallel_for_static(shards_.size(), fn);
   } else {
     for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);

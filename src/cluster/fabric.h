@@ -10,8 +10,8 @@
 //   1. Parallel phase: every shard runs one reallocation round of interval T
 //      on its own kernel.  Shards share no mutable state; demand a shard
 //      cannot place locally is not dispatched into a sibling mid-interval
-//      (the old Cloud's call-through bug) but appended to the shard's
-//      *outbox* mailbox as an OverflowRequest stamped (shard id, sequence).
+//      but appended to the shard's *outbox* mailbox as an OverflowRequest
+//      stamped (shard id, sequence).
 //   2. Barrier: the super-leader routing tier merges all outboxes in
 //      deterministic (shard id, sequence) order and resolves each request
 //      against a coarse per-shard capacity ledger -- most spare capacity
@@ -22,9 +22,14 @@
 // Because the parallel phase touches only per-shard state and the barrier
 // resolution is a pure function of the merged mailbox order, a fabric run is
 // bit-identical for any worker thread count, including 1.  Per-shard seeds
-// derive from the template seed via common::mix_seed (the splitmix64
-// derivation replication streams use), never `seed + i`, so adjacent shards
-// draw from decorrelated streams.
+// derive from the template seed via Fabric::shard_seed (the splitmix64
+// common::mix_seed, never `seed + i`), so adjacent shards draw from
+// decorrelated streams.
+//
+// A lone shard is a plain cluster: it keeps the template seed unmixed, gets
+// no overflow mailbox (there is no sibling to route to) and no worker pool,
+// so a 1-shard fabric replays exactly the run of one Cluster built from the
+// template.
 #pragma once
 
 #include <cstdint>
@@ -41,14 +46,15 @@ namespace eclb::cluster {
 struct FabricConfig {
   /// Number of member shards (clusters).
   std::size_t shard_count{4};
-  /// Template for every member cluster; per-shard seeds derive from
-  /// template.seed via common::mix_seed(template.seed, shard) -- the
-  /// splitmix64 mix, not the correlated-stream `seed + shard` pattern.
+  /// Template for every member cluster; shard i's seed is
+  /// Fabric::shard_seed(template.seed, i, shard_count).
   ClusterConfig cluster_template{};
   /// Route overflow demand to sibling shards (off = isolated clusters).
+  /// Ignored with one shard, which has no sibling.
   bool inter_cluster_overflow{true};
   /// Worker threads stepping the shards; 1 = step inline on the calling
   /// thread, 0 = hardware concurrency.  Any value replays bit-identically.
+  /// Ignored with one shard, which always steps inline.
   std::size_t threads{1};
 };
 
@@ -94,8 +100,6 @@ class OverflowRouter {
 
   /// Spare capacity of `shard` under the current ledger.
   [[nodiscard]] double spare(std::size_t shard) const;
-  /// Number of shards in the ledger.
-  [[nodiscard]] std::size_t size() const { return loads_.size(); }
 
  private:
   std::vector<ShardLoad> loads_;
@@ -165,18 +169,19 @@ class Fabric {
   /// Energy across the fabric.
   [[nodiscard]] common::Joules total_energy() const;
 
-  /// The seed shard `shard` of a fabric templated on `base` uses.
+  /// The seed shard `shard` of `shard_count` derives from `base`: `base`
+  /// itself for a lone shard, common::mix_seed(base, shard) otherwise.  The
+  /// one derivation for every per-shard stream -- cluster, fault plan and
+  /// request workload.
   [[nodiscard]] static std::uint64_t shard_seed(std::uint64_t base,
-                                                std::size_t shard);
+                                                std::size_t shard,
+                                                std::size_t shard_count);
 
   /// Runs one conservative-barrier round: every shard steps interval T in
   /// parallel, then the super-leader resolves the overflow mailboxes in
   /// (shard id, sequence) order before T+1.  Bit-identical for any thread
   /// count.
   FabricIntervalReport step();
-
-  /// Runs `count` rounds.
-  std::vector<FabricIntervalReport> run(std::size_t count);
 
   /// Runs fn(i) for every shard index i on the parallel phase's workers
   /// (inline, in shard order, when stepping inline) and returns once all
@@ -195,13 +200,15 @@ class Fabric {
 
   FabricConfig config_;
   std::vector<std::unique_ptr<Cluster>> shards_;
-  /// Outbox mailboxes, one per shard.  During the parallel phase shard i
-  /// appends only to outboxes_[i] from its own worker, so the phase is
-  /// race-free without locks; the barrier drains them all.
+  /// Outbox mailboxes, one per shard (empty when no mailbox is installed).
+  /// During the parallel phase shard i appends only to outboxes_[i] from its
+  /// own worker, so the phase is race-free without locks; the barrier drains
+  /// them all.
   std::vector<std::vector<OverflowRequest>> outboxes_;
-  /// Workers for the parallel phase; null when config_.threads == 1 (the
-  /// shards then step inline, which must produce identical results -- the
-  /// pool is an execution detail, never a semantic one).
+  /// Workers for the parallel phase; null when config_.threads == 1 or the
+  /// fabric has one shard (the shards then step inline, which must produce
+  /// identical results -- the pool is an execution detail, never a semantic
+  /// one).
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

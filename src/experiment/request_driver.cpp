@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/assert.h"
-#include "common/rng.h"
 
 namespace eclb::experiment {
 
@@ -349,16 +348,13 @@ SlaSummary RequestDriver::summary() const {
 workload::engine::RequestWorkloadConfig shard_workload_config(
     const workload::engine::RequestWorkloadConfig& config, std::size_t shard,
     std::size_t shard_count) {
-  ECLB_ASSERT(shard_count > 0 && shard < shard_count,
-              "shard_workload_config: shard out of range");
   workload::engine::RequestWorkloadConfig out = config;
-  if (shard_count == 1) return out;
   const double split = static_cast<double>(shard_count);
   for (workload::engine::StreamSpec& spec : out.streams) {
     spec.rate /= split;
     spec.trace_scale /= split;
   }
-  out.seed = common::mix_seed(config.seed, shard);
+  out.seed = cluster::Fabric::shard_seed(config.seed, shard, shard_count);
   return out;
 }
 

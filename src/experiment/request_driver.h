@@ -193,8 +193,8 @@ class RequestDriver {
 
 /// Splits `config` across `shard_count` shards: per-stream rates (and trace
 /// scales) divide evenly, the shard's engine seed derives via
-/// common::mix_seed(config.seed, shard).  Shard 0 of 1 returns the config
-/// unchanged.
+/// Fabric::shard_seed(config.seed, shard, shard_count).  Shard 0 of 1
+/// returns the config unchanged.
 [[nodiscard]] workload::engine::RequestWorkloadConfig shard_workload_config(
     const workload::engine::RequestWorkloadConfig& config, std::size_t shard,
     std::size_t shard_count);

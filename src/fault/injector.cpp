@@ -157,11 +157,11 @@ FabricFaultSession::FabricFaultSession(cluster::Fabric& fabric,
   injectors_.reserve(fabric.size());
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     FaultPlan shard_plan = plan;
-    // Same splitmix64 derivation as the fabric's cluster seeds and the
-    // runner's per-replication fault streams: shard i's injected randomness
-    // is a pure function of (plan seed, i), never of sibling activity.
+    // The fabric's cluster-seed derivation: shard i's injected randomness
+    // is a pure function of (plan seed, i), never of sibling activity, and a
+    // lone shard runs the plan's own stream.
     shard_plan.set_seed(
-        common::mix_seed(plan.seed(), static_cast<std::uint64_t>(i)));
+        cluster::Fabric::shard_seed(plan.seed(), i, fabric.size()));
     injectors_.push_back(std::make_unique<FaultInjector>(
         fabric.mutable_cluster(i), std::move(shard_plan)));
   }

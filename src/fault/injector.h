@@ -108,9 +108,10 @@ class FaultInjector final : public cluster::FaultRuntime {
 
 /// Fault injection across a sharded fabric: one FaultInjector per shard,
 /// each running the same plan on its own kernel with its own fault stream
-/// seeded by common::mix_seed(plan seed, shard) -- the same derivation the
-/// fabric uses for cluster seeds, so (fabric seed, plan seed) fully
-/// determines every shard's fault schedule regardless of thread count.
+/// seeded by Fabric::shard_seed(plan seed, shard, shards) -- the same
+/// derivation the fabric uses for cluster seeds, so (fabric seed, plan seed)
+/// fully determines every shard's fault schedule regardless of thread count,
+/// and a 1-shard session is a plain FaultInjector on the plan.
 /// The fabric must outlive the session.
 class FabricFaultSession {
  public:

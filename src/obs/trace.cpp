@@ -21,6 +21,22 @@ void append_size(std::string& out, std::size_t v) {
   out += buf;
 }
 
+/// `dir/<prefix><index>_seed<seed>.jsonl`.
+std::string run_file_path(const std::string& dir, const char* prefix,
+                          std::size_t index, std::uint64_t seed) {
+  std::string path = dir;
+  if (!path.empty() && path.back() != '/') path += '/';
+  path += prefix;
+  append_size(path, index);
+  path += "_seed";
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%llu",
+                static_cast<unsigned long long>(seed));
+  path += buf;
+  path += ".jsonl";
+  return path;
+}
+
 }  // namespace
 
 TraceWriter::TraceWriter(std::string path) : path_(std::move(path)) {
@@ -452,32 +468,12 @@ std::optional<std::vector<TraceRecord>> read_trace_file(
 
 std::string trace_file_path(const std::string& dir, std::uint64_t seed,
                             std::size_t replication) {
-  std::string path = dir;
-  if (!path.empty() && path.back() != '/') path += '/';
-  path += "rep";
-  append_size(path, replication);
-  path += "_seed";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(seed));
-  path += buf;
-  path += ".jsonl";
-  return path;
+  return run_file_path(dir, "rep", replication, seed);
 }
 
 std::string shard_trace_file_path(const std::string& dir, std::uint64_t seed,
                                   std::size_t shard) {
-  std::string path = dir;
-  if (!path.empty() && path.back() != '/') path += '/';
-  path += "shard";
-  append_size(path, shard);
-  path += "_seed";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(seed));
-  path += buf;
-  path += ".jsonl";
-  return path;
+  return run_file_path(dir, "shard", shard, seed);
 }
 
 }  // namespace eclb::obs

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "experiment/request_driver.h"
+#include "experiment/scenario.h"
+#include "fault/fault_plan.h"
 #include "fault/injector.h"
 
 namespace eclb::cluster {
@@ -76,8 +81,8 @@ TEST(OverflowRouter, ExcludesOriginAndFullShards) {
 
 TEST(OverflowRouter, EqualSparesBreakTiesByAscendingShardId) {
   // The common case: an identical template gives every shard the same spare.
-  // The old Cloud dispatcher fed equal keys to a non-stable std::sort, so
-  // the visit order was implementation-defined; the router must be stable.
+  // A non-stable sort over equal keys would leave the visit order
+  // implementation-defined; the router must be stable.
   OverflowRouter router({{3.0, 10.0}, {3.0, 10.0}, {3.0, 10.0}, {3.0, 10.0}});
   EXPECT_EQ(router.candidate_order(0), (std::vector<std::size_t>{1, 2, 3}));
   EXPECT_EQ(router.candidate_order(2), (std::vector<std::size_t>{0, 1, 3}));
@@ -99,24 +104,32 @@ TEST(Fabric, ShardSeedsUseSplitmixDerivation) {
     EXPECT_EQ(fabric.cluster(i).config().seed, common::mix_seed(21, i));
     EXPECT_NE(fabric.cluster(i).config().seed, 21 + i);
   }
+  // A lone shard is a plain cluster: it keeps the template seed unmixed.
+  EXPECT_EQ(Fabric::shard_seed(21, 0, 1), 21U);
+  EXPECT_EQ(Fabric(make_config(1, 0.2, 0.4)).cluster(0).config().seed, 21U);
 }
 
 TEST(Fabric, ShardSeedsDoNotOverlapAcrossBaseSeeds) {
   // Mirror of the runner's replication-seed test: the old base + i
   // derivation made (base, i+1) collide with (base + 1, i); the mixed
   // derivation keeps neighbouring fabrics' shard streams disjoint.
+  constexpr std::size_t kShards = 9;
   for (std::uint64_t base = 1; base < 50; ++base) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      EXPECT_NE(Fabric::shard_seed(base, i + 1), Fabric::shard_seed(base + 1, i))
+    for (std::size_t i = 0; i + 1 < kShards; ++i) {
+      EXPECT_NE(Fabric::shard_seed(base, i + 1, kShards),
+                Fabric::shard_seed(base + 1, i, kShards))
           << "base=" << base << " i=" << i;
-      EXPECT_NE(Fabric::shard_seed(base, i), Fabric::shard_seed(base + 1, i));
+      EXPECT_NE(Fabric::shard_seed(base, i, kShards),
+                Fabric::shard_seed(base + 1, i, kShards));
     }
   }
 }
 
 TEST(Fabric, ShardSeedsAreDistinctWithinOneFabric) {
   std::set<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < 256; ++i) seeds.insert(Fabric::shard_seed(7, i));
+  for (std::size_t i = 0; i < 256; ++i) {
+    seeds.insert(Fabric::shard_seed(7, i, 256));
+  }
   EXPECT_EQ(seeds.size(), 256U);
 }
 
@@ -125,8 +138,8 @@ TEST(Fabric, AdjacentShardStreamsAreDecorrelated) {
   // first draws of adjacent xoshiro streams were visibly correlated.  Any
   // pair of shard streams must now disagree on most of a short prefix.
   for (std::size_t shard = 0; shard + 1 < 8; ++shard) {
-    common::Rng a(Fabric::shard_seed(9, shard));
-    common::Rng b(Fabric::shard_seed(9, shard + 1));
+    common::Rng a(Fabric::shard_seed(9, shard, 8));
+    common::Rng b(Fabric::shard_seed(9, shard + 1, 8));
     int distinct = 0;
     for (int i = 0; i < 64; ++i) {
       if (a.next_u64() != b.next_u64()) ++distinct;
@@ -145,7 +158,7 @@ TEST(Fabric, LoadFractionGuardsZeroCapacity) {
     for (const auto& s : shard.servers()) shard.crash_server(s.id());
   }
   // Every server failed: zero usable capacity must read as zero load, not
-  // NaN (the old Cloud divided by total_servers() unguarded).
+  // NaN.
   EXPECT_EQ(fabric.load_fraction(), 0.0);
   EXPECT_EQ(fabric.load_fraction(), fabric.load_fraction());  // not NaN
 }
@@ -245,29 +258,69 @@ TEST(Fabric, DigestDetectsDifferentSeeds) {
   EXPECT_NE(digest_of(1), digest_of(2));
 }
 
-TEST(Fabric, SingleShardMatchesPlainCluster) {
-  // A 1-shard fabric is exactly one Cluster seeded with mix_seed(base, 0):
-  // the mailbox layer must be a no-op wrapper, not a perturbation.
-  FabricConfig cfg = make_config(1, 0.3, 0.6);
-  cfg.cluster_template.demand_change_probability = 0.3;
-  Fabric fabric(cfg);
+/// Steps a 1-shard fabric and a plain Cluster built from the same config,
+/// fault plan and (when `requests` is set) request workload, expecting the
+/// same per-interval report digest.  Returns the plain run's SLA violations.
+std::size_t expect_single_shard_is_plain_cluster(
+    const ClusterConfig& cfg, const fault::FaultPlan& plan,
+    const std::optional<workload::engine::RequestWorkloadConfig>& requests) {
+  FabricConfig fcfg;
+  fcfg.shard_count = 1;
+  fcfg.threads = 4;  // ignored: a lone shard steps inline
+  fcfg.cluster_template = cfg;
+  Fabric fabric(fcfg);
+  const fault::FabricFaultSession faults(fabric, plan);
+  std::optional<experiment::FabricRequestSession> session;
+  if (requests.has_value()) session.emplace(fabric, *requests);
+  EXPECT_EQ(fabric.resolved_threads(), 1U);
 
-  ClusterConfig plain = cfg.cluster_template;
-  plain.seed = Fabric::shard_seed(cfg.cluster_template.seed, 0);
-  Cluster cluster(plain);
+  Cluster cluster(cfg);
+  const fault::FaultInjector injector(cluster, plan);
+  std::optional<experiment::RequestDriver> driver;
+  if (requests.has_value()) driver.emplace(cluster, *requests);
 
-  for (int i = 0; i < 5; ++i) {
-    const auto fr = fabric.step();
-    const auto cr = cluster.step();
-    EXPECT_EQ(fr.inter_cluster_placements, 0U);
-    EXPECT_EQ(fr.unplaced_overflows, 0U);
-    ASSERT_EQ(fr.clusters.size(), 1U);
-    EXPECT_EQ(fr.clusters[0].local_decisions, cr.local_decisions);
-    EXPECT_EQ(fr.clusters[0].in_cluster_decisions, cr.in_cluster_decisions);
-    EXPECT_EQ(fr.clusters[0].sla_violations, cr.sla_violations);
-    EXPECT_EQ(fr.clusters[0].interval_energy.value, cr.interval_energy.value);
+  std::size_t violations = 0;
+  for (int i = 0; i < 30; ++i) {
+    if (requests.has_value()) {
+      session->advance_interval();
+      driver->advance_interval();
+    }
+    const FabricIntervalReport sharded = fabric.step();
+    FabricIntervalReport plain;
+    plain.clusters.push_back(cluster.step());
+    violations += plain.clusters[0].sla_violations;
+    EXPECT_EQ(fabric_report_digest(sharded), fabric_report_digest(plain))
+        << "interval " << i;
   }
-  EXPECT_EQ(fabric.cluster(0).total_demand(), cluster.total_demand());
+  EXPECT_GT(faults.combined_stats().partitions, 0U);
+  if (requests.has_value()) {
+    EXPECT_EQ(session->summary().completed, driver->summary().completed);
+  }
+  return violations;
+}
+
+TEST(Fabric, SingleShardMatchesPlainCluster) {
+  // A lone shard is a plain cluster: the fabric, its fault session and its
+  // request session keep the cluster, plan and workload seeds unmixed, and
+  // install no overflow mailbox and no worker pool.  At load 70 under a
+  // crash and a partition, stochastic demand growth overflows the cluster,
+  // so a mailbox that swallowed the overflow changes the digests; the flash
+  // crowd run covers the request workload's seed.
+  ClusterConfig cfg = experiment::paper_cluster_config(
+      60, experiment::AverageLoad::kHigh70, /*seed=*/31);
+  std::string error;
+  const auto plan = fault::FaultPlan::parse(
+      "loss@0:p=0.05;crash@300:s=7;part@600:g=0-19|20-59,heal=1200;seed=9",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  const auto requests = workload::engine::RequestWorkloadConfig::parse(
+      "poisson:rate=300;flash:rate=150,burst=8;seed=7", &error);
+  ASSERT_TRUE(requests.has_value()) << error;
+
+  EXPECT_GT(expect_single_shard_is_plain_cluster(cfg, *plan, std::nullopt),
+            0U);
+  cfg.demand_evolution_enabled = false;
+  EXPECT_GT(expect_single_shard_is_plain_cluster(cfg, *plan, requests), 0U);
 }
 
 TEST(Fabric, FaultSessionDerivesPerShardStreams) {

@@ -7,9 +7,14 @@
 // migration failures -- pin the per-interval fabric report digests and the
 // final state digest.  The scenario is tuned so that dropping the side
 // filter from any search, the wake pick or the horizontal placement
-// changes the digests.  The constants were captured while partitioned
-// searches still ran as side-filtered full scans, so they prove the
-// side-filtered index searches that replaced them change nothing.
+// changes the digests.  The 4-shard constants were captured while
+// partitioned searches still ran as side-filtered full scans, so they prove
+// the side-filtered index searches that replaced them change nothing.
+//
+// A 1-shard fabric is a plain cluster, so the 1-shard run is one Cluster
+// under one FaultInjector.  It passes the derived seeds shard 0 of a larger
+// fabric would get (mix_seed(2024, 0), mix_seed(5, 0)); its constants were
+// captured from a plain Cluster + FaultInjector on those seeds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "cluster/fabric.h"
+#include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 
@@ -35,8 +41,12 @@ constexpr const char* kPlan =
 
 constexpr std::size_t kIntervals = 40;
 
-/// Per-interval report digests followed by the final state digest.
-std::vector<std::uint64_t> partitioned_run(std::size_t shards) {
+/// Per-interval report digests followed by the final state digest.  The
+/// cluster template and the plan are seeded with `cluster_seed` and
+/// `plan_seed`.
+std::vector<std::uint64_t> partitioned_run(std::size_t shards,
+                                           std::uint64_t cluster_seed,
+                                           std::uint64_t plan_seed) {
   FabricConfig fcfg;
   fcfg.shard_count = shards;
   // A low start with fast demand growth keeps every query busy while split:
@@ -50,12 +60,13 @@ std::vector<std::uint64_t> partitioned_run(std::size_t shards) {
   cfg.demand_change_probability = 0.5;
   cfg.lambda_max = 0.3;
   cfg.max_sleep_fraction_per_interval = 0.1;
-  cfg.seed = 2024;
+  cfg.seed = cluster_seed;
   Fabric fabric(fcfg);
   std::string error;
-  const auto plan = fault::FaultPlan::parse(kPlan, &error);
+  auto plan = fault::FaultPlan::parse(kPlan, &error);
   EXPECT_TRUE(plan.has_value()) << error;
   if (!plan.has_value()) return {};
+  plan->set_seed(plan_seed);
   const fault::FabricFaultSession faults(fabric, *plan);
 
   std::vector<std::uint64_t> digests;
@@ -91,20 +102,21 @@ TEST(PartitionedRun, SingleShardDigestsPinned) {
   const std::vector<std::uint64_t> pinned = {
       0x8669fee4ad5c6adcULL, 0xdd37a4808dbe7895ULL, 0x669d958448104029ULL,
       0x2fd3344226221cacULL, 0x9f07909861256b6cULL, 0xb22beae48a59cbb5ULL,
-      0x9f267285c85ae150ULL, 0xd295f5f7fa67ed13ULL, 0x08fae92beb63e6cfULL,
-      0x41a196a809f29d03ULL, 0xf547f9b97e67b9eeULL, 0x55a34cac1561364bULL,
-      0xbad6bd4987a76962ULL, 0xac607e711a395864ULL, 0xc1e1c601d83361ddULL,
-      0x8baf6ad50c09963cULL, 0x81c7ec2de1790c50ULL, 0x7d9020434fa5583eULL,
-      0x0d9b5f325790da0bULL, 0x3ab6dfd01250756cULL, 0xceed3d1950778d21ULL,
-      0x0f79ea279e392973ULL, 0x96255f865db8f50bULL, 0xf64b695321aed562ULL,
-      0x1956f3511a3628c2ULL, 0x2c460014d5198756ULL, 0x2f1b646c968389e4ULL,
-      0x40b7e2b0392e7729ULL, 0x3effb9ccd2de2552ULL, 0x0da449f2ef32105eULL,
-      0xa39f94552dc76119ULL, 0x1ef22c0ceee34193ULL, 0x693b739387cafa44ULL,
-      0xa693bdb7af30c9c6ULL, 0xf295ffd6ac3d4445ULL, 0x74ff1ef93178dcb3ULL,
-      0x73ba310ba8d52ee0ULL, 0xcc9a688390397ea5ULL, 0x6d8e7f433ed64765ULL,
-      0xd09f312d747fa589ULL, 0xb8348930ba7971dbULL,
+      0x09b9d4efc6d52f1dULL, 0x38a60f59bdb3d8f6ULL, 0xb88a3281b6da3093ULL,
+      0x85fabf7d2ca29543ULL, 0xb6f3f2b26d9d02f0ULL, 0x61ae2fd756fd99dcULL,
+      0x096b5447be682ea7ULL, 0x1b08716953ab71aaULL, 0x1cf093d28b86ad72ULL,
+      0xd247c75667fd64e4ULL, 0x5f8467a281256914ULL, 0x45e8f2e4ca260dfcULL,
+      0x276262a2ee4a5ed1ULL, 0xc69dace137c50aa9ULL, 0xe09e7568cf9bbdf1ULL,
+      0x017b6f72fed5e2c4ULL, 0xee9031c283626800ULL, 0x904989ee89b0f4eaULL,
+      0x601d0c5ce8166862ULL, 0x6e2064ce60dbe62eULL, 0x76aabbb6f6174fd9ULL,
+      0x3cdcab478a88afc1ULL, 0xf58e51d52068e4a7ULL, 0x5dbe27cbcb789dc8ULL,
+      0x27830d2707c7e38bULL, 0x450a26baf0c0b42cULL, 0xfc639ab2caf0f38bULL,
+      0xc7a2c253f469519aULL, 0x7ded2a85e3b0c7a5ULL, 0x43c892dd63e9a316ULL,
+      0x7c47d75862ca27d0ULL, 0xfb9ac4d006662fc9ULL, 0xb40ef694d4702230ULL,
+      0x3d76d37d1ea83271ULL, 0x611636ddd09b4aecULL,
   };
-  const auto got = partitioned_run(1);
+  const auto got =
+      partitioned_run(1, common::mix_seed(2024, 0), common::mix_seed(5, 0));
   EXPECT_EQ(got, pinned) << "digests " << as_initializer(got);
 }
 
@@ -125,7 +137,7 @@ TEST(PartitionedRun, FourShardDigestsPinned) {
       0xfa27dd183f577403ULL, 0x2874ef62a50ae9e3ULL, 0xd06a7f67871abd57ULL,
       0x5b70e90df1b07909ULL, 0xedd383e9e36ca276ULL,
   };
-  const auto got = partitioned_run(4);
+  const auto got = partitioned_run(4, 2024, 5);
   EXPECT_EQ(got, pinned) << "digests " << as_initializer(got);
 }
 

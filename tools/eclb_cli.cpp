@@ -17,6 +17,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -51,11 +52,11 @@ int usage() {
       "            [--shards M] [--fabric-threads T]\n"
       "            [--trace DIR] [--metrics FILE] [--profile] [--mem-stats]\n"
       "            runs the energy-aware protocol, prints per-interval CSV;\n"
-      "            --shards >= 2 runs the sharded fabric instead: --servers\n"
-      "            is the fabric total split evenly across M shards, stepped\n"
-      "            on T worker threads (default 1; 0 = hardware; any T is\n"
-      "            bit-identical), faults injected per shard, traces written\n"
-      "            per shard;\n"
+      "            --shards M (default 1, a plain cluster) splits --servers\n"
+      "            evenly across M shards of a sharded fabric, stepped on T\n"
+      "            worker threads (default 1; 0 = hardware; any T is\n"
+      "            bit-identical), with faults injected and traces written\n"
+      "            per shard and offloaded/unplaced CSV columns added;\n"
       "            --trace writes a JSONL protocol trace into DIR, --metrics\n"
       "            writes aggregated counters as JSON, --profile prints a\n"
       "            wall-clock phase table to stderr, --mem-stats prints peak\n"
@@ -176,16 +177,6 @@ int apply_resilience_flags(
   return 0;
 }
 
-/// Folds the notification-pipeline counters into the metrics registry
-/// (pipeline.* namespace) so --metrics files carry them.
-void record_pipeline_metrics(obs::MetricsRegistry& registry,
-                             const cluster::index::PipelineStats& p) {
-  registry.counter("pipeline.flushes").inc(p.flushes);
-  registry.counter("pipeline.dirty_slots").inc(p.dirty_slots);
-  registry.counter("pipeline.batch_refiles").inc(p.batch_refiles);
-  registry.counter("pipeline.refile_runs").inc(p.refile_runs);
-}
-
 /// The notification-pipeline trailer for --profile / --mem-stats (stderr).
 /// Phase seconds only flow when phase timing was switched on (--profile).
 void print_pipeline_stats(const cluster::index::PipelineStats& p, bool timed) {
@@ -224,42 +215,6 @@ void print_fault_trailer(const char* label, const fault::ResilienceStats& st) {
   }
 }
 
-/// Writes --metrics, then prints the --profile and --mem-stats trailers
-/// (stderr).  `memory` is set exactly when --mem-stats was given.  Returns
-/// 2 when the metrics file cannot be written.
-int finish_observability(obs::MetricsRegistry& registry,
-                         const std::string& metrics_file,
-                         const obs::Profiler* profiler,
-                         const cluster::index::PipelineStats& pstats,
-                         const std::optional<cluster::ClusterMemoryStats>& memory) {
-  if (!metrics_file.empty()) record_pipeline_metrics(registry, pstats);
-  if (!metrics_file.empty() && !registry.write_json_file(metrics_file)) {
-    std::cerr << "could not write metrics file: " << metrics_file << "\n";
-    return 2;
-  }
-  if (profiler != nullptr) {
-    profiler->write(std::cerr);
-    print_pipeline_stats(pstats, /*timed=*/true);
-  }
-  if (memory.has_value()) {
-    const auto& m = *memory;
-    std::cerr << "memory: state table " << m.state_table_bytes
-              << " B, regime index " << m.index_bytes << " B, server objects "
-              << m.server_objects_bytes << " B, vm storage "
-              << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
-              << " B\n"
-              << "memory: total " << m.total_bytes << " B ("
-              << m.bytes_per_server << " B/server)";
-    if (const auto rss = common::peak_rss_bytes(); rss > 0) {
-      std::cerr << ", peak RSS " << rss << " B";
-    }
-    std::cerr << "\n";
-    // --profile already printed the (timed) pipeline trailer above.
-    if (profiler == nullptr) print_pipeline_stats(pstats, false);
-  }
-  return 0;
-}
-
 /// Data-plane memory summed over the fabric's shards.
 cluster::ClusterMemoryStats fabric_memory_stats(const cluster::Fabric& fabric) {
   cluster::ClusterMemoryStats sum;
@@ -275,6 +230,47 @@ cluster::ClusterMemoryStats fabric_memory_stats(const cluster::Fabric& fabric) {
   sum.bytes_per_server = static_cast<double>(sum.total_bytes) /
                          static_cast<double>(fabric.total_servers());
   return sum;
+}
+
+/// Writes --metrics (with the pipeline.* counters), then prints the
+/// --profile and --mem-stats trailers (stderr).  Returns 2 when the metrics
+/// file cannot be written.
+int finish_observability(const cluster::Fabric& fabric,
+                         obs::MetricsRegistry& registry,
+                         const std::string& metrics_file,
+                         const obs::Profiler* profiler, bool mem_stats) {
+  const cluster::index::PipelineStats p = fabric.pipeline_stats();
+  if (!metrics_file.empty()) {
+    registry.counter("pipeline.flushes").inc(p.flushes);
+    registry.counter("pipeline.dirty_slots").inc(p.dirty_slots);
+    registry.counter("pipeline.batch_refiles").inc(p.batch_refiles);
+    registry.counter("pipeline.refile_runs").inc(p.refile_runs);
+    if (!registry.write_json_file(metrics_file)) {
+      std::cerr << "could not write metrics file: " << metrics_file << "\n";
+      return 2;
+    }
+  }
+  if (profiler != nullptr) {
+    profiler->write(std::cerr);
+    print_pipeline_stats(p, /*timed=*/true);
+  }
+  if (mem_stats) {
+    const cluster::ClusterMemoryStats m = fabric_memory_stats(fabric);
+    std::cerr << "memory: state table " << m.state_table_bytes
+              << " B, regime index " << m.index_bytes << " B, server objects "
+              << m.server_objects_bytes << " B, vm storage "
+              << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
+              << " B\n"
+              << "memory: total " << m.total_bytes << " B ("
+              << m.bytes_per_server << " B/server)";
+    if (const auto rss = common::peak_rss_bytes(); rss > 0) {
+      std::cerr << ", peak RSS " << rss << " B";
+    }
+    std::cerr << "\n";
+    // --profile already printed the (timed) pipeline trailer above.
+    if (profiler == nullptr) print_pipeline_stats(p, false);
+  }
+  return 0;
 }
 
 /// The end-of-run SLA trailer (stderr, like the energy summary).
@@ -298,15 +294,6 @@ void print_sla_trailer(const experiment::SlaSummary& s) {
                s.p99, s.p999);
 }
 
-/// The validated size flags of the cluster command.
-struct RunShape {
-  std::size_t servers{0};
-  std::size_t intervals{0};
-  std::size_t shards{0};
-  std::size_t threads{0};  ///< --fabric-threads (0 = hardware).
-  double tau{0.0};         ///< Reallocation interval, seconds.
-};
-
 /// Reads a flag that must be a whole number >= `min`.  Returns false (after
 /// printing a diagnostic) when it is out of range.
 bool read_count(common::Flags& flags, const char* name, long long fallback,
@@ -321,185 +308,53 @@ bool read_count(common::Flags& flags, const char* name, long long fallback,
   return true;
 }
 
-/// Reads --servers, --intervals, --shards, --fabric-threads and --tau.
-/// Returns false (after printing a diagnostic) on the first bad value.
-bool read_run_shape(common::Flags& flags, RunShape* shape) {
-  if (!read_count(flags, "servers", 100, 1, &shape->servers) ||
-      !read_count(flags, "intervals", 40, 0, &shape->intervals) ||
-      !read_count(flags, "shards", 1, 1, &shape->shards) ||
-      !read_count(flags, "fabric-threads", 1, 0, &shape->threads)) {
-    return false;
+/// The cluster command: a Fabric of --shards shards (default 1).  One shard
+/// is a plain cluster, so the fabric-only output -- the offloaded/unplaced
+/// CSV columns, the `fabric:` line and per-shard trace names -- appears only
+/// from two shards on.
+int cmd_cluster(common::Flags& flags) {
+  std::size_t servers = 0;
+  std::size_t intervals = 0;
+  std::size_t shards = 0;
+  std::size_t threads = 0;
+  if (!read_count(flags, "servers", 100, 1, &servers) ||
+      !read_count(flags, "intervals", 40, 0, &intervals) ||
+      !read_count(flags, "shards", 1, 1, &shards) ||
+      !read_count(flags, "fabric-threads", 1, 0, &threads)) {
+    return 2;
   }
-  shape->tau = flags.get_double("tau", 60.0);
-  if (!std::isfinite(shape->tau) || shape->tau <= 0.0) {
-    std::cerr << "--tau must be a positive number of seconds (got "
-              << shape->tau << ")\n";
-    return false;
+  const double tau = flags.get_double("tau", 60.0);
+  if (!std::isfinite(tau) || tau <= 0.0) {
+    std::cerr << "--tau must be a positive number of seconds (got " << tau
+              << ")\n";
+    return 2;
   }
-  return true;
-}
-
-/// The fabric variant of the cluster command (--shards >= 2): same flag
-/// surface, per-shard fault streams and traces, fabric-aggregated CSV rows.
-int cmd_cluster_fabric(common::Flags& flags, const RunShape& shape) {
-  const std::size_t servers = shape.servers;
-  const std::size_t shards = shape.shards;
-  const long long load = flags.get_int("load", 30);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const bool sharded = shards > 1;
   if (servers % shards != 0) {
     std::cerr << "--servers (" << servers << ") must be a positive multiple"
               << " of --shards (" << shards << ")\n";
     return 2;
   }
+  // A shard's server ids must stay below the 32-bit invalid id.
+  if (servers / shards >= common::ServerId::kInvalid) {
+    std::cerr << "--servers / --shards must be below "
+              << common::ServerId::kInvalid << " servers per shard (got "
+              << servers / shards << ")\n";
+    return 2;
+  }
+  const long long load = flags.get_int("load", 30);
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   cluster::FabricConfig fcfg;
   fcfg.shard_count = shards;
-  fcfg.threads = shape.threads;
-  fcfg.cluster_template = experiment::paper_cluster_config(
+  fcfg.threads = threads;
+  cluster::ClusterConfig& cfg = fcfg.cluster_template;
+  cfg = experiment::paper_cluster_config(
       servers / shards,
       load >= 50 ? experiment::AverageLoad::kHigh70
                  : experiment::AverageLoad::kLow30,
       seed);
-  fcfg.cluster_template.reallocation_interval = common::Seconds{shape.tau};
-  if (flags.get_bool("no-sleep")) fcfg.cluster_template.allow_sleep = false;
-  if (flags.get_bool("no-rebalance")) {
-    fcfg.cluster_template.rebalance_enabled = false;
-  }
-
-  std::optional<fault::FaultPlan> plan;
-  if (flags.has("faults")) {
-    std::string error;
-    plan = fault::FaultPlan::parse(flags.get("faults"), &error);
-    if (!plan.has_value()) {
-      std::cerr << "--faults: " << error << "\n";
-      return 2;
-    }
-  }
-
-  std::optional<workload::engine::RequestWorkloadConfig> requests;
-  if (const int rc = parse_request_flags(flags, &requests); rc != 0) return rc;
-  if (const int rc = apply_resilience_flags(flags, &requests); rc != 0) {
-    return rc;
-  }
-  if (flags.get_bool("hysteresis")) {
-    fcfg.cluster_template.hysteresis.enabled = true;
-  }
-  if (requests.has_value()) {
-    fcfg.cluster_template.demand_evolution_enabled = false;
-  }
-
-  obs::MetricsRegistry registry;
-  obs::Profiler profiler;
-  obs::ObsConfig obs_cfg;
-  obs_cfg.trace_dir = flags.get("trace");
-  const std::string metrics_file = flags.get("metrics");
-  if (!metrics_file.empty()) obs_cfg.metrics = &registry;
-  if (flags.get_bool("profile")) obs_cfg.profiler = &profiler;
-
-  cluster::Fabric fabric(fcfg);
-  if (flags.get_bool("profile")) fabric.set_pipeline_phase_timing(true);
-  std::optional<fault::FabricFaultSession> faults;
-  if (plan.has_value()) faults.emplace(fabric, *plan);
-  std::optional<experiment::FabricRequestSession> session;
-  if (requests.has_value()) {
-    session.emplace(fabric, *requests);
-    if (!session->ok()) {
-      std::cerr << "--requests: " << session->error() << "\n";
-      return 2;
-    }
-  }
-
-  // One probe per shard: traces split per shard file; the metrics registry
-  // and profiler are thread-safe and shared across all of them.
-  std::vector<std::unique_ptr<obs::ClusterProbe>> probes;
-  for (std::size_t i = 0; i < fabric.size(); ++i) {
-    auto probe = obs::ClusterProbe::make_shard(obs_cfg, seed, i);
-    if (probe == nullptr) break;
-    if (probe->trace() != nullptr && !probe->trace()->ok()) {
-      std::cerr << "could not open trace file: " << probe->trace()->path()
-                << "\n";
-      return 2;
-    }
-    fabric.mutable_cluster(i).attach_observer(probe.get());
-    probes.push_back(std::move(probe));
-  }
-
-  common::CsvWriter csv(std::cout,
-                        {"interval", "local", "in_cluster", "ratio",
-                         "migrations", "sleeps", "wakes", "parked",
-                         "deep_sleeping", "sla_violations", "offloaded",
-                         "unplaced", "energy_kwh"});
-  for (std::size_t i = 0; i < shape.intervals; ++i) {
-    if (session.has_value()) session->advance_interval();
-    const auto r = fabric.step();
-    std::size_t migrations = 0;
-    std::size_t sleeps = 0;
-    std::size_t wakes = 0;
-    std::size_t parked = 0;
-    for (const auto& c : r.clusters) {
-      migrations += c.migrations;
-      sleeps += c.sleeps;
-      wakes += c.wakes;
-      parked += c.parked_servers;
-    }
-    const std::size_t local = r.total_local();
-    const std::size_t in_cluster = r.total_in_cluster();
-    csv.row({common::CsvWriter::cell(static_cast<long long>(i)),
-             common::CsvWriter::cell(static_cast<long long>(local)),
-             common::CsvWriter::cell(static_cast<long long>(in_cluster)),
-             common::CsvWriter::cell(static_cast<double>(in_cluster) /
-                                     static_cast<double>(local == 0 ? 1 : local)),
-             common::CsvWriter::cell(static_cast<long long>(migrations)),
-             common::CsvWriter::cell(static_cast<long long>(sleeps)),
-             common::CsvWriter::cell(static_cast<long long>(wakes)),
-             common::CsvWriter::cell(static_cast<long long>(parked)),
-             common::CsvWriter::cell(
-                 static_cast<long long>(r.total_deep_sleeping())),
-             common::CsvWriter::cell(
-                 static_cast<long long>(r.total_sla_violations())),
-             common::CsvWriter::cell(
-                 static_cast<long long>(r.inter_cluster_placements)),
-             common::CsvWriter::cell(
-                 static_cast<long long>(r.unplaced_overflows)),
-             common::CsvWriter::cell(r.total_energy().kwh())});
-  }
-
-  std::size_t messages = 0;
-  for (std::size_t i = 0; i < fabric.size(); ++i) {
-    messages += fabric.cluster(i).message_stats().total();
-  }
-  std::cerr << "fabric: " << shards << " shards x " << servers / shards
-            << " servers, " << fcfg.threads << " thread"
-            << (fcfg.threads == 1 ? "" : "s") << "\n"
-            << "total energy: " << fabric.total_energy().kwh() << " kWh, "
-            << messages << " control messages\n";
-  if (faults.has_value()) {
-    print_fault_trailer("resilience (all shards)", faults->combined_stats());
-  }
-  if (session.has_value()) print_sla_trailer(session->summary());
-  for (const auto& probe : probes) {
-    if (probe->trace() != nullptr) {
-      std::cerr << "trace: " << probe->trace()->path() << "\n";
-    }
-  }
-  std::optional<cluster::ClusterMemoryStats> memory;
-  if (flags.get_bool("mem-stats")) memory = fabric_memory_stats(fabric);
-  return finish_observability(registry, metrics_file, obs_cfg.profiler,
-                              fabric.pipeline_stats(), memory);
-}
-
-int cmd_cluster(common::Flags& flags) {
-  RunShape shape;
-  if (!read_run_shape(flags, &shape)) return 2;
-  if (shape.shards >= 2) return cmd_cluster_fabric(flags, shape);
-  const long long load = flags.get_int("load", 30);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  auto cfg = experiment::paper_cluster_config(
-      shape.servers,
-      load >= 50 ? experiment::AverageLoad::kHigh70
-                 : experiment::AverageLoad::kLow30,
-      seed);
-  cfg.reallocation_interval = common::Seconds{shape.tau};
+  cfg.reallocation_interval = common::Seconds{tau};
   if (flags.get_bool("no-sleep")) cfg.allow_sleep = false;
   if (flags.get_bool("no-rebalance")) cfg.rebalance_enabled = false;
 
@@ -528,58 +383,98 @@ int cmd_cluster(common::Flags& flags) {
   const std::string metrics_file = flags.get("metrics");
   if (!metrics_file.empty()) obs_cfg.metrics = &registry;
   if (flags.get_bool("profile")) obs_cfg.profiler = &profiler;
-  const auto probe = obs::ClusterProbe::make(obs_cfg, seed, /*replication=*/0);
 
-  cluster::Cluster cluster(cfg);
-  if (flags.get_bool("profile")) cluster.set_pipeline_phase_timing(true);
-  std::optional<fault::FaultInjector> injector;
-  if (plan.has_value()) injector.emplace(cluster, *plan);
-  std::optional<experiment::RequestDriver> rdriver;
+  cluster::Fabric fabric(fcfg);
+  if (flags.get_bool("profile")) fabric.set_pipeline_phase_timing(true);
+  std::optional<fault::FabricFaultSession> faults;
+  if (plan.has_value()) faults.emplace(fabric, *plan);
+  std::optional<experiment::FabricRequestSession> session;
   if (requests.has_value()) {
-    rdriver.emplace(cluster, *requests);
-    if (!rdriver->ok()) {
-      std::cerr << "--requests: " << rdriver->error() << "\n";
+    session.emplace(fabric, *requests);
+    if (!session->ok()) {
+      std::cerr << "--requests: " << session->error() << "\n";
       return 2;
     }
   }
-  if (probe != nullptr) {
-    cluster.attach_observer(probe.get());
+
+  // One probe per shard: traces split per shard file; the metrics registry
+  // and profiler are thread-safe and shared across all of them.
+  std::vector<std::unique_ptr<obs::ClusterProbe>> probes;
+  for (std::size_t i = 0; i < fabric.size(); ++i) {
+    auto probe = sharded ? obs::ClusterProbe::make_shard(obs_cfg, seed, i)
+                         : obs::ClusterProbe::make(obs_cfg, seed,
+                                                   /*replication=*/0);
+    if (probe == nullptr) break;
     if (probe->trace() != nullptr && !probe->trace()->ok()) {
       std::cerr << "could not open trace file: " << probe->trace()->path()
                 << "\n";
       return 2;
     }
+    fabric.mutable_cluster(i).attach_observer(probe.get());
+    probes.push_back(std::move(probe));
   }
-  common::CsvWriter csv(std::cout,
-                        {"interval", "local", "in_cluster", "ratio", "migrations",
-                         "sleeps", "wakes", "parked", "deep_sleeping",
-                         "sla_violations", "energy_kwh"});
-  for (std::size_t i = 0; i < shape.intervals; ++i) {
-    if (rdriver.has_value()) rdriver->advance_interval();
-    const auto r = cluster.step();
-    csv.row({common::CsvWriter::cell(static_cast<long long>(r.interval_index)),
-             common::CsvWriter::cell(static_cast<long long>(r.local_decisions)),
-             common::CsvWriter::cell(static_cast<long long>(r.in_cluster_decisions)),
-             common::CsvWriter::cell(r.decision_ratio()),
-             common::CsvWriter::cell(static_cast<long long>(r.migrations)),
-             common::CsvWriter::cell(static_cast<long long>(r.sleeps)),
-             common::CsvWriter::cell(static_cast<long long>(r.wakes)),
-             common::CsvWriter::cell(static_cast<long long>(r.parked_servers)),
-             common::CsvWriter::cell(static_cast<long long>(r.deep_sleeping_servers)),
-             common::CsvWriter::cell(static_cast<long long>(r.sla_violations)),
-             common::CsvWriter::cell(r.interval_energy.kwh())});
+
+  std::vector<std::string> header = {
+      "interval", "local", "in_cluster", "ratio", "migrations", "sleeps",
+      "wakes", "parked", "deep_sleeping", "sla_violations", "energy_kwh"};
+  if (sharded) header.insert(header.end() - 1, {"offloaded", "unplaced"});
+  common::CsvWriter csv(std::cout, header);
+  auto count = [](std::size_t v) {
+    return common::CsvWriter::cell(static_cast<long long>(v));
+  };
+  for (std::size_t i = 0; i < intervals; ++i) {
+    if (session.has_value()) session->advance_interval();
+    const auto r = fabric.step();
+    std::size_t migrations = 0;
+    std::size_t sleeps = 0;
+    std::size_t wakes = 0;
+    std::size_t parked = 0;
+    for (const auto& c : r.clusters) {
+      migrations += c.migrations;
+      sleeps += c.sleeps;
+      wakes += c.wakes;
+      parked += c.parked_servers;
+    }
+    const std::size_t local = r.total_local();
+    const std::size_t in_cluster = r.total_in_cluster();
+    std::vector<std::string> row = {
+        count(i), count(local), count(in_cluster),
+        common::CsvWriter::cell(static_cast<double>(in_cluster) /
+                                static_cast<double>(local == 0 ? 1 : local)),
+        count(migrations), count(sleeps), count(wakes), count(parked),
+        count(r.total_deep_sleeping()), count(r.total_sla_violations()),
+        common::CsvWriter::cell(r.total_energy().kwh())};
+    if (sharded) {
+      row.insert(row.end() - 1, {count(r.inter_cluster_placements),
+                                 count(r.unplaced_overflows)});
+    }
+    csv.row(row);
   }
-  std::cerr << "total energy: " << cluster.total_energy().kwh() << " kWh, "
-            << cluster.message_stats().total() << " control messages\n";
-  if (injector.has_value()) print_fault_trailer("resilience", injector->stats());
-  if (rdriver.has_value()) print_sla_trailer(rdriver->summary());
-  if (probe != nullptr && probe->trace() != nullptr) {
-    std::cerr << "trace: " << probe->trace()->path() << "\n";
+
+  std::size_t messages = 0;
+  for (std::size_t i = 0; i < fabric.size(); ++i) {
+    messages += fabric.cluster(i).message_stats().total();
   }
-  std::optional<cluster::ClusterMemoryStats> memory;
-  if (flags.get_bool("mem-stats")) memory = cluster.memory_stats();
-  return finish_observability(registry, metrics_file, obs_cfg.profiler,
-                              cluster.pipeline_stats(), memory);
+  if (sharded) {
+    const std::size_t used = fabric.resolved_threads();
+    std::cerr << "fabric: " << shards << " shards x " << servers / shards
+              << " servers, " << used << " thread" << (used == 1 ? "" : "s")
+              << "\n";
+  }
+  std::cerr << "total energy: " << fabric.total_energy().kwh() << " kWh, "
+            << messages << " control messages\n";
+  if (faults.has_value()) {
+    print_fault_trailer(sharded ? "resilience (all shards)" : "resilience",
+                        faults->combined_stats());
+  }
+  if (session.has_value()) print_sla_trailer(session->summary());
+  for (const auto& probe : probes) {
+    if (probe->trace() != nullptr) {
+      std::cerr << "trace: " << probe->trace()->path() << "\n";
+    }
+  }
+  return finish_observability(fabric, registry, metrics_file,
+                              obs_cfg.profiler, flags.get_bool("mem-stats"));
 }
 
 std::unique_ptr<policy::CapacityPolicy> make_policy(const std::string& name) {
@@ -711,16 +606,21 @@ int main(int argc, char** argv) {
   auto flags = common::Flags::parse(argc - 1, argv + 1);
 
   int rc;
-  if (command == "cluster") {
-    rc = cmd_cluster(flags);
-  } else if (command == "farm") {
-    rc = cmd_farm(flags);
-  } else if (command == "migrate") {
-    rc = cmd_migrate(flags);
-  } else if (command == "model") {
-    rc = cmd_model(flags);
-  } else {
-    return usage();
+  try {
+    if (command == "cluster") {
+      rc = cmd_cluster(flags);
+    } else if (command == "farm") {
+      rc = cmd_farm(flags);
+    } else if (command == "migrate") {
+      rc = cmd_migrate(flags);
+    } else if (command == "model") {
+      rc = cmd_model(flags);
+    } else {
+      return usage();
+    }
+  } catch (const std::bad_alloc&) {
+    std::cerr << command << ": out of memory; try a smaller run\n";
+    return 2;
   }
   for (const auto& err : flags.errors()) {
     std::cerr << "warning: " << err << "\n";
