@@ -315,7 +315,8 @@ HysteresisSample measure_hysteresis() {
     cfg.demand_evolution_enabled = false;
     cfg.max_sleep_fraction_per_interval = 0.1;
     cfg.hysteresis.enabled = hysteresis;
-    cluster::Cluster c(cfg);
+    cluster::Fabric fabric(
+        cluster::FabricConfig{.shard_count = 1, .cluster_template = cfg});
     std::string error;
     const auto wl = workload::engine::RequestWorkloadConfig::parse(
         "flash:rate=20,burst=10,on=60,off=300,mean=0.2,sla=30;seed=9;"
@@ -325,11 +326,11 @@ HysteresisSample measure_hysteresis() {
       std::fprintf(stderr, "hysteresis spec: %s\n", error.c_str());
       std::exit(2);
     }
-    experiment::RequestDriver driver(c, *wl);
+    experiment::FabricRequestSession session(fabric, *wl);
     std::size_t flaps = 0;
     for (int i = 0; i < 30; ++i) {
-      driver.advance_interval();
-      flaps += c.step().wake_sleep_flaps;
+      session.advance_interval();
+      flaps += fabric.step().clusters[0].wake_sleep_flaps;
     }
     return flaps;
   };

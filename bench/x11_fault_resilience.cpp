@@ -30,8 +30,9 @@ bool g_tiny = false;
 std::size_t servers() { return g_tiny ? 40 : 100; }
 std::size_t intervals() { return g_tiny ? 20 : experiment::kPaperIntervals; }
 
-/// One run under `plan`; returns the replication outcome.
-experiment::ReplicationOutcome run(const fault::FaultPlan& plan,
+/// One run under `plan` (fault-free when null); returns the replication
+/// outcome.
+experiment::ReplicationOutcome run(const fault::FaultPlan* plan,
                                    std::uint64_t seed) {
   const auto cfg = experiment::paper_cluster_config(
       servers(), experiment::AverageLoad::kHigh70, seed);
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
             .recover(common::Seconds{1800.0}, common::ServerId{5})
             .recover(common::Seconds{1800.0}, common::ServerId{17});
       }
-      const auto out = run(plan, 404);
+      const auto out = run(&plan, 404);
       table.row({common::TextTable::num(loss, 2), name,
                  common::TextTable::num(out.average_ratio, 3),
                  common::TextTable::num(out.total_energy.kwh(), 2),
@@ -103,12 +104,9 @@ int main(int argc, char** argv) {
 
   // The empty-plan identity: an installed-but-idle fault layer must not
   // move a single byte of the fault-free baseline.
-  const auto idle = run(fault::FaultPlan{}, 404);
-  const auto baseline = [] {
-    const auto cfg = experiment::paper_cluster_config(
-        servers(), experiment::AverageLoad::kHigh70, 404);
-    return experiment::run_replication(cfg, intervals());
-  }();
+  const fault::FaultPlan empty;
+  const auto idle = run(&empty, 404);
+  const auto baseline = run(nullptr, 404);
   const bool identical = fingerprint(idle) == fingerprint(baseline);
   std::cout << "\nempty-plan identity: "
             << (identical ? "byte-identical to the fault-free run" : "BROKEN")

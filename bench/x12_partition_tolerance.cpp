@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "cluster/fabric.h"
 #include "common/table.h"
 #include "experiment/scenario.h"
 #include "fault/injector.h"
@@ -50,17 +50,19 @@ struct CellResult {
   std::string violation;
 };
 
-/// One deterministic run under `plan`; fingerprints the per-interval surface
-/// and audits the post-heal membership.
+/// One deterministic run under `plan` on a 1-shard fabric; fingerprints the
+/// per-interval surface and audits the post-heal membership.
 CellResult run_cell(const fault::FaultPlan& plan, std::size_t intervals,
                     std::size_t expected_splits) {
   const auto cfg = experiment::paper_cluster_config(
       server_count(), experiment::AverageLoad::kHigh70, 404);
-  cluster::Cluster c(cfg);
-  fault::FaultInjector injector(c, plan);
+  cluster::Fabric fabric(
+      cluster::FabricConfig{.shard_count = 1, .cluster_template = cfg});
+  fault::FabricFaultSession faults(fabric, plan);
+  const cluster::Cluster& c = fabric.cluster(0);
   std::ostringstream fp;
   for (std::size_t i = 0; i < intervals; ++i) {
-    const auto r = c.step();
+    const auto r = std::move(fabric.step().clusters[0]);
     fp << r.local_decisions << ',' << r.in_cluster_decisions << ','
        << r.migrations << ',' << r.sleeps << ',' << r.wakes << ','
        << r.sla_violations << ',' << r.fenced_commands << ','
@@ -69,7 +71,7 @@ CellResult run_cell(const fault::FaultPlan& plan, std::size_t intervals,
   fp << c.total_energy().value << ';' << c.membership().highest_epoch();
 
   CellResult out;
-  out.stats = injector.stats();
+  out.stats = faults.injector(0).stats();
   out.energy_kwh = c.total_energy().kwh();
   out.fingerprint = fp.str();
 

@@ -10,11 +10,13 @@
 // always-on balancer *alongside* the latency it costs: sojourn p50/p99/p999
 // and SLA violations, the tension Figure 2/Table 2 cannot show.
 //
-// Every cell runs twice and must be bit-identical; a fabric section then
-// replays one mix at worker thread counts {1, 2, 8} and every per-round
-// digest must agree (the request layer must not break the fabric's
-// thread-count determinism contract).  Violations exit nonzero so CI can
-// run this as a smoke test (`--tiny` shrinks the sweep).
+// Every run steps a cluster::Fabric with a request session: the cells on
+// one shard (a plain cluster), the thread sweep on several.  Every cell
+// runs twice and must be bit-identical; a fabric section then replays one
+// mix at worker thread counts {1, 2, 8} and every per-round digest must
+// agree (the request layer must not break the fabric's thread-count
+// determinism contract).  Violations exit nonzero so CI can run this as a
+// smoke test (`--tiny` shrinks the sweep).
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -72,61 +74,32 @@ workload::engine::RequestWorkloadConfig mix_config(const Mix& mix,
   return *parsed;
 }
 
-struct CellResult {
+struct RunResult {
   double energy_kwh{0.0};
   experiment::SlaSummary sla;
   std::string fingerprint;
 };
 
-/// One deterministic run: the driver advances the workload before every
-/// protocol round; the fingerprint covers the per-interval surface plus the
-/// SLA digest.
-CellResult run_cell(const cluster::ClusterConfig& cfg,
-                    const workload::engine::RequestWorkloadConfig& workload) {
-  cluster::Cluster c(cfg);
-  experiment::RequestDriver driver(c, workload);
-  std::ostringstream fp;
-  for (std::size_t i = 0; i < intervals(); ++i) {
-    driver.advance_interval();
-    const auto r = c.step();
-    fp << r.local_decisions << ',' << r.in_cluster_decisions << ','
-       << r.migrations << ',' << r.sleeps << ',' << r.wakes << ','
-       << r.requests_arrived << ',' << r.requests_completed << ','
-       << r.request_sla_violations << ',' << r.request_backlog << ','
-       << r.interval_energy.value << ';';
-  }
-  CellResult out;
-  out.energy_kwh = c.total_energy().kwh();
-  out.sla = driver.summary();
-  fp << out.sla.digest();
-  out.fingerprint = fp.str();
-  return out;
-}
-
-/// One fabric run at `threads` workers; returns the digest trail the
-/// thread-count sweep compares.
-std::string run_fabric(std::size_t threads) {
-  cluster::FabricConfig fcfg;
-  fcfg.shard_count = g_tiny ? 2 : 4;
-  fcfg.threads = threads;
-  fcfg.cluster_template = experiment::paper_cluster_config(
-      g_tiny ? 20 : 50, experiment::AverageLoad::kLow30, 1313);
-  fcfg.cluster_template.demand_evolution_enabled = false;
-  cluster::Fabric fabric(fcfg);
-
-  const auto workload = mix_config(kMixes[2], fcfg.shard_count *
-                                                  (g_tiny ? 20 : 50));
+/// One deterministic run of `rounds` intervals on `shards` shards of `cfg`
+/// stepped by `threads` workers; the request session advances the workload
+/// before every round.  The fingerprint chains every round's report and SLA
+/// digests and ends with the fabric's state digest.
+RunResult run(cluster::ClusterConfig cfg, std::size_t shards,
+              std::size_t threads,
+              const workload::engine::RequestWorkloadConfig& workload,
+              std::size_t rounds) {
+  cfg.demand_evolution_enabled = false;
+  cluster::Fabric fabric(cluster::FabricConfig{
+      .shard_count = shards, .cluster_template = cfg, .threads = threads});
   experiment::FabricRequestSession session(fabric, workload);
-
   std::ostringstream fp;
-  const std::size_t rounds = g_tiny ? 6 : 12;
   for (std::size_t i = 0; i < rounds; ++i) {
     session.advance_interval();
-    const auto r = fabric.step();
-    fp << cluster::fabric_report_digest(r) << ';';
+    fp << cluster::fabric_report_digest(fabric.step()) << ','
+       << session.summary().digest() << ';';
   }
-  fp << fabric.state_digest() << ';' << session.summary().digest();
-  return fp.str();
+  fp << fabric.state_digest();
+  return {fabric.total_energy().kwh(), session.summary(), fp.str()};
 }
 
 }  // namespace
@@ -150,17 +123,14 @@ int main(int argc, char** argv) {
   for (const std::size_t n : sizes()) {
     for (const Mix& mix : kMixes) {
       const auto workload = mix_config(mix, n);
-
-      auto ea_cfg = experiment::paper_cluster_config(
+      const auto ea_cfg = experiment::paper_cluster_config(
           n, experiment::AverageLoad::kLow30, 404);
-      ea_cfg.demand_evolution_enabled = false;
-      auto trad_cfg = experiment::traditional_lb_config(
+      const auto trad_cfg = experiment::traditional_lb_config(
           n, experiment::AverageLoad::kLow30, 404);
-      trad_cfg.demand_evolution_enabled = false;
 
-      const auto ea = run_cell(ea_cfg, workload);
-      const auto ea2 = run_cell(ea_cfg, workload);
-      const auto trad = run_cell(trad_cfg, workload);
+      const auto ea = run(ea_cfg, 1, 1, workload, intervals());
+      const auto ea2 = run(ea_cfg, 1, 1, workload, intervals());
+      const auto trad = run(trad_cfg, 1, 1, workload, intervals());
       const bool repro = ea.fingerprint == ea2.fingerprint;
       if (!repro) all_ok = false;
 
@@ -191,12 +161,21 @@ int main(int argc, char** argv) {
   // workers, each touching only its own shard, so any worker count must
   // replay the exact digest trail.  --tiny keeps the full sweep so the
   // sanitizer jobs run the parallel advance at more workers than shards.
+  const std::size_t shards = g_tiny ? 2 : 4;
+  const std::size_t per_shard = g_tiny ? 20 : 50;
+  const auto sweep = [&](std::size_t threads) {
+    return run(experiment::paper_cluster_config(
+                   per_shard, experiment::AverageLoad::kLow30, 1313),
+               shards, threads, mix_config(kMixes[2], shards * per_shard),
+               g_tiny ? 6 : 12)
+        .fingerprint;
+  };
   const std::vector<std::size_t> threads = {1, 2, 8};
-  const std::string reference = run_fabric(threads.front());
+  const std::string reference = sweep(threads.front());
   bool fabric_ok = true;
   std::cout << "\nfabric thread sweep (flash mix): ";
   for (const std::size_t t : threads) {
-    const bool same = run_fabric(t) == reference;
+    const bool same = sweep(t) == reference;
     if (!same) fabric_ok = false;
     std::cout << t << (same ? ":ok " : ":MISMATCH ");
   }

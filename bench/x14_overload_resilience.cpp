@@ -18,7 +18,10 @@
 // reports wake_sleep_flaps -- the dual-threshold + minimum-dwell guard must
 // not increase flapping.  A final fabric section replays combined overload
 // + faults at worker thread counts {1, 2, 8} ({1, 2} under --tiny) and
-// every digest trail must agree.  Violations exit nonzero so CI can run
+// every digest trail must agree.  Every run steps a cluster::Fabric with
+// its fault and request sessions (the cells on one shard, a plain
+// cluster) and gets both audits: request conservation per interval and
+// each shard's self-audit at the end.  Violations exit nonzero so CI can run
 // this as a smoke test (`--tiny` shrinks the sweep).
 #include <cstdio>
 #include <cstring>
@@ -42,6 +45,17 @@ bool g_tiny = false;
 std::size_t servers() { return g_tiny ? 40 : 100; }
 std::size_t intervals() { return g_tiny ? 12 : 40; }
 
+/// Parses a built-in request spec; a parse error is a bug in this bench.
+workload::engine::RequestWorkloadConfig parse_spec(const char* spec) {
+  std::string error;
+  auto parsed = workload::engine::RequestWorkloadConfig::parse(spec, &error);
+  if (!parsed.has_value()) {
+    std::cerr << "internal spec error: " << error << "\n";
+    std::exit(1);
+  }
+  return *parsed;
+}
+
 /// Flash-crowd overload: bursts offer ~4x the fleet's capacity
 /// (rate * burst * mean service / n servers), so queues genuinely pile up
 /// and admission has real work to do.  Tight 30 s SLA; tail-drop capped at
@@ -54,13 +68,7 @@ workload::engine::RequestWorkloadConfig overload_config(
                 "flash:rate=%.1f,burst=8,on=120,off=480,mean=0.2,sigma=1.2,"
                 "sla=30;seed=9;util=0.7;admit=%s;cap=48;drain=%u",
                 2.5 * static_cast<double>(servers()), admit.c_str(), drain);
-  std::string error;
-  auto parsed = workload::engine::RequestWorkloadConfig::parse(spec, &error);
-  if (!parsed.has_value()) {
-    std::cerr << "internal spec error: " << error << "\n";
-    std::exit(1);
-  }
-  return *parsed;
+  return parse_spec(spec);
 }
 
 /// One named fault plan, sized to the run horizon (tau = 60 s).
@@ -88,97 +96,63 @@ fault::FaultPlan make_plan(const std::string& name) {
   return plan;
 }
 
-struct CellResult {
+struct RunResult {
   double energy_kwh{0.0};
   std::size_t flaps{0};
   std::uint64_t generated{0};
   std::uint64_t queued{0};
   experiment::SlaSummary sla;
   std::string fingerprint;
-  std::string conservation_error;  ///< Empty when every interval balanced.
+  std::string conservation_error;  ///< Empty when every audit passed.
 };
 
-/// One deterministic run under overload + faults; audits conservation after
-/// every interval and fingerprints the full per-interval surface.
-CellResult run_cell(const workload::engine::RequestWorkloadConfig& workload,
-                    const fault::FaultPlan& plan, bool hysteresis) {
+/// One deterministic run of `rounds` intervals under overload + `plan` on
+/// `shards` shards of `servers_per_shard` stepped by `threads` workers.  The
+/// sleep guardrail is raised (the paper's floors to zero below 125 servers)
+/// so off-phases genuinely sleep servers and bursts recall them -- the
+/// oscillation hysteresis exists to damp.  Audits request conservation
+/// after every interval and every shard's placement/ledger/index at the
+/// end; the fingerprint chains every round's report and SLA digests.
+RunResult run(std::size_t shards, std::size_t servers_per_shard,
+              std::uint64_t seed, bool hysteresis, std::size_t threads,
+              const workload::engine::RequestWorkloadConfig& workload,
+              const fault::FaultPlan& plan, std::size_t rounds) {
   auto cfg = experiment::paper_cluster_config(
-      servers(), experiment::AverageLoad::kLow30, 1414);
+      servers_per_shard, experiment::AverageLoad::kLow30, seed);
   cfg.demand_evolution_enabled = false;
-  // The paper's deep-sleep guardrail floors to zero below 125 servers;
-  // raise it so the off-phases genuinely sleep servers and the bursts
-  // recall them -- the oscillation hysteresis exists to damp.
   cfg.max_sleep_fraction_per_interval = 0.1;
   cfg.hysteresis.enabled = hysteresis;
-
-  cluster::Cluster c(cfg);
-  fault::FaultInjector injector(c, plan);
-  experiment::RequestDriver driver(c, workload);
-
-  CellResult out;
-  std::ostringstream fp;
-  for (std::size_t i = 0; i < intervals(); ++i) {
-    driver.advance_interval();
-    const auto r = c.step();
-    out.flaps += r.wake_sleep_flaps;
-    fp << r.local_decisions << ',' << r.in_cluster_decisions << ','
-       << r.migrations << ',' << r.sleeps << ',' << r.wakes << ','
-       << r.requests_arrived << ',' << r.requests_completed << ','
-       << r.requests_shed << ',' << r.requests_failed_by_fault << ','
-       << r.request_backlog << ',' << r.wake_sleep_flaps << ','
-       << r.interval_energy.value << ';';
-    if (out.conservation_error.empty()) {
-      if (const auto err = driver.audit(); err.has_value()) {
-        std::ostringstream diag;
-        diag << "interval " << i << ": " << *err;
-        out.conservation_error = diag.str();
-      }
-    }
-  }
-  if (out.conservation_error.empty()) {
-    if (const auto err = c.self_audit(); err.has_value()) {
-      out.conservation_error = "cluster: " + *err;
-    }
-  }
-  out.energy_kwh = c.total_energy().kwh();
-  out.generated = driver.total_generated();
-  out.queued = driver.queued();
-  out.sla = driver.summary();
-  fp << out.sla.digest();
-  out.fingerprint = fp.str();
-  return out;
-}
-
-/// One fabric run (combined overload + faults) at `threads` workers;
-/// returns the digest trail plus the merged SLA digest and audits
-/// conservation across the shards.
-std::string run_fabric(std::size_t threads, bool* conserved) {
-  cluster::FabricConfig fcfg;
-  fcfg.shard_count = g_tiny ? 2 : 4;
-  fcfg.threads = threads;
-  fcfg.cluster_template = experiment::paper_cluster_config(
-      g_tiny ? 20 : 50, experiment::AverageLoad::kLow30, 2020);
-  fcfg.cluster_template.demand_evolution_enabled = false;
-  fcfg.cluster_template.max_sleep_fraction_per_interval = 0.1;
-  fcfg.cluster_template.hysteresis.enabled = true;
-  cluster::Fabric fabric(fcfg);
-
-  const auto plan = make_plan("crash-heavy");
+  cluster::Fabric fabric(cluster::FabricConfig{
+      .shard_count = shards, .cluster_template = cfg, .threads = threads});
   fault::FabricFaultSession faults(fabric, plan);
-  auto workload = overload_config(
-      workload::engine::AdmissionPolicy::kDeadlineShed, /*drain=*/2);
   experiment::FabricRequestSession session(fabric, workload);
 
+  RunResult out;
   std::ostringstream fp;
-  const std::size_t rounds = g_tiny ? 8 : 16;
   for (std::size_t i = 0; i < rounds; ++i) {
     session.advance_interval();
     const auto r = fabric.step();
-    fp << cluster::fabric_report_digest(r) << ';';
-    if (*conserved && session.audit().has_value()) *conserved = false;
+    for (const auto& c : r.clusters) out.flaps += c.wake_sleep_flaps;
+    fp << cluster::fabric_report_digest(r) << ','
+       << session.summary().digest() << ',' << out.flaps << ';';
+    const auto err = session.audit();
+    if (err.has_value() && out.conservation_error.empty()) {
+      out.conservation_error = "interval " + std::to_string(i) + ": " + *err;
+    }
   }
-  fp << fabric.state_digest() << ';' << session.summary().digest();
-  return fp.str();
+  for (std::size_t i = 0; i < fabric.size(); ++i) {
+    out.queued += session.driver(i).queued();
+    const auto err = fabric.cluster(i).self_audit();
+    if (err.has_value() && out.conservation_error.empty()) {
+      out.conservation_error = "shard " + std::to_string(i) + ": " + *err;
+    }
+  }
+  out.energy_kwh = fabric.total_energy().kwh();
+  out.generated = session.total_generated();
+  out.sla = session.summary();
+  fp << fabric.state_digest();
+  out.fingerprint = fp.str();
+  return out;
 }
 
 }  // namespace
@@ -202,6 +176,14 @@ int main(int argc, char** argv) {
       workload::engine::AdmissionPolicy::kTailDrop,
       workload::engine::AdmissionPolicy::kDeadlineShed,
   };
+
+  // The cells run on one shard -- a plain cluster.
+  const auto run_cell =
+      [](const workload::engine::RequestWorkloadConfig& workload,
+         const fault::FaultPlan& plan, bool hysteresis) {
+        return run(1, servers(), 1414, hysteresis, 1, workload, plan,
+                   intervals());
+      };
 
   common::TextTable table({"Admission", "Faults", "Generated", "Done", "Shed",
                            "FltFail", "Drop", "Queued", "Viol", "Flaps",
@@ -251,16 +233,10 @@ int main(int argc, char** argv) {
                 "flash:rate=%.1f,burst=10,on=60,off=300,mean=0.2,sla=30;"
                 "seed=9;util=0.7",
                 0.5 * static_cast<double>(servers()));
-  std::string idle_err;
-  const auto idle = workload::engine::RequestWorkloadConfig::parse(idle_spec,
-                                                                   &idle_err);
-  if (!idle.has_value()) {
-    std::cerr << "internal spec error: " << idle_err << "\n";
-    return 1;
-  }
-  const auto baseline = run_cell(*idle, fault::FaultPlan{},
+  const auto idle = parse_spec(idle_spec);
+  const auto baseline = run_cell(idle, fault::FaultPlan{},
                                  /*hysteresis=*/false);
-  const auto damped = run_cell(*idle, fault::FaultPlan{},
+  const auto damped = run_cell(idle, fault::FaultPlan{},
                                /*hysteresis=*/true);
   const bool hyst_ok = damped.flaps <= baseline.flaps;
   if (!hyst_ok) all_ok = false;
@@ -268,21 +244,32 @@ int main(int argc, char** argv) {
             << " flaps raw -> " << damped.flaps << " with hysteresis ("
             << (hyst_ok ? "ok" : "REGRESSION") << ")\n";
 
-  // Thread-count determinism under combined overload + faults: per-shard
-  // drivers and injectors advance serially between fabric rounds, so any
-  // worker count must replay the exact digest trail -- and a double run at
-  // the reference count must be bit-identical.
+  // Thread-count determinism under combined overload + faults: each shard's
+  // driver advances on the fabric's pool workers and its injector fires on
+  // its own kernel, each touching only its shard, so any worker count must
+  // replay the exact digest trail -- and a double run at the reference
+  // count must be bit-identical.
   const std::vector<std::size_t> threads =
       g_tiny ? std::vector<std::size_t>{1, 2}
              : std::vector<std::size_t>{1, 2, 8};
+  const auto crash_heavy = make_plan("crash-heavy");
+  const auto shed = overload_config(
+      workload::engine::AdmissionPolicy::kDeadlineShed, /*drain=*/2);
   bool conserved = true;
-  const std::string reference = run_fabric(threads.front(), &conserved);
-  const std::string rerun = run_fabric(threads.front(), &conserved);
+  const auto sweep = [&](std::size_t t) {
+    const auto out = run(g_tiny ? 2 : 4, g_tiny ? 20 : 50, 2020,
+                         /*hysteresis=*/true, t, shed, crash_heavy,
+                         g_tiny ? 8 : 16);
+    if (!out.conservation_error.empty()) conserved = false;
+    return out.fingerprint;
+  };
+  const std::string reference = sweep(threads.front());
+  const std::string rerun = sweep(threads.front());
   bool fabric_ok = reference == rerun;
   std::cout << "\nfabric sweep (overload + crash-heavy): double-run "
             << (fabric_ok ? "ok" : "MISMATCH") << "; threads ";
   for (const std::size_t t : threads) {
-    const bool same = run_fabric(t, &conserved) == reference;
+    const bool same = sweep(t) == reference;
     if (!same) fabric_ok = false;
     std::cout << t << (same ? ":ok " : ":MISMATCH ");
   }

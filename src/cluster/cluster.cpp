@@ -682,13 +682,6 @@ IntervalReport Cluster::step() {
   return report;
 }
 
-std::vector<IntervalReport> Cluster::run(std::size_t count) {
-  std::vector<IntervalReport> reports;
-  reports.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) reports.push_back(step());
-  return reports;
-}
-
 void Cluster::attach_observer(ClusterObserver* observer) {
   ECLB_ASSERT(observer != nullptr, "attach_observer: null observer");
   observers_.push_back(observer);

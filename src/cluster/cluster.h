@@ -158,9 +158,6 @@ class Cluster {
   /// round there.  Returns the interval report.
   IntervalReport step();
 
-  /// Runs `count` intervals, returning one report per interval.
-  std::vector<IntervalReport> run(std::size_t count);
-
   /// The event kernel the cluster lives on.  Scenario drivers schedule
   /// scripted events here; they interleave with rounds and transitions on
   /// the one shared clock.

@@ -26,7 +26,6 @@ struct ReplicationOutcome {
   double average_ratio{0.0};                     ///< Mean ratio over intervals.
   double ratio_stddev{0.0};                      ///< Std dev over intervals.
   double average_deep_sleepers{0.0};             ///< Mean C3/C6 servers per interval.
-  double average_parked{0.0};                    ///< Mean C1 servers per interval.
   common::Joules total_energy{};                 ///< Cluster energy over the run.
   std::size_t total_violations{0};
   std::size_t total_migrations{0};
@@ -34,15 +33,11 @@ struct ReplicationOutcome {
   std::size_t total_in_cluster{0};
 
   // Resilience (all zero on fault-free runs).
-  std::size_t total_crashes{0};            ///< Server crashes injected.
-  std::size_t total_recoveries{0};         ///< Servers repaired.
   std::size_t total_failovers{0};          ///< Leader re-elections.
   std::size_t total_dropped_messages{0};   ///< Control messages lost.
   std::size_t total_retried_messages{0};   ///< Dropped messages re-sent.
-  std::size_t total_orphans_replaced{0};   ///< Crash-orphaned VMs restarted.
   std::size_t total_failed_migrations{0};  ///< Migrations aborted mid-copy.
-  double mttr{0.0};                  ///< Mean crash -> service-restored time (s).
-  double mean_failover_outage{0.0};  ///< Mean leaderless window (s).
+  double mttr{0.0};  ///< Mean crash -> service-restored time (s).
 };
 
 /// Cross-replication aggregate.
@@ -56,9 +51,6 @@ struct AggregateOutcome {
   common::RunningStats deep_sleepers;      ///< Across replications.
   common::RunningStats energy_kwh;         ///< Across replications.
   common::RunningStats violations;         ///< Across replications.
-  common::RunningStats failovers;          ///< Across replications (faulted runs).
-  common::RunningStats dropped_messages;   ///< Across replications (faulted runs).
-  common::RunningStats mttr;               ///< Across replications (faulted runs).
 };
 
 /// The seed replication `replication` of a run based on `base_seed` uses.
@@ -68,54 +60,28 @@ struct AggregateOutcome {
 [[nodiscard]] std::uint64_t replication_seed(std::uint64_t base_seed,
                                              std::size_t replication);
 
-/// Runs one replication of `config` for `intervals` intervals.
-[[nodiscard]] ReplicationOutcome run_replication(const cluster::ClusterConfig& config,
-                                                 std::size_t intervals);
-
-/// As above, observed: when `obs` is active a ClusterProbe (trace file named
-/// after config.seed and `replication`) watches the run.  Observation never
-/// changes the simulation's outcome.
-[[nodiscard]] ReplicationOutcome run_replication(const cluster::ClusterConfig& config,
-                                                 std::size_t intervals,
-                                                 const obs::ObsConfig& obs,
-                                                 std::size_t replication = 0);
+/// Runs one replication of `config` for `intervals` intervals on a 1-shard
+/// cluster::Fabric.  With a `plan` (see src/fault) a fault session compiles
+/// it onto the shard's kernel before the first interval; an empty plan
+/// yields an outcome bit-identical to no plan.  When `obs` is active a
+/// ClusterProbe (trace file named after config.seed and `replication`)
+/// watches the run; its metrics are merged into obs.metrics afterwards.
+/// Observation never changes the simulation's outcome.
+[[nodiscard]] ReplicationOutcome run_replication(
+    const cluster::ClusterConfig& config, std::size_t intervals,
+    const fault::FaultPlan* plan = nullptr, const obs::ObsConfig& obs = {},
+    std::size_t replication = 0);
 
 /// Runs `replications` seeds derived from config.seed via replication_seed()
-/// and aggregates.  When `pool` is non-null the replications execute
-/// concurrently.
-[[nodiscard]] AggregateOutcome run_experiment(const cluster::ClusterConfig& config,
-                                              std::size_t intervals,
-                                              std::size_t replications,
-                                              common::ThreadPool* pool = nullptr);
-
-/// As above, observed: each replication gets its own probe (and trace file);
-/// metrics and profiler sinks aggregate across all of them.
-[[nodiscard]] AggregateOutcome run_experiment(const cluster::ClusterConfig& config,
-                                              std::size_t intervals,
-                                              std::size_t replications,
-                                              common::ThreadPool* pool,
-                                              const obs::ObsConfig& obs);
-
-// --- faulted runs -----------------------------------------------------------
-
-/// Runs one replication of `config` under `plan` (see src/fault): the
-/// injector compiles the plan onto the cluster's kernel before the first
-/// interval.  An empty plan yields an outcome bit-identical to the
-/// fault-free overloads.
-[[nodiscard]] ReplicationOutcome run_replication(const cluster::ClusterConfig& config,
-                                                 std::size_t intervals,
-                                                 const fault::FaultPlan& plan,
-                                                 const obs::ObsConfig& obs = {},
-                                                 std::size_t replication = 0);
-
-/// Runs `replications` seeds under `plan`.  Each replication derives both
-/// its cluster seed and its fault-stream seed via replication_seed(), so
-/// replications see independent (but reproducible) loss draws.
-[[nodiscard]] AggregateOutcome run_experiment(const cluster::ClusterConfig& config,
-                                              std::size_t intervals,
-                                              std::size_t replications,
-                                              const fault::FaultPlan& plan,
-                                              common::ThreadPool* pool = nullptr,
-                                              const obs::ObsConfig& obs = {});
+/// and aggregates.  Under a `plan` each replication also derives its
+/// fault-stream seed via replication_seed(), so replications see
+/// independent (but reproducible) loss draws.  Each replication gets its own
+/// probe (and trace file); their metrics merge into obs.metrics in
+/// replication order, so the registry is identical with or without a pool.
+/// When `pool` is non-null the replications execute concurrently.
+[[nodiscard]] AggregateOutcome run_experiment(
+    const cluster::ClusterConfig& config, std::size_t intervals,
+    std::size_t replications, const fault::FaultPlan* plan = nullptr,
+    const obs::ObsConfig& obs = {}, common::ThreadPool* pool = nullptr);
 
 }  // namespace eclb::experiment

@@ -5,7 +5,7 @@
 // migration failure, capacity derating -- each stamped with the simulation
 // time it fires at.  Plans are built programmatically (builder methods) or
 // parsed from the compact `--faults` flag syntax, and compiled onto the
-// cluster's event kernel by the FaultInjector.  A run is bit-reproducible
+// cluster's event kernel by the fault injector.  A run is bit-reproducible
 // from (cluster seed, plan): the plan carries its own fault-stream seed and
 // the injector draws all fault randomness from it, never from the cluster's
 // stream.

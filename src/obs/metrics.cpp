@@ -109,6 +109,37 @@ const HistogramMetric* MetricsRegistry::find_histogram(
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
+void MetricsRegistry::merge(const MetricsRegistry& other) {
+  ECLB_ASSERT(&other != this, "MetricsRegistry::merge: self-merge");
+  std::scoped_lock lock(mu_, other.mu_);
+  for (const auto& [name, c] : other.counters_) {
+    find_or_create(counters_, name, [] {
+      return std::make_unique<Counter>();
+    }).inc(c->value());
+  }
+  for (const auto& [name, g] : other.gauges_) {
+    find_or_create(gauges_, name, [] {
+      return std::make_unique<Gauge>();
+    }).add(g->value());
+  }
+  for (const auto& [name, h] : other.histograms_) {
+    HistogramMetric& into = find_or_create(histograms_, name, [&] {
+      return std::make_unique<HistogramMetric>(h->lo(), h->hi(),
+                                               h->bin_count());
+    });
+    ECLB_ASSERT(into.lo() == h->lo() && into.hi() == h->hi() &&
+                    into.bin_count() == h->bin_count(),
+                "MetricsRegistry::merge: histogram shape mismatch");
+    for (std::size_t i = 0; i < h->bin_count(); ++i) {
+      into.bins_[i].fetch_add(h->bin(i), std::memory_order_relaxed);
+    }
+    into.underflow_.fetch_add(h->underflow(), std::memory_order_relaxed);
+    into.overflow_.fetch_add(h->overflow(), std::memory_order_relaxed);
+    into.count_.fetch_add(h->count(), std::memory_order_relaxed);
+    add_cas(into.sum_, h->sum());
+  }
+}
+
 void MetricsRegistry::write_json(std::ostream& out) const {
   std::lock_guard lock(mu_);
   out << "{\n  \"counters\": {";

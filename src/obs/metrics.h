@@ -3,8 +3,9 @@
 //
 // Registration (name -> instrument) takes a mutex; the returned references
 // stay valid for the registry's lifetime, so hot paths update lock-free
-// relaxed atomics without ever touching the map again.  One registry can
-// aggregate across concurrently running replications.
+// relaxed atomics without ever touching the map again.  Concurrent runs
+// (shards, replications) each write their own registry; the caller merges
+// them in a fixed order so float sums never depend on thread scheduling.
 #pragma once
 
 #include <atomic>
@@ -87,6 +88,8 @@ class HistogramMetric {
   [[nodiscard]] double hi() const { return hi_; }
 
  private:
+  friend class MetricsRegistry;  // merge() adds whole distributions.
+
   double lo_;
   double hi_;
   double width_;
@@ -115,6 +118,12 @@ class MetricsRegistry {
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
   [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
   [[nodiscard]] const HistogramMetric* find_histogram(std::string_view name) const;
+
+  /// Adds every instrument of `other` into this registry, creating the ones
+  /// it lacks.  Gauges add as well, so per-shard levels (the request
+  /// backlog) sum to the fleet level.  Histograms of one name must share
+  /// their shape.
+  void merge(const MetricsRegistry& other);
 
   /// Serializes every instrument as one JSON object; names are sorted, so
   /// the output is deterministic for a given set of values.

@@ -38,7 +38,7 @@ struct ObsConfig {
 
 /// A ClusterObserver forwarding protocol events to the configured sinks.
 /// One probe serves one replication (the trace file is per-replication);
-/// metrics and profiler sinks may be shared across probes.
+/// the profiler sink may be shared across probes.
 class ClusterProbe final : public cluster::ClusterObserver {
  public:
   /// `trace` may be null (no tracing); likewise `metrics` / `profiler`.
@@ -53,9 +53,10 @@ class ClusterProbe final : public cluster::ClusterObserver {
 
   /// Builds a probe for shard `shard` of a fabric templated on `seed`;
   /// nullptr when `config` is inactive.  Traces land in per-shard files
-  /// (shard_trace_file_path) so cross-shard attribution is unambiguous;
-  /// metrics and profiler sinks are thread-safe and may be shared by every
-  /// shard's probe even when shards step on pool workers.
+  /// (shard_trace_file_path) so cross-shard attribution is unambiguous.
+  /// Sinks are thread-safe, but a registry shared by concurrently stepping
+  /// shards sums floats in scheduling order: give each shard its own and
+  /// merge them in shard order (MetricsRegistry::merge).
   [[nodiscard]] static std::unique_ptr<ClusterProbe> make_shard(
       const ObsConfig& config, std::uint64_t seed, std::size_t shard);
 

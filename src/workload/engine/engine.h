@@ -3,7 +3,7 @@
 // Owns one ArrivalStream per configured stream, each on its own child RNG
 // (mix_seed(config.seed, stream index)), and produces every stream's
 // requests for a reallocation window in one call.  The engine knows nothing
-// about clusters; the experiment-side RequestDriver routes its output onto
+// about clusters; the experiment-side request driver routes its output onto
 // per-VM queues and feeds the backlog into the protocol's demand signal.
 #pragma once
 

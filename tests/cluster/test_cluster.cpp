@@ -234,10 +234,8 @@ TEST(Cluster, ReportsCountDecisionBreakdown) {
 
 TEST(Cluster, RunCollectsReports) {
   Cluster c(small_config(0.2, 0.4));
-  const auto reports = c.run(12);
-  ASSERT_EQ(reports.size(), 12U);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i].interval_index, i);
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(c.step().interval_index, i);
   }
 }
 
@@ -253,7 +251,8 @@ TEST(Cluster, InClusterCostsExceedLocalPerDecision) {
   Cluster c(small_config(0.6, 0.8));
   std::size_t locals = 0;
   std::size_t remotes = 0;
-  for (const auto& r : c.run(10)) {
+  for (int i = 0; i < 10; ++i) {
+    const IntervalReport r = c.step();
     locals += r.local_decisions;
     remotes += r.in_cluster_decisions;
   }
@@ -438,7 +437,7 @@ TEST(Cluster, ObserverSeesEveryIntervalBoundary) {
   Cluster c(small_config(0.2, 0.4));
   CountingObserver obs;
   c.attach_observer(&obs);
-  (void)c.run(4);
+  for (int i = 0; i < 4; ++i) (void)c.step();
   EXPECT_EQ(obs.begins, 4);
   EXPECT_EQ(obs.ends, 4);
   EXPECT_EQ(obs.round_phases, 4);

@@ -27,7 +27,8 @@ TEST(Driver, MatchesDirectStepping) {
   cluster::Cluster driven(cfg);
   DesClusterDriver driver(driven);
   const auto via_driver = driver.run_until(common::Seconds{300.0});
-  const auto via_run = direct.run(5);
+  std::vector<cluster::IntervalReport> via_run;
+  for (int i = 0; i < 5; ++i) via_run.push_back(direct.step());
   ASSERT_EQ(via_driver.size(), via_run.size());
   for (std::size_t i = 0; i < via_run.size(); ++i) {
     EXPECT_EQ(via_driver[i].local_decisions, via_run[i].local_decisions);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "experiment/scenario.h"
 
 namespace eclb::experiment {
@@ -86,7 +88,8 @@ TEST(Runner, MeanHistogramsAreAverages) {
 TEST(Runner, ParallelMatchesSerial) {
   common::ThreadPool pool(2);
   const auto serial = run_experiment(tiny(AverageLoad::kLow30), 6, 3, nullptr);
-  const auto parallel = run_experiment(tiny(AverageLoad::kLow30), 6, 3, &pool);
+  const auto parallel =
+      run_experiment(tiny(AverageLoad::kLow30), 6, 3, nullptr, {}, &pool);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(serial.mean_ratio_series.y[i],
                      parallel.mean_ratio_series.y[i]);
@@ -156,24 +159,35 @@ TEST(Runner, RegistryAggregatesAcrossReplications) {
 TEST(Runner, RegistryAggregationMatchesUnderParallelReplications) {
   common::ThreadPool pool(3);
   obs::MetricsRegistry serial_reg;
-  obs::MetricsRegistry parallel_reg;
   obs::ObsConfig serial_oc;
   serial_oc.metrics = &serial_reg;
-  obs::ObsConfig parallel_oc;
-  parallel_oc.metrics = &parallel_reg;
+  (void)run_experiment(tiny(AverageLoad::kLow30), 40, 3, nullptr, serial_oc);
+  std::ostringstream serial_json;
+  serial_reg.write_json(serial_json);
 
-  (void)run_experiment(tiny(AverageLoad::kLow30), 6, 3, nullptr, serial_oc);
-  (void)run_experiment(tiny(AverageLoad::kLow30), 6, 3, &pool, parallel_oc);
-
-  for (const char* name :
-       {"run.intervals", "protocol.decisions.local",
-        "protocol.decisions.in_cluster", "protocol.migrations",
-        "protocol.sleeps", "protocol.wakes", "protocol.sla_violations"}) {
-    const auto* s = serial_reg.find_counter(name);
-    const auto* p = parallel_reg.find_counter(name);
-    ASSERT_NE(s, nullptr) << name;
-    ASSERT_NE(p, nullptr) << name;
-    EXPECT_EQ(s->value(), p->value()) << name;
+  // Replications write their own registries and merge in replication
+  // order, so every instrument -- float sums included -- matches byte for
+  // byte however the pool interleaves them.  Several pooled runs make an
+  // interleaving-dependent sum show up reliably.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    obs::MetricsRegistry parallel_reg;
+    obs::ObsConfig parallel_oc;
+    parallel_oc.metrics = &parallel_reg;
+    (void)run_experiment(tiny(AverageLoad::kLow30), 40, 3, nullptr,
+                         parallel_oc, &pool);
+    for (const char* name :
+         {"run.intervals", "protocol.decisions.local",
+          "protocol.decisions.in_cluster", "protocol.migrations",
+          "protocol.sleeps", "protocol.wakes", "protocol.sla_violations"}) {
+      const auto* s = serial_reg.find_counter(name);
+      const auto* p = parallel_reg.find_counter(name);
+      ASSERT_NE(s, nullptr) << name;
+      ASSERT_NE(p, nullptr) << name;
+      EXPECT_EQ(s->value(), p->value()) << name;
+    }
+    std::ostringstream parallel_json;
+    parallel_reg.write_json(parallel_json);
+    EXPECT_EQ(serial_json.str(), parallel_json.str()) << "attempt " << attempt;
   }
 }
 

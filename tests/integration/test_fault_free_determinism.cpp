@@ -66,12 +66,8 @@ std::string experiment_csv(std::size_t servers, experiment::AverageLoad load,
                            std::uint64_t seed, std::size_t replications,
                            const fault::FaultPlan* plan = nullptr) {
   const auto cfg = experiment::paper_cluster_config(servers, load, seed);
-  const auto agg =
-      plan != nullptr
-          ? experiment::run_experiment(cfg, experiment::kPaperIntervals,
-                                       replications, *plan, nullptr)
-          : experiment::run_experiment(cfg, experiment::kPaperIntervals,
-                                       replications, nullptr);
+  const auto agg = experiment::run_experiment(
+      cfg, experiment::kPaperIntervals, replications, plan);
   std::ostringstream out;
   common::CsvWriter csv(out, {"series", "index", "value"});
   const auto emit = [&csv](const char* series, std::size_t i, double v) {

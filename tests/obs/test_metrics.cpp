@@ -151,5 +151,48 @@ TEST(Metrics, WriteJsonFileRoundTrips) {
   EXPECT_NE(content.str().find("\"k\": 3"), std::string::npos);
 }
 
+TEST(Metrics, MergeAddsEveryInstrumentAndCreatesMissingOnes) {
+  MetricsRegistry shard0;
+  shard0.counter("c").inc(2);
+  shard0.gauge("backlog").set(1.5);
+  shard0.histogram("h", 0.0, 2.0, 2).observe(0.5);
+  MetricsRegistry shard1;
+  shard1.counter("c").inc(3);
+  shard1.gauge("backlog").set(2.25);
+  shard1.histogram("h", 0.0, 2.0, 2).observe(1.5);
+  shard1.histogram("h", 0.0, 2.0, 2).observe(7.0);
+  shard1.counter("only_in_1").inc();
+
+  MetricsRegistry fleet;
+  fleet.merge(shard0);
+  fleet.merge(shard1);
+  EXPECT_EQ(fleet.find_counter("c")->value(), 5U);
+  EXPECT_EQ(fleet.find_counter("only_in_1")->value(), 1U);
+  // A per-shard level merges into the fleet level.
+  EXPECT_DOUBLE_EQ(fleet.find_gauge("backlog")->value(), 3.75);
+  const HistogramMetric* h = fleet.find_histogram("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 3U);
+  EXPECT_EQ(h->bin(0), 1U);
+  EXPECT_EQ(h->bin(1), 1U);
+  EXPECT_EQ(h->overflow(), 1U);
+  EXPECT_DOUBLE_EQ(h->sum(), 9.0);
+}
+
+TEST(Metrics, MergeIntoEmptyRegistryReproducesTheJson) {
+  MetricsRegistry source;
+  source.counter("c").inc(4);
+  source.gauge("g").add(0.1);
+  source.gauge("g").add(0.2);
+  source.histogram("h", 0.0, 1.0, 4).observe(0.3);
+  MetricsRegistry copy;
+  copy.merge(source);
+  std::ostringstream a;
+  std::ostringstream b;
+  source.write_json(a);
+  copy.write_json(b);
+  EXPECT_EQ(a.str(), b.str());
+}
+
 }  // namespace
 }  // namespace eclb::obs

@@ -82,7 +82,7 @@ TEST(Profile, ObservedRunRecordsClusterPhases) {
   Profiler profiler;
   ObsConfig oc;
   oc.profiler = &profiler;
-  (void)experiment::run_replication(cfg, 5, oc);
+  (void)experiment::run_replication(cfg, 5, nullptr, oc);
 
   const auto snap = profiler.snapshot();
   std::size_t round_calls = 0;

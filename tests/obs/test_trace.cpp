@@ -110,7 +110,8 @@ TEST(Trace, EventStreamReconstructsIntervalReports) {
   const std::string dir = ::testing::TempDir() + "eclb_trace_reconstruct";
   ObsConfig oc;
   oc.trace_dir = dir;
-  const auto outcome = experiment::run_replication(cfg, 12, oc, /*replication=*/0);
+  const auto outcome = experiment::run_replication(cfg, 12, nullptr, oc,
+                                                   /*replication=*/0);
 
   const auto records = read_trace_file(trace_file_path(dir, cfg.seed, 0));
   ASSERT_TRUE(records.has_value());

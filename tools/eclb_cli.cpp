@@ -294,11 +294,19 @@ void print_sla_trailer(const experiment::SlaSummary& s) {
                s.p99, s.p999);
 }
 
+/// Prints every malformed flag value the typed getters met.  False when
+/// there was one: a command must not run on the default standing in for it.
+bool flags_parsed(const common::Flags& flags) {
+  for (const auto& err : flags.errors()) std::cerr << err << "\n";
+  return flags.errors().empty();
+}
+
 /// Reads a flag that must be a whole number >= `min`.  Returns false (after
 /// printing a diagnostic) when it is out of range.
 bool read_count(common::Flags& flags, const char* name, long long fallback,
                 long long min, std::size_t* out) {
   const long long v = flags.get_int(name, fallback);
+  if (!flags_parsed(flags)) return false;
   if (v < min) {
     std::cerr << "--" << name << " must be >= " << min << " (got " << v
               << ")\n";
@@ -343,6 +351,10 @@ int cmd_cluster(common::Flags& flags) {
     return 2;
   }
   const long long load = flags.get_int("load", 30);
+  if (load != 30 && load != 70) {
+    std::cerr << "--load must be 30 or 70 (got " << load << ")\n";
+    return 2;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   cluster::FabricConfig fcfg;
@@ -351,7 +363,7 @@ int cmd_cluster(common::Flags& flags) {
   cluster::ClusterConfig& cfg = fcfg.cluster_template;
   cfg = experiment::paper_cluster_config(
       servers / shards,
-      load >= 50 ? experiment::AverageLoad::kHigh70
+      load == 70 ? experiment::AverageLoad::kHigh70
                  : experiment::AverageLoad::kLow30,
       seed);
   cfg.reallocation_interval = common::Seconds{tau};
@@ -375,6 +387,7 @@ int cmd_cluster(common::Flags& flags) {
   }
   if (flags.get_bool("hysteresis")) cfg.hysteresis.enabled = true;
   if (requests.has_value()) cfg.demand_evolution_enabled = false;
+  if (!flags_parsed(flags)) return 2;
 
   obs::MetricsRegistry registry;
   obs::Profiler profiler;
@@ -397,12 +410,15 @@ int cmd_cluster(common::Flags& flags) {
     }
   }
 
-  // One probe per shard: traces split per shard file; the metrics registry
-  // and profiler are thread-safe and shared across all of them.
+  // One probe per shard: traces split per shard file; each shard counts
+  // into its own registry, merged in shard order after the run.
+  std::vector<obs::MetricsRegistry> shard_metrics(fabric.size());
   std::vector<std::unique_ptr<obs::ClusterProbe>> probes;
   for (std::size_t i = 0; i < fabric.size(); ++i) {
-    auto probe = sharded ? obs::ClusterProbe::make_shard(obs_cfg, seed, i)
-                         : obs::ClusterProbe::make(obs_cfg, seed,
+    obs::ObsConfig shard_cfg = obs_cfg;
+    if (shard_cfg.metrics != nullptr) shard_cfg.metrics = &shard_metrics[i];
+    auto probe = sharded ? obs::ClusterProbe::make_shard(shard_cfg, seed, i)
+                         : obs::ClusterProbe::make(shard_cfg, seed,
                                                    /*replication=*/0);
     if (probe == nullptr) break;
     if (probe->trace() != nullptr && !probe->trace()->ok()) {
@@ -473,6 +489,7 @@ int cmd_cluster(common::Flags& flags) {
       std::cerr << "trace: " << probe->trace()->path() << "\n";
     }
   }
+  for (const obs::MetricsRegistry& m : shard_metrics) registry.merge(m);
   return finish_observability(fabric, registry, metrics_file,
                               obs_cfg.profiler, flags.get_bool("mem-stats"));
 }
@@ -494,6 +511,7 @@ int cmd_farm(common::Flags& flags) {
   const auto servers = static_cast<std::size_t>(flags.get_int("servers", 100));
   const double hours = flags.get_double("hours", 24.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  if (!flags_parsed(flags)) return 2;
   const common::Seconds horizon{hours * 3600.0};
 
   workload::Trace trace(common::Seconds{60.0});
@@ -564,6 +582,7 @@ int cmd_migrate(common::Flags& flags) {
   spec.image_size = common::MiB{flags.get_double("image", 4096.0)};
   vm::MigrationEnvironment env;
   env.bandwidth = common::MiBps{flags.get_double("bandwidth", 1000.0)};
+  if (!flags_parsed(flags)) return 2;
   const vm::Vm v(common::VmId{1}, common::AppId{1}, 0.2, spec);
   const auto c = vm::migrate_cost(v, env);
   std::printf("pre-copy rounds: %zu (%s)\n", c.rounds,
@@ -586,6 +605,7 @@ int cmd_model(common::Flags& flags) {
   m.b_avg = flags.get_double("b-avg", 0.6);
   m.a_opt = flags.get_double("a-opt", 0.9);
   m.b_opt = flags.get_double("b-opt", 0.8);
+  if (!flags_parsed(flags)) return 2;
   if (!m.valid()) {
     std::cerr << "invalid model parameters\n";
     return 2;
@@ -598,32 +618,45 @@ int cmd_model(common::Flags& flags) {
   return 0;
 }
 
+/// A subcommand and the flags it reads; any other flag is a typo.
+struct Command {
+  const char* name;
+  int (*run)(common::Flags&);
+  std::vector<std::string> flags;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const Command commands[] = {
+      {"cluster", cmd_cluster,
+       {"servers", "load", "intervals", "seed", "tau", "no-sleep",
+        "no-rebalance", "faults", "shards", "fabric-threads", "trace",
+        "metrics", "profile", "mem-stats", "requests", "request-trace",
+        "admission", "admission-cap", "admission-budget", "drain-intervals",
+        "hysteresis"}},
+      {"farm", cmd_farm,
+       {"policy", "workload", "trace", "servers", "hours", "sleep-state",
+        "seed"}},
+      {"migrate", cmd_migrate, {"ram", "dirty", "bandwidth", "image"}},
+      {"model", cmd_model, {"a-avg", "b-avg", "a-opt", "b-opt", "n"}},
+  };
+  const Command* cmd = nullptr;
+  for (const Command& c : commands) {
+    if (command == c.name) cmd = &c;
+  }
+  if (cmd == nullptr) return usage();
   auto flags = common::Flags::parse(argc - 1, argv + 1);
-
-  int rc;
+  if (const auto bad = flags.unknown(cmd->flags); !bad.empty()) {
+    for (const auto& name : bad) std::cerr << "unknown flag --" << name << "\n";
+    return 2;
+  }
   try {
-    if (command == "cluster") {
-      rc = cmd_cluster(flags);
-    } else if (command == "farm") {
-      rc = cmd_farm(flags);
-    } else if (command == "migrate") {
-      rc = cmd_migrate(flags);
-    } else if (command == "model") {
-      rc = cmd_model(flags);
-    } else {
-      return usage();
-    }
+    return cmd->run(flags);
   } catch (const std::bad_alloc&) {
     std::cerr << command << ": out of memory; try a smaller run\n";
     return 2;
   }
-  for (const auto& err : flags.errors()) {
-    std::cerr << "warning: " << err << "\n";
-  }
-  return rc;
 }
