@@ -124,9 +124,13 @@ struct FabricIntervalReport {
   [[nodiscard]] common::Joules total_energy() const;
 };
 
-/// FNV-1a digest over every counter and bit pattern in `report` (including
-/// per-shard energies and regime histograms).  Two fabric runs are
-/// bit-identical iff their per-interval digest sequences match -- the
+/// FNV-1a digest over the protocol, fault and fleet counters of `report`
+/// (including per-shard energies and regime histograms) and its barrier
+/// fields.  It leaves out the request-engine counters, `request_backlog`
+/// and `wake_sleep_flaps`: runs with requests also chain the SlaSummary
+/// digest and the flap count, as x13 and x14 do.  The field order is pinned
+/// by x5 and the perfbench model digest, so it stays as is.  Two fabric runs
+/// are bit-identical iff their per-interval digest sequences match -- the
 /// determinism contract the tests and x5 double-run checks verify.
 [[nodiscard]] std::uint64_t fabric_report_digest(
     const FabricIntervalReport& report);

@@ -88,6 +88,10 @@ struct ProtocolEvent {
   std::uint32_t requests_failed{0};          ///< For kRequestBatch (host crash).
 };
 
+/// Number of event kinds.
+inline constexpr std::size_t kProtocolEventKindCount =
+    static_cast<std::size_t>(ProtocolEvent::Kind::kWakeSleepFlap) + 1;
+
 /// Display name of an event kind (stable; part of the trace schema).
 [[nodiscard]] std::string_view to_string(ProtocolEvent::Kind k);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/table.h"
+#include "obs/counters.h"
 
 namespace eclb::experiment {
 
@@ -83,25 +84,30 @@ void print_registry_summary(std::ostream& out,
     const obs::Counter* c = registry.find_counter(name);
     return c == nullptr ? 0 : c->value();
   };
+  // Report counters are looked up through their kReportCounters row.
+  using R = cluster::IntervalReport;
+  const auto field = [&count](std::size_t R::*f) {
+    return count(obs::report_metric(f));
+  };
   out << "Aggregated protocol metrics (all panels, all replications):\n"
-      << "  intervals: " << count("run.intervals")
-      << "   decisions: " << count("protocol.decisions.local") << " local / "
-      << count("protocol.decisions.in_cluster") << " in-cluster\n"
-      << "  migrations: " << count("protocol.migrations") << " ("
-      << count("protocol.migrations.shed") << " shed, "
-      << count("protocol.migrations.rebalance") << " rebalance, "
-      << count("protocol.migrations.consolidation") << " consolidation)"
-      << "   remote starts: " << count("protocol.horizontal_starts") << "\n"
-      << "  sleeps: " << count("protocol.sleeps")
-      << "   wakes: " << count("protocol.wakes")
-      << "   SLA violations: " << count("protocol.sla_violations")
-      << "   QoS violations: " << count("protocol.qos_violations") << "\n";
-  const obs::Gauge* energy = registry.find_gauge("run.energy_kwh");
+      << "  intervals: " << count(obs::kIntervalsMetric)
+      << "   decisions: " << field(&R::local_decisions) << " local / "
+      << field(&R::in_cluster_decisions) << " in-cluster\n"
+      << "  migrations: " << field(&R::migrations) << " ("
+      << field(&R::shed_migrations) << " shed, "
+      << field(&R::rebalance_migrations) << " rebalance, "
+      << field(&R::consolidation_migrations) << " consolidation)"
+      << "   remote starts: " << field(&R::horizontal_starts) << "\n"
+      << "  sleeps: " << field(&R::sleeps)
+      << "   wakes: " << field(&R::wakes)
+      << "   SLA violations: " << field(&R::sla_violations)
+      << "   QoS violations: " << field(&R::qos_violations) << "\n";
+  const obs::Gauge* energy = registry.find_gauge(obs::kEnergyMetric);
   if (energy != nullptr) {
     out << "  energy: " << energy->value() << " kWh\n";
   }
   const obs::HistogramMetric* ratio =
-      registry.find_histogram("interval.decision_ratio");
+      registry.find_histogram(obs::kDecisionRatioMetric);
   if (ratio != nullptr && ratio->count() > 0) {
     out << "  interval decision ratio: mean " << ratio->mean() << " over "
         << ratio->count() << " intervals\n";

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "common/assert.h"
 
@@ -170,13 +169,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
-}
-
-bool MetricsRegistry::write_json_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  write_json(out);
-  return out.good();
 }
 
 }  // namespace eclb::obs

@@ -128,8 +128,6 @@ class MetricsRegistry {
   /// Serializes every instrument as one JSON object; names are sorted, so
   /// the output is deterministic for a given set of values.
   void write_json(std::ostream& out) const;
-  /// write_json to `path`; false when the file cannot be written.
-  bool write_json_file(const std::string& path) const;
 
  private:
   mutable std::mutex mu_;

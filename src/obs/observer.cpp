@@ -6,10 +6,17 @@ namespace eclb::obs {
 
 ClusterProbe::ClusterProbe(std::unique_ptr<TraceWriter> trace,
                            MetricsRegistry* metrics, Profiler* profiler)
-    : trace_(std::move(trace)), metrics_(metrics), profiler_(profiler) {
-  if (metrics_ != nullptr) {
-    instruments_ = ProtocolInstruments::resolve(*metrics_);
+    : trace_(std::move(trace)), profiler_(profiler) {
+  if (metrics == nullptr) return;
+  for (std::size_t i = 0; i < kReportCounters.size(); ++i) {
+    const std::string_view name = kReportCounters[i].metric;
+    if (!name.empty()) counters_[i] = &metrics->counter(name);
   }
+  intervals_ = &metrics->counter(kIntervalsMetric);
+  energy_kwh_ = &metrics->gauge(kEnergyMetric);
+  unserved_ = &metrics->gauge(kUnservedMetric);
+  backlog_ = &metrics->gauge(kBacklogMetric);
+  decision_ratio_ = &metrics->histogram(kDecisionRatioMetric, 0.0, 8.0, 32);
 }
 
 namespace {
@@ -51,13 +58,23 @@ void ClusterProbe::on_interval_begin(std::size_t interval, common::Seconds now) 
 
 void ClusterProbe::on_event(const cluster::ProtocolEvent& event) {
   if (trace_ != nullptr) trace_->event(event);
-  instruments_.record(event);
 }
 
 void ClusterProbe::on_interval_end(const cluster::IntervalReport& report,
                                    common::Seconds now) {
   if (trace_ != nullptr) trace_->interval_end(report, now.value);
-  instruments_.record_interval(report);
+  if (intervals_ == nullptr) return;
+  for (std::size_t i = 0; i < kReportCounters.size(); ++i) {
+    if (counters_[i] != nullptr) {
+      counters_[i]->inc(report.*kReportCounters[i].field);
+    }
+  }
+  intervals_->inc();
+  energy_kwh_->add(report.interval_energy.kwh());
+  unserved_->add(report.unserved_demand);
+  // The backlog is a level, so the gauge is overwritten, not accumulated.
+  backlog_->set(report.request_backlog);
+  decision_ratio_->observe(report.decision_ratio());
 }
 
 void ClusterProbe::on_phase(std::string_view phase, double wall_seconds) {

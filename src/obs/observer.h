@@ -7,12 +7,13 @@
 // attaching a probe changes no simulated bit, only what gets recorded.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "cluster/recorder.h"
-#include "obs/handles.h"
+#include "obs/counters.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -37,8 +38,10 @@ struct ObsConfig {
 };
 
 /// A ClusterObserver forwarding protocol events to the configured sinks.
-/// One probe serves one replication (the trace file is per-replication);
-/// the profiler sink may be shared across probes.
+/// Events feed only the trace; the metrics are booked from each interval's
+/// report, one counter per kReportCounters row.  One probe serves one
+/// replication (the trace file is per-replication); the profiler sink may be
+/// shared across probes.
 class ClusterProbe final : public cluster::ClusterObserver {
  public:
   /// `trace` may be null (no tracing); likewise `metrics` / `profiler`.
@@ -71,12 +74,17 @@ class ClusterProbe final : public cluster::ClusterObserver {
 
  private:
   std::unique_ptr<TraceWriter> trace_;
-  MetricsRegistry* metrics_;
   Profiler* profiler_;
 
-  /// Instruments resolved once at construction (obs/handles.h) so the
-  /// per-event path never touches the registry map.
-  ProtocolInstruments instruments_;
+  // Registry instruments, bound at construction when metrics are on (so
+  // the JSON lists every name, zeros included); null otherwise.  counters_
+  // follows kReportCounters and is null on trace-only rows.
+  std::array<Counter*, kReportCounters.size()> counters_{};
+  Counter* intervals_{nullptr};
+  Gauge* energy_kwh_{nullptr};
+  Gauge* unserved_{nullptr};
+  Gauge* backlog_{nullptr};
+  HistogramMetric* decision_ratio_{nullptr};
 };
 
 }  // namespace eclb::obs

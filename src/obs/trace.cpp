@@ -1,13 +1,24 @@
 #include "obs/trace.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+
+#include "obs/counters.h"
 
 namespace eclb::obs {
 
 namespace {
 
 constexpr std::size_t kFlushThreshold = 64 * 1024;
+
+// The interval_end keys after the kReportCounters rows.
+constexpr std::string_view kRequestBacklogKey = "request_backlog";
+constexpr std::string_view kUnservedKey = "unserved";
+constexpr std::string_view kParkedKey = "parked";
+constexpr std::string_view kDeepSleepingKey = "deep_sleeping";
+constexpr std::string_view kEnergyKey = "energy_j";
 
 void append_double(std::string& out, double v) {
   char buf[32];
@@ -151,75 +162,28 @@ void TraceWriter::interval_end(const cluster::IntervalReport& report,
   append_size(buf_, report.interval_index);
   buf_ += ",\"t\":";
   append_double(buf_, sim_seconds);
-  const auto field = [this](const char* name, std::size_t v) {
+  const auto key = [this](std::string_view name) {
     buf_ += ",\"";
     buf_ += name;
     buf_ += "\":";
-    append_size(buf_, v);
   };
-  field("local", report.local_decisions);
-  field("in_cluster", report.in_cluster_decisions);
-  field("migrations", report.migrations);
-  field("horizontal_starts", report.horizontal_starts);
-  field("offloads", report.offloaded_requests);
-  field("drains", report.drains);
-  field("sleeps", report.sleeps);
-  field("wakes", report.wakes);
-  field("sla_violations", report.sla_violations);
-  field("qos_violations", report.qos_violations);
-  // Fault counters only appear when nonzero: a fault-free trace stays
-  // byte-identical to one produced before the fault layer existed.
-  if (report.crashes != 0) field("crashes", report.crashes);
-  if (report.recoveries != 0) field("recoveries", report.recoveries);
-  if (report.failovers != 0) field("failovers", report.failovers);
-  if (report.dropped_messages != 0) field("dropped", report.dropped_messages);
-  if (report.retried_messages != 0) field("retried", report.retried_messages);
-  if (report.orphans_replaced != 0) {
-    field("orphans_replaced", report.orphans_replaced);
-  }
-  if (report.failed_migrations != 0) {
-    field("failed_migrations", report.failed_migrations);
-  }
-  if (report.failed_servers != 0) field("failed", report.failed_servers);
-  if (report.partitions != 0) field("partitions", report.partitions);
-  if (report.heals != 0) field("heals", report.heals);
-  if (report.fenced_commands != 0) field("fenced", report.fenced_commands);
-  if (report.shadow_starts != 0) field("shadow_starts", report.shadow_starts);
-  if (report.duplicates_resolved != 0) {
-    field("duplicates_resolved", report.duplicates_resolved);
-  }
-  // Request-engine counters follow the fault-counter rule: omitted when
-  // zero, so an engine-off trace is byte-identical to a pre-engine one.
-  if (report.requests_arrived != 0) {
-    field("requests_arrived", report.requests_arrived);
-  }
-  if (report.requests_completed != 0) {
-    field("requests_completed", report.requests_completed);
-  }
-  if (report.request_sla_violations != 0) {
-    field("requests_violated", report.request_sla_violations);
-  }
-  if (report.requests_dropped != 0) {
-    field("requests_dropped", report.requests_dropped);
-  }
-  if (report.requests_shed != 0) {
-    field("requests_shed", report.requests_shed);
-  }
-  if (report.requests_failed_by_fault != 0) {
-    field("requests_failed", report.requests_failed_by_fault);
-  }
-  if (report.wake_sleep_flaps != 0) {
-    field("wake_sleep_flaps", report.wake_sleep_flaps);
+  for (const ReportCounter& row : kReportCounters) {
+    const std::size_t v = report.*row.field;
+    if (row.trace_key.empty() || (row.omit_zero && v == 0)) continue;
+    key(row.trace_key);
+    append_size(buf_, v);
   }
   if (report.request_backlog != 0.0) {
-    buf_ += ",\"request_backlog\":";
+    key(kRequestBacklogKey);
     append_double(buf_, report.request_backlog);
   }
-  buf_ += ",\"unserved\":";
+  key(kUnservedKey);
   append_double(buf_, report.unserved_demand);
-  field("parked", report.parked_servers);
-  field("deep_sleeping", report.deep_sleeping_servers);
-  buf_ += ",\"energy_j\":";
+  key(kParkedKey);
+  append_size(buf_, report.parked_servers);
+  key(kDeepSleepingKey);
+  append_size(buf_, report.deep_sleeping_servers);
+  key(kEnergyKey);
   append_double(buf_, report.interval_energy.value);
   buf_ += "}\n";
   maybe_flush();
@@ -268,73 +232,64 @@ std::optional<double> number_value(std::string_view line, std::string_view key) 
 std::optional<std::size_t> size_value(std::string_view line,
                                       std::string_view key) {
   const auto v = number_value(line, key);
-  if (!v.has_value() || *v < 0.0) return std::nullopt;
+  // Only a finite, non-negative whole number below 2^64 is a count: casting
+  // anything else is undefined (1e300) or silently wrong (nan, 2.7).
+  constexpr double kLimit = 0x1p64;
+  static_assert(std::numeric_limits<std::size_t>::digits == 64);
+  if (!v.has_value() || !(*v >= 0.0 && *v < kLimit) || std::trunc(*v) != *v) {
+    return std::nullopt;
+  }
   return static_cast<std::size_t>(*v);
 }
 
-std::optional<cluster::ProtocolEvent::Kind> parse_kind(std::string_view name) {
-  using Kind = cluster::ProtocolEvent::Kind;
-  for (const Kind k :
-       {Kind::kDecision, Kind::kMigration, Kind::kHorizontalStart,
-        Kind::kOffload, Kind::kDrain, Kind::kSleep, Kind::kWake,
-        Kind::kSlaViolation, Kind::kQosViolation, Kind::kServerCrash,
-        Kind::kServerRecover, Kind::kLeaderFailover, Kind::kMessageDropped,
-        Kind::kMessageRetried, Kind::kOrphanReplaced, Kind::kMigrationFailed,
-        Kind::kCapacityDerate, Kind::kPartitionStart, Kind::kPartitionHeal,
-        Kind::kCommandFenced, Kind::kShadowStart, Kind::kDuplicateResolved,
-        Kind::kReconcile, Kind::kRequestBatch, Kind::kWakeSleepFlap}) {
+/// The enumerator among the first `count` of `E` whose display name is
+/// `name`; nullopt when none is.
+template <class E>
+std::optional<E> parse_name(std::string_view name, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto k = static_cast<E>(i);
     if (name == cluster::to_string(k)) return k;
   }
   return std::nullopt;
 }
 
-std::optional<cluster::MessageKind> parse_message_kind(std::string_view name) {
-  for (std::size_t i = 0; i < cluster::kMessageKindCount; ++i) {
-    const auto k = static_cast<cluster::MessageKind>(i);
-    if (name == cluster::to_string(k)) return k;
-  }
-  return std::nullopt;
+/// Reads the optional name field `key` into `out`; false when the field is
+/// present but names none of the first `count` enumerators of `E`.
+template <class E>
+bool name_field(std::string_view line, std::string_view key, std::size_t count,
+                E& out) {
+  const auto name = string_value(line, key);
+  if (!name.has_value()) return true;
+  const auto v = parse_name<E>(*name, count);
+  if (v.has_value()) out = *v;
+  return v.has_value();
 }
+
+constexpr std::size_t kDecisionKindCount =
+    static_cast<std::size_t>(cluster::DecisionKind::kInCluster) + 1;
+constexpr std::size_t kMigrationCauseCount =
+    static_cast<std::size_t>(cluster::MigrationCause::kConsolidation) + 1;
 
 std::optional<TraceRecord> parse_event(std::string_view line, TraceRecord rec) {
   rec.type = TraceRecord::Type::kEvent;
   const auto kind_name = string_value(line, "kind");
   if (!kind_name.has_value()) return std::nullopt;
-  const auto kind = parse_kind(*kind_name);
+  const auto kind = parse_name<cluster::ProtocolEvent::Kind>(
+      *kind_name, cluster::kProtocolEventKindCount);
   if (!kind.has_value()) return std::nullopt;
   rec.event.kind = *kind;
   rec.event.interval = rec.interval;
   if (const auto server = size_value(line, "server"); server.has_value()) {
     rec.event.server = common::ServerId{*server};
   }
-  if (const auto d = string_value(line, "decision"); d.has_value()) {
-    if (*d == to_string(cluster::DecisionKind::kLocal)) {
-      rec.event.decision = cluster::DecisionKind::kLocal;
-    } else if (*d == to_string(cluster::DecisionKind::kInCluster)) {
-      rec.event.decision = cluster::DecisionKind::kInCluster;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (const auto c = string_value(line, "cause"); c.has_value()) {
-    using Cause = cluster::MigrationCause;
-    if (*c == to_string(Cause::kShed)) {
-      rec.event.cause = Cause::kShed;
-    } else if (*c == to_string(Cause::kRebalance)) {
-      rec.event.cause = Cause::kRebalance;
-    } else if (*c == to_string(Cause::kConsolidation)) {
-      rec.event.cause = Cause::kConsolidation;
-    } else {
-      return std::nullopt;
-    }
+  if (!name_field(line, "decision", kDecisionKindCount, rec.event.decision) ||
+      !name_field(line, "cause", kMigrationCauseCount, rec.event.cause) ||
+      !name_field(line, "message", cluster::kMessageKindCount,
+                  rec.event.message)) {
+    return std::nullopt;
   }
   if (const auto u = number_value(line, "unserved"); u.has_value()) {
     rec.event.unserved = *u;
-  }
-  if (const auto m = string_value(line, "message"); m.has_value()) {
-    const auto message = parse_message_kind(*m);
-    if (!message.has_value()) return std::nullopt;
-    rec.event.message = *message;
   }
   if (const auto c = number_value(line, "capacity"); c.has_value()) {
     rec.event.value = *c;
@@ -346,26 +301,25 @@ std::optional<TraceRecord> parse_event(std::string_view line, TraceRecord rec) {
     rec.event.value = *c;
   }
   if (rec.event.kind == cluster::ProtocolEvent::Kind::kRequestBatch) {
-    const auto arrived = size_value(line, "arrived");
-    const auto completed = size_value(line, "completed");
-    const auto violated = size_value(line, "violated");
-    const auto dropped = size_value(line, "dropped");
+    // Batch counts are 32-bit: a wider value is malformed, not truncated.
+    const auto count = [&line](std::string_view key, std::uint32_t& out,
+                               bool required) {
+      const auto v = size_value(line, key);
+      if (!v.has_value()) return !required;
+      if (*v > std::numeric_limits<std::uint32_t>::max()) return false;
+      out = static_cast<std::uint32_t>(*v);
+      return true;
+    };
+    cluster::ProtocolEvent& e = rec.event;
     const auto backlog = number_value(line, "backlog");
-    if (!arrived.has_value() || !completed.has_value() ||
-        !violated.has_value() || !dropped.has_value() ||
+    if (!count("arrived", e.requests_arrived, true) ||
+        !count("completed", e.requests_completed, true) ||
+        !count("violated", e.requests_violated, true) ||
+        !count("dropped", e.requests_dropped, true) ||
+        !count("shed", e.requests_shed, false) ||
+        !count("req_failed", e.requests_failed, false) ||
         !backlog.has_value()) {
       return std::nullopt;
-    }
-    rec.event.requests_arrived = static_cast<std::uint32_t>(*arrived);
-    rec.event.requests_completed = static_cast<std::uint32_t>(*completed);
-    rec.event.requests_violated = static_cast<std::uint32_t>(*violated);
-    rec.event.requests_dropped = static_cast<std::uint32_t>(*dropped);
-    if (const auto shed = size_value(line, "shed"); shed.has_value()) {
-      rec.event.requests_shed = static_cast<std::uint32_t>(*shed);
-    }
-    if (const auto failed = size_value(line, "req_failed");
-        failed.has_value()) {
-      rec.event.requests_failed = static_cast<std::uint32_t>(*failed);
     }
     rec.event.value = *backlog;
   }
@@ -375,58 +329,37 @@ std::optional<TraceRecord> parse_event(std::string_view line, TraceRecord rec) {
 std::optional<TraceRecord> parse_interval_end(std::string_view line,
                                               TraceRecord rec) {
   rec.type = TraceRecord::Type::kIntervalEnd;
+  cluster::IntervalReport& report = rec.report;
+  report.interval_index = rec.interval;
   const auto t = number_value(line, "t");
   if (!t.has_value()) return std::nullopt;
   rec.sim_seconds = *t;
-  const auto counter = [&line](std::string_view key, std::size_t& out) {
-    const auto v = size_value(line, key);
-    if (v.has_value()) out = *v;
-    return v.has_value();
-  };
-  if (!counter("local", rec.local) || !counter("in_cluster", rec.in_cluster) ||
-      !counter("migrations", rec.migrations) ||
-      !counter("horizontal_starts", rec.horizontal_starts) ||
-      !counter("offloads", rec.offloads) || !counter("drains", rec.drains) ||
-      !counter("sleeps", rec.sleeps) || !counter("wakes", rec.wakes) ||
-      !counter("sla_violations", rec.sla_violations) ||
-      !counter("qos_violations", rec.qos_violations) ||
-      !counter("parked", rec.parked) ||
-      !counter("deep_sleeping", rec.deep_sleeping)) {
+  // Rows the writer omits at zero may be absent; a present key must hold a
+  // count.
+  for (const ReportCounter& row : kReportCounters) {
+    if (row.trace_key.empty()) continue;
+    const auto v = size_value(line, row.trace_key);
+    if (v.has_value()) {
+      report.*row.field = *v;
+    } else if (!row.omit_zero || raw_value(line, row.trace_key).has_value()) {
+      return std::nullopt;
+    }
+  }
+  if (const auto b = number_value(line, kRequestBacklogKey); b.has_value()) {
+    report.request_backlog = *b;
+  }
+  const auto unserved = number_value(line, kUnservedKey);
+  const auto parked = size_value(line, kParkedKey);
+  const auto deep = size_value(line, kDeepSleepingKey);
+  const auto energy = number_value(line, kEnergyKey);
+  if (!unserved.has_value() || !parked.has_value() || !deep.has_value() ||
+      !energy.has_value()) {
     return std::nullopt;
   }
-  // Fault counters are optional (the writer omits zeros).
-  const auto optional_counter = [&line](std::string_view key, std::size_t& out) {
-    const auto v = size_value(line, key);
-    if (v.has_value()) out = *v;
-  };
-  optional_counter("crashes", rec.crashes);
-  optional_counter("recoveries", rec.recoveries);
-  optional_counter("failovers", rec.failovers);
-  optional_counter("dropped", rec.dropped);
-  optional_counter("retried", rec.retried);
-  optional_counter("orphans_replaced", rec.orphans_replaced);
-  optional_counter("failed_migrations", rec.failed_migrations);
-  optional_counter("failed", rec.failed);
-  optional_counter("partitions", rec.partitions);
-  optional_counter("heals", rec.heals);
-  optional_counter("fenced", rec.fenced);
-  optional_counter("shadow_starts", rec.shadow_starts);
-  optional_counter("duplicates_resolved", rec.duplicates_resolved);
-  optional_counter("requests_arrived", rec.requests_arrived);
-  optional_counter("requests_completed", rec.requests_completed);
-  optional_counter("requests_violated", rec.requests_violated);
-  optional_counter("requests_dropped", rec.requests_dropped);
-  optional_counter("requests_shed", rec.requests_shed);
-  optional_counter("requests_failed", rec.requests_failed_by_fault);
-  optional_counter("wake_sleep_flaps", rec.wake_sleep_flaps);
-  if (const auto b = number_value(line, "request_backlog"); b.has_value()) {
-    rec.request_backlog = *b;
-  }
-  const auto unserved = number_value(line, "unserved");
-  const auto energy = number_value(line, "energy_j");
-  if (!unserved.has_value() || !energy.has_value()) return std::nullopt;
-  rec.unserved = *unserved;
-  rec.energy_joules = *energy;
+  report.unserved_demand = *unserved;
+  report.parked_servers = *parked;
+  report.deep_sleeping_servers = *deep;
+  report.interval_energy = common::Joules{*energy};
   return rec;
 }
 

@@ -12,21 +12,17 @@
 //        [,"capacity":C]                             kind == "capacity_derate"
 //        [,"sides":N]                                kind == "partition_start"
 //        [,"convergence":S]                          kind == "reconcile"
-//        [,"arrived":N,"completed":N,"violated":N,"dropped":N,"backlog":W]}
-//                                            kind == "request_batch"
-//   {"type":"interval_end","interval":I,"t":SIM_SECONDS,
-//    "local":N,"in_cluster":N,"migrations":N,"horizontal_starts":N,
-//    "offloads":N,"drains":N,"sleeps":N,"wakes":N,"sla_violations":N,
-//    "qos_violations":N,
-//    [fault counters, present only when nonzero: "crashes","recoveries",
-//     "failovers","dropped","retried","orphans_replaced",
-//     "failed_migrations","failed","partitions","heals","fenced",
-//     "shadow_starts","duplicates_resolved",]
-//    [request-engine counters, present only when nonzero:
-//     "requests_arrived","requests_completed","requests_violated",
-//     "requests_dropped","requests_shed","requests_failed",
-//     "wake_sleep_flaps","request_backlog",]
-//    "unserved":U,"parked":N,"deep_sleeping":N,"energy_j":E}
+//        [,"arrived":N,"completed":N,"violated":N,"dropped":N
+//         [,"shed":N][,"req_failed":N],"backlog":W]}  kind == "request_batch"
+//   {"type":"interval_end","interval":I,"t":SIM_SECONDS,COUNTERS,
+//    ["request_backlog":W,]"unserved":U,"parked":N,"deep_sleeping":N,
+//    "energy_j":E}
+// COUNTERS are the kReportCounters rows with a trace key (obs/counters.h),
+// each as "key":N in table order: the ten protocol counters (local ...
+// qos_violations) always, then the fault counters (crashes ...
+// duplicates_resolved) and the request-engine counters (requests_arrived ...
+// wake_sleep_flaps) only when nonzero.  request_backlog is likewise omitted
+// when zero, and so are a request batch's shed and req_failed.
 // KIND is cluster::to_string(ProtocolEvent::Kind); "server" is omitted when
 // the event has no associated server.  The per-interval event stream and the
 // interval_end summary are redundant by construction, which is what lets a
@@ -85,46 +81,12 @@ struct TraceRecord {
   double sim_seconds{0.0};          ///< interval_begin / interval_end only.
   cluster::ProtocolEvent event{};   ///< kEvent payload.
 
-  // interval_end summary counters (mirror of IntervalReport).
-  std::size_t local{0};
-  std::size_t in_cluster{0};
-  std::size_t migrations{0};
-  std::size_t horizontal_starts{0};
-  std::size_t offloads{0};
-  std::size_t drains{0};
-  std::size_t sleeps{0};
-  std::size_t wakes{0};
-  std::size_t sla_violations{0};
-  std::size_t qos_violations{0};
-  double unserved{0.0};
-  std::size_t parked{0};
-  std::size_t deep_sleeping{0};
-  double energy_joules{0.0};
-
-  // Fault counters (the writer omits them when zero; absent parses as 0).
-  std::size_t crashes{0};
-  std::size_t recoveries{0};
-  std::size_t failovers{0};
-  std::size_t dropped{0};
-  std::size_t retried{0};
-  std::size_t orphans_replaced{0};
-  std::size_t failed_migrations{0};
-  std::size_t failed{0};
-  std::size_t partitions{0};
-  std::size_t heals{0};
-  std::size_t fenced{0};
-  std::size_t shadow_starts{0};
-  std::size_t duplicates_resolved{0};
-
-  // Request-engine counters (omitted when zero, i.e. the engine is off).
-  std::size_t requests_arrived{0};
-  std::size_t requests_completed{0};
-  std::size_t requests_violated{0};
-  std::size_t requests_dropped{0};
-  std::size_t requests_shed{0};
-  std::size_t requests_failed_by_fault{0};
-  std::size_t wake_sleep_flaps{0};
-  double request_backlog{0.0};
+  /// kIntervalEnd payload: the kReportCounters rows with a trace key,
+  /// `request_backlog`, `unserved_demand`, `parked_servers`,
+  /// `deep_sleeping_servers` and `interval_energy`.  Fields the trace does
+  /// not carry (the migration causes, `regimes`, `sleeping_servers`) stay
+  /// zero.
+  cluster::IntervalReport report{};
 };
 
 /// Parses one line of TraceWriter output; nullopt on malformed input.

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "experiment/scenario.h"
+#include "fault/fault_plan.h"
+#include "obs/counters.h"
 
 namespace eclb::experiment {
 namespace {
@@ -125,35 +129,71 @@ TEST(Runner, ObservationDoesNotChangeOutcome) {
 }
 
 TEST(Runner, RegistryAggregatesAcrossReplications) {
+  std::string error;
+  const auto plan = fault::FaultPlan::parse(
+      "crash@120:s=3;loss@0:p=0.05;migfail@0:p=0.1;"
+      "part@120:g=0-19|20-59,heal=300;seed=4",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
   obs::MetricsRegistry registry;
   obs::ObsConfig oc;
   oc.metrics = &registry;
-  const auto agg = run_experiment(tiny(AverageLoad::kHigh70), 5, 3, nullptr, oc);
+  const auto agg =
+      run_experiment(tiny(AverageLoad::kHigh70), 8, 3, &*plan, oc);
+
+  // Every counter is the sum of its kReportCounters row over all reports.
+  for (const obs::ReportCounter& row : obs::kReportCounters) {
+    if (row.metric.empty()) continue;
+    std::uint64_t sum = 0;
+    for (const auto& rep : agg.replications) {
+      for (const auto& r : rep.reports) sum += r.*row.field;
+    }
+    const auto* c = registry.find_counter(row.metric);
+    ASSERT_NE(c, nullptr) << row.metric;
+    EXPECT_EQ(c->value(), sum) << row.metric;
+  }
+  // The plan reached the partition rows.
+  EXPECT_GT(registry.find_counter("fault.partitions")->value(), 0U);
+  EXPECT_GT(registry.find_counter("fault.heals")->value(), 0U);
+  EXPECT_GT(registry.find_counter("fault.crashes")->value(), 0U);
 
   const auto* intervals = registry.find_counter("run.intervals");
   ASSERT_NE(intervals, nullptr);
-  EXPECT_EQ(intervals->value(), 5U * 3U);
-
-  std::size_t local = 0;
-  std::size_t in_cluster = 0;
-  std::size_t migrations = 0;
-  std::size_t violations = 0;
-  for (const auto& rep : agg.replications) {
-    local += rep.total_local;
-    in_cluster += rep.total_in_cluster;
-    migrations += rep.total_migrations;
-    violations += rep.total_violations;
-  }
-  EXPECT_EQ(registry.find_counter("protocol.decisions.local")->value(), local);
-  EXPECT_EQ(registry.find_counter("protocol.decisions.in_cluster")->value(),
-            in_cluster);
-  EXPECT_EQ(registry.find_counter("protocol.migrations")->value(), migrations);
-  EXPECT_EQ(registry.find_counter("protocol.sla_violations")->value(),
-            violations);
-
+  EXPECT_EQ(intervals->value(), 8U * 3U);
   const auto* ratio = registry.find_histogram("interval.decision_ratio");
   ASSERT_NE(ratio, nullptr);
-  EXPECT_EQ(ratio->count(), 5U * 3U);
+  EXPECT_EQ(ratio->count(), 8U * 3U);
+
+  // The full list of names, zeros included: none may be lost or renamed.
+  std::ostringstream json;
+  registry.write_json(json);
+  std::vector<std::string> names;
+  std::istringstream lines(json.str());
+  for (std::string line; std::getline(lines, line);) {
+    const auto open = line.find("    \"");
+    const auto close = line.find("\":");
+    if (open != 0 || close == std::string::npos) continue;
+    names.push_back(line.substr(5, close - 5));
+  }
+  const std::vector<std::string> expected = {
+      "fault.crashes", "fault.dropped_messages", "fault.duplicates_resolved",
+      "fault.failed_migrations", "fault.failovers", "fault.fenced_commands",
+      "fault.heals", "fault.orphans_replaced", "fault.partitions",
+      "fault.recoveries", "fault.retried_messages", "fault.shadow_starts",
+      "protocol.decisions.in_cluster", "protocol.decisions.local",
+      "protocol.drains", "protocol.horizontal_starts", "protocol.migrations",
+      "protocol.migrations.consolidation", "protocol.migrations.rebalance",
+      "protocol.migrations.shed", "protocol.offloads",
+      "protocol.qos_violations", "protocol.sla_violations", "protocol.sleeps",
+      "protocol.wake_sleep_flaps", "protocol.wakes", "requests.arrived",
+      "requests.completed", "requests.dropped", "requests.failed_by_fault",
+      "requests.shed", "requests.sla_violations", "run.intervals",
+      // gauges
+      "protocol.unserved_demand", "requests.backlog_seconds",
+      "run.energy_kwh",
+      // histograms
+      "interval.decision_ratio"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(Runner, RegistryAggregationMatchesUnderParallelReplications) {

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -232,21 +233,23 @@ cluster::ClusterMemoryStats fabric_memory_stats(const cluster::Fabric& fabric) {
   return sum;
 }
 
-/// Writes --metrics (with the pipeline.* counters), then prints the
+/// Writes --metrics (with the pipeline.* counters) to `metrics_out`, the
+/// file opened before the run (null without --metrics), then prints the
 /// --profile and --mem-stats trailers (stderr).  Returns 2 when the metrics
 /// file cannot be written.
 int finish_observability(const cluster::Fabric& fabric,
                          obs::MetricsRegistry& registry,
-                         const std::string& metrics_file,
+                         std::ofstream* metrics_out,
                          const obs::Profiler* profiler, bool mem_stats) {
   const cluster::index::PipelineStats p = fabric.pipeline_stats();
-  if (!metrics_file.empty()) {
+  if (metrics_out != nullptr) {
     registry.counter("pipeline.flushes").inc(p.flushes);
     registry.counter("pipeline.dirty_slots").inc(p.dirty_slots);
     registry.counter("pipeline.batch_refiles").inc(p.batch_refiles);
     registry.counter("pipeline.refile_runs").inc(p.refile_runs);
-    if (!registry.write_json_file(metrics_file)) {
-      std::cerr << "could not write metrics file: " << metrics_file << "\n";
+    registry.write_json(*metrics_out);
+    if (!metrics_out->flush()) {
+      std::cerr << "could not write metrics file\n";
       return 2;
     }
   }
@@ -393,8 +396,18 @@ int cmd_cluster(common::Flags& flags) {
   obs::Profiler profiler;
   obs::ObsConfig obs_cfg;
   obs_cfg.trace_dir = flags.get("trace");
+  // The metrics file is opened before the run, so an unwritable path fails
+  // fast instead of after the whole simulation.
   const std::string metrics_file = flags.get("metrics");
-  if (!metrics_file.empty()) obs_cfg.metrics = &registry;
+  std::ofstream metrics_out;
+  if (!metrics_file.empty()) {
+    metrics_out.open(metrics_file);
+    if (!metrics_out.is_open()) {
+      std::cerr << "could not open metrics file: " << metrics_file << "\n";
+      return 2;
+    }
+    obs_cfg.metrics = &registry;
+  }
   if (flags.get_bool("profile")) obs_cfg.profiler = &profiler;
 
   cluster::Fabric fabric(fcfg);
@@ -490,7 +503,8 @@ int cmd_cluster(common::Flags& flags) {
     }
   }
   for (const obs::MetricsRegistry& m : shard_metrics) registry.merge(m);
-  return finish_observability(fabric, registry, metrics_file,
+  return finish_observability(fabric, registry,
+                              metrics_file.empty() ? nullptr : &metrics_out,
                               obs_cfg.profiler, flags.get_bool("mem-stats"));
 }
 
