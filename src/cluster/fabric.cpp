@@ -292,7 +292,7 @@ FabricIntervalReport Fabric::step() {
 
 void Fabric::for_each_shard(const std::function<void(std::size_t)>& fn) {
   if (pool_ != nullptr) {
-    pool_->parallel_for_static(shards_.size(), fn);
+    pool_->parallel_for(shards_.size(), fn);
   } else {
     for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);
   }

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -14,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
 }
 
 }  // namespace
@@ -46,24 +43,7 @@ Rng Rng::fork() {
   // Mixing two draws keeps parent and child streams decorrelated.
   std::uint64_t a = next_u64();
   std::uint64_t b = next_u64();
-  return Rng(a ^ rotl(b, 17));
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform01() {
-  // 53 top bits -> double in [0,1) with full mantissa resolution.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  return Rng(a ^ std::rotl(b, 17));
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -110,13 +90,6 @@ double Rng::normal(double mean, double stddev) {
   cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
   return mean + stddev * r * std::cos(theta);
-}
-
-double Rng::exponential(double rate) {
-  ECLB_ASSERT(rate > 0.0, "exponential: rate must be positive");
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / rate;
 }
 
 }  // namespace eclb::common

@@ -7,6 +7,8 @@
 // guaranteed bit-identical across versions, our own are).
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -25,7 +27,8 @@ namespace eclb::common {
 [[nodiscard]] std::uint64_t mix_seed(std::uint64_t base, std::uint64_t index);
 
 /// Seedable xoshiro256** PRNG plus the small set of distributions the
-/// simulator needs.  Copyable: copying forks the stream (both copies produce
+/// simulator needs.  The per-request draws (next_u64, uniform01,
+/// exponential) are defined here so hot loops inline them.  Copyable: copying forks the stream (both copies produce
 /// the same subsequent values), which is how per-replication streams are
 /// derived deterministically.
 class Rng {
@@ -38,10 +41,23 @@ class Rng {
   [[nodiscard]] Rng fork();
 
   /// Next raw 64-bit value.
-  [[nodiscard]] std::uint64_t next_u64();
+  [[nodiscard]] std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform01();
+  [[nodiscard]] double uniform01() {
+    // 53 top bits -> double in [0,1) with full mantissa resolution.
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).  Requires lo <= hi.
   [[nodiscard]] double uniform(double lo, double hi);
@@ -59,7 +75,12 @@ class Rng {
   [[nodiscard]] double normal(double mean, double stddev);
 
   /// Exponential deviate with the given rate (mean 1/rate).  Requires rate > 0.
-  [[nodiscard]] double exponential(double rate);
+  [[nodiscard]] double exponential(double rate) {
+    ECLB_ASSERT(rate > 0.0, "exponential: rate must be positive");
+    double u = uniform01();
+    if (u <= 0.0) u = 0x1.0p-53;
+    return -std::log(u) / rate;
+  }
 
   /// In-place Fisher-Yates shuffle.
   template <class T>

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "common/assert.h"
@@ -54,55 +55,38 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   ECLB_ASSERT(tls_worker_pool != this,
               "parallel_for: re-entrant call from a worker thread deadlocks");
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  }
-  // Wait for every future before (re)throwing: bailing out on the first
-  // failure would return while queued tasks still reference `fn` in this
-  // (unwound) frame -- a use-after-scope on the worker threads.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for_static(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  ECLB_ASSERT(tls_worker_pool != this,
-              "parallel_for_static: re-entrant call from a worker thread "
-              "deadlocks");
   if (n == 0) return;
-  const std::size_t chunks = std::min(n, workers_.size());
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;  // first `extra` chunks take one more
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    futures.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-    begin = end;
-  }
-  // Same drain-before-throw discipline as parallel_for: every chunk must
-  // finish before this frame (and `fn`) can unwind.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
+  // A task claims indices in increasing order, so the first failure it
+  // catches is its lowest; the lowest over all tasks is the global lowest.
+  struct Failure {
+    std::size_t index;
+    std::exception_ptr error;
+  };
+  std::atomic<std::size_t> next{0};
+  const auto claim = [&fn, &next, n] {
+    Failure first{n, nullptr};
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (first.error == nullptr) first = {i, std::current_exception()};
+      }
     }
+    return first;
+  };
+  const std::size_t tasks = std::min(n, workers_.size());
+  std::vector<std::future<Failure>> futures;
+  futures.reserve(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) futures.push_back(submit(claim));
+  // Every task must finish before this frame (and `fn`, `next`) unwinds;
+  // the claim loop catches everything, so get() itself never throws.
+  Failure lowest{n, nullptr};
+  for (auto& f : futures) {
+    Failure r = f.get();
+    if (r.index < lowest.index) lowest = std::move(r);
   }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  if (lowest.error != nullptr) std::rethrow_exception(lowest.error);
 }
 
 }  // namespace eclb::common

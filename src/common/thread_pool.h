@@ -1,8 +1,9 @@
-// Fixed-size worker pool for running independent simulation replications.
+// Fixed-size worker pool for independent simulation work: the replications
+// of an experiment and the per-shard phases of a fabric interval.
 //
-// Experiments average across seeds; each replication is an independent task,
-// so a plain shared-queue pool is the right tool (tasks are long and few --
-// work stealing would buy nothing).
+// Tasks go through one shared queue.  parallel_for layers index claiming on
+// top: a handful of tasks draw indices from one atomic counter, so uneven
+// per-index costs balance out without a work-stealing scheduler.
 #pragma once
 
 #include <condition_variable>
@@ -49,21 +50,17 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// complete.  fn must be safe to invoke concurrently.  If one or more
-  /// invocations throw, every index still runs to completion and the first
-  /// captured exception is rethrown after the barrier.  Calling this from
-  /// one of the pool's own worker threads asserts (it would deadlock).
+  /// complete.  min(n, size()) tasks each claim the next unclaimed index
+  /// from a shared counter until none is left, so a slow index or a
+  /// preempted worker holds back only the index in hand while the other
+  /// tasks keep claiming.  Which task runs which index depends on timing:
+  /// fn must be safe to invoke concurrently, and callers that need
+  /// reproducible output keep per-index work independent.  Every index runs
+  /// even when some throw; after the barrier the exception of the lowest
+  /// failing index is rethrown, so which one surfaces does not depend on
+  /// timing.  Calling this from one of the pool's own worker threads
+  /// asserts (it would deadlock).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// As parallel_for, but splits [0, n) into at most size() contiguous
-  /// chunks, one task each, instead of one task per index: cheaper when n is
-  /// large and per-index work is small (the fabric's per-shard steps).  The
-  /// partition is a pure function of (n, size()), so which indices share a
-  /// task is deterministic -- though tasks may still run on any worker in
-  /// any order, which is why callers must keep per-index work independent.
-  /// Same exception contract and re-entrancy assert as parallel_for.
-  void parallel_for_static(std::size_t n,
-                           const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -162,10 +162,13 @@ void RequestDriver::advance_interval() {
                            workload::engine::AdmissionPolicy::kNone;
     const std::size_t n = reqs.size();
     const std::size_t width = tgt->size();
+    // A wrapping position replaces a per-request modulo; the persistent
+    // cursor advances by one per arrival, shed ones included.
+    std::size_t pos = static_cast<std::size_t>(rr_[s] % width);
     std::uint64_t accepted = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      const VmSlot& slot = slots_[(*tgt)[rr_[s] % width]];
-      ++rr_[s];
+      const VmSlot& slot = slots_[(*tgt)[pos]];
+      if (++pos == width) pos = 0;
       VmEntry& e = vms_[slot.id.index()];
       e.has_queue = true;
       if (j < width && !admitting) {
@@ -180,6 +183,7 @@ void RequestDriver::advance_interval() {
       e.queue.push(reqs[j]);
       ++accepted;
     }
+    rr_[s] += n;
     arrived_ += accepted;
   }
 

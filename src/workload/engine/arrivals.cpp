@@ -134,7 +134,8 @@ void ArrivalStream::generate(common::Seconds t0, common::Seconds t1,
         break;
       case StreamKind::kFlash: {
         advance_flash_state(clock_);
-        accept = rng_.uniform01() * envelope < rate_at(clock_);
+        const double rate = flash_on_ ? spec_.rate * spec_.burst : spec_.rate;
+        accept = rng_.uniform01() * envelope < rate;
         break;
       }
       case StreamKind::kTrace: {

@@ -28,7 +28,10 @@ class LatencyHistogram {
 
   /// Records one sojourn.  Values below kLoSeconds count as underflow,
   /// at/above kHiSeconds as overflow; both still contribute to count() and
-  /// quantiles (pinned to the range ends).
+  /// quantiles (pinned to the range ends).  Any other value lands in bucket
+  /// floor(16 log10(seconds / kLoSeconds)), found by a table lookup on its
+  /// exponent and top mantissa bits; only values within 1e-12 relative of a
+  /// bucket edge evaluate the logarithm.
   void record(double seconds);
 
   /// Total recorded samples (including under/overflow).

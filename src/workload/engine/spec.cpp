@@ -20,6 +20,10 @@ constexpr std::string_view kStreamOptionGrammar =
 
 constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
+/// Shortest accepted flash on/off mean, in seconds; the out-of-range
+/// diagnostic quotes it as "0.001".
+constexpr double kMinFlashMeanSeconds = 1e-3;
+
 constexpr std::string_view kParamGrammar =
     "seed=N, util=F, sla=SECS, admit=none|tail-drop|deadline-shed, cap=N, "
     "budget=SECS, drain=N";
@@ -221,10 +225,18 @@ std::optional<RequestWorkloadConfig> RequestWorkloadConfig::parse(
         stream.period = common::Seconds{d};
       } else if (key == "burst" && parse_double(value, &d) && d >= 1.0) {
         stream.burst = d;
-      } else if (key == "on" && parse_double(value, &d) && d > 0.0) {
-        stream.on_mean = common::Seconds{d};
-      } else if (key == "off" && parse_double(value, &d) && d > 0.0) {
-        stream.off_mean = common::Seconds{d};
+      } else if ((key == "on" || key == "off") && parse_double(value, &d)) {
+        // Each flash toggle draws one sojourn; a mean far below a window
+        // would take ~window/mean toggles (1e-300 never finishes).
+        if (!(d >= kMinFlashMeanSeconds)) {
+          set_error(error, "requests: " + std::string(key) +
+                               " out of range in '" + std::string(item) +
+                               "'" + at_offset(offset) +
+                               "; expected a mean of at least 0.001 "
+                               "seconds");
+          return std::nullopt;
+        }
+        (key == "on" ? stream.on_mean : stream.off_mean) = common::Seconds{d};
       } else if (key == "file" && !value.empty()) {
         stream.trace_file = std::string(value);
       } else if (key == "scale" && parse_double(value, &d) && d > 0.0) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace eclb::common {
@@ -92,7 +95,7 @@ TEST(ThreadPool, ParallelForRunsEveryIndexDespiteFailures) {
 
 TEST(ThreadPool, ParallelForConcurrentFailuresSurfaceOnce) {
   // Every index throws from several workers at once; exactly one exception
-  // must escape (the first), and it must be a proper rethrow, not terminate.
+  // must escape (index 0's), and it must be a proper rethrow, not terminate.
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
     int caught = 0;
@@ -146,14 +149,15 @@ TEST(ThreadPool, ParallelReductionMatchesSerial) {
   EXPECT_EQ(total, expected);
 }
 
-TEST(ThreadPool, ParallelForStaticCoversAllIndices) {
+TEST(ThreadPool, ParallelForCoversAllIndicesAtAnyWorkerCount) {
+  // Fewer, as many and more indices than workers: each index runs once.
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     for (const std::size_t n :
          {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
           std::size_t{64}}) {
       ThreadPool pool(workers);
       std::vector<std::atomic<int>> hits(n);
-      pool.parallel_for_static(n, [&hits](std::size_t i) { hits[i]++; });
+      pool.parallel_for(n, [&hits](std::size_t i) { hits[i]++; });
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " n=" << n
                                      << " i=" << i;
@@ -162,27 +166,48 @@ TEST(ThreadPool, ParallelForStaticCoversAllIndices) {
   }
 }
 
-TEST(ThreadPool, ParallelForStaticPropagatesException) {
+TEST(ThreadPool, ParallelForRunsEveryIndexWhenTheFirstIndexThrows) {
+  // A task that catches a failure keeps claiming, so the indices after the
+  // throwing one still run, whichever task they fall to.
   ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.parallel_for_static(8,
-                               [&ran](std::size_t i) {
-                                 ran++;
-                                 if (i == 3) throw std::runtime_error("boom");
-                               }),
-      std::runtime_error);
-  // Drain-before-rethrow: every index still ran.
-  EXPECT_EQ(ran.load(), 8);
+  std::vector<std::atomic<int>> hits(8);
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&hits](std::size_t i) {
+                                   hits[i]++;
+                                   if (i == 0) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
+  }
 }
 
-TEST(ThreadPoolDeathTest, ReentrantParallelForStaticAsserts) {
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex) {
+  // Index 3 fails last in time (the others fail while it sleeps), yet its
+  // exception is the one that surfaces.
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for(40, [](std::size_t i) {
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        if (i % 7 == 3) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "parallel_for did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3") << "round " << round;
+    }
+  }
+}
+
+TEST(ThreadPoolDeathTest, ReentrantParallelForFromSubmittedTaskAsserts) {
 #ifndef NDEBUG
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   ThreadPool pool(2);
   EXPECT_DEATH(
       pool.submit([&pool] {
-            pool.parallel_for_static(1, [](std::size_t) {});
+            pool.parallel_for(1, [](std::size_t) {});
           }).get(),
       "re-entrant");
 #endif

@@ -1,16 +1,20 @@
 // Request-plane runs pinned end to end.
 //
-// Four request workloads on a 4-shard fabric -- a flash crowd with
-// migration draining, tail-drop admission, deadline-shed admission, and a
-// crash + partition plan under which VMs vanish with queued work -- each run
-// at 1 and 4 fabric threads.  Every interval records the fabric report
-// digest and the merged SlaSummary digest (the report digest carries no
-// request counters); the trail ends with the fabric state digest and the
-// final SlaSummary digest.  The request conservation audit must hold after
-// every interval.  The constants were captured while the driver still kept
-// its queues in VmId-ordered maps of deque-backed FIFOs and advanced the
-// shards serially, so they prove that dense per-VM storage, vector-backed
-// queues and the parallel advance change nothing.
+// Five request workloads on a 4-shard fabric -- a flash crowd with migration
+// draining, tail-drop admission, deadline-shed admission, a crash +
+// partition plan under which VMs vanish with queued work, and a multi-stream
+// mix on a fleet with fewer live VMs than streams -- each run at 1, 3 and 4
+// fabric threads (3 workers claim 4 shards unevenly).  Every interval records
+// the fabric report digest and the merged SlaSummary digest (the report
+// digest carries no request counters); the trail ends with the fabric state
+// digest and the final SlaSummary digest.  The request conservation audit
+// must hold after every interval.  The first four scenarios' constants were
+// captured while the driver still kept its queues in VmId-ordered maps of
+// deque-backed FIFOs and advanced the shards serially, so they prove that
+// dense per-VM storage, vector-backed queues and the parallel advance change
+// nothing.  The sparse multi-stream scenario was captured while the pool
+// still gave each worker a fixed block of shards, sojourns were binned by
+// log10 and routing took a modulo per request.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +28,8 @@
 #include "experiment/scenario.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "server/server.h"
+#include "vm/vm.h"
 
 namespace eclb::experiment {
 namespace {
@@ -43,7 +49,30 @@ struct Scenario {
 struct Coverage {
   SlaSummary summary;
   std::size_t migrations{0};
+  /// (shard, interval, stream) windows in which the stream owned no live VM
+  /// while the shard had some: its arrivals were routed over the whole
+  /// fleet.
+  std::size_t fleet_fallbacks{0};
 };
+
+/// Counts the streams that own none of `c`'s live VMs, by the driver's
+/// ownership rule (application index mod stream count); 0 when the shard
+/// has no VM at all.
+std::size_t streams_without_vms(const cluster::Cluster& c,
+                                std::size_t nstreams) {
+  std::vector<bool> owned(nstreams, false);
+  bool any = false;
+  for (const server::Server& s : c.servers()) {
+    for (const vm::Vm& v : s.vms()) {
+      owned[v.app().index() % nstreams] = true;
+      any = true;
+    }
+  }
+  if (!any) return 0;
+  std::size_t missing = 0;
+  for (const bool o : owned) missing += o ? 0 : 1;
+  return missing;
+}
 
 struct Trail {
   std::vector<std::uint64_t> digests;
@@ -77,6 +106,10 @@ Trail run(const Scenario& sc, std::size_t threads) {
 
   Trail trail;
   for (std::size_t i = 0; i < kIntervals; ++i) {
+    for (std::size_t k = 0; k < fabric.size(); ++k) {
+      trail.coverage.fleet_fallbacks +=
+          streams_without_vms(fabric.cluster(k), workload->streams.size());
+    }
     session.advance_interval();
     const cluster::FabricIntervalReport report = fabric.step();
     for (const auto& c : report.clusters) {
@@ -105,15 +138,17 @@ std::string as_initializer(const std::vector<std::uint64_t>& digests) {
   return out;
 }
 
-/// Runs `sc` at 1 and 4 threads; both trails must equal `pinned`.  Returns
-/// the 1-thread coverage for the scenario's own branch checks.
+/// Runs `sc` at 1, 3 and 4 threads; every trail must equal `pinned`.
+/// Returns the 1-thread coverage for the scenario's own branch checks.
 Coverage expect_pinned(const Scenario& sc,
                        const std::vector<std::uint64_t>& pinned) {
   const Trail one = run(sc, 1);
   EXPECT_EQ(one.digests, pinned) << "digests " << as_initializer(one.digests);
-  const Trail four = run(sc, 4);
-  EXPECT_EQ(four.digests, pinned)
-      << "4-thread digests " << as_initializer(four.digests);
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{4}}) {
+    const Trail t = run(sc, threads);
+    EXPECT_EQ(t.digests, pinned)
+        << threads << "-thread digests " << as_initializer(t.digests);
+  }
   return one.coverage;
 }
 
@@ -209,6 +244,34 @@ TEST(RequestPlanePinned, CrashPartitionDigestsPinned) {
   const Coverage cov = expect_pinned(sc, pinned);
   EXPECT_GT(cov.summary.failed_by_fault, 0U);
   EXPECT_GT(cov.summary.dropped, 0U);
+}
+
+TEST(RequestPlanePinned, SparseFleetMultiStreamDigestsPinned) {
+  // Six streams over one-server shards of a few VMs each: streams that own
+  // no live VM route their arrivals over the whole shard, beside the owned
+  // round-robin of the others.
+  const Scenario sc{
+      "poisson:rate=40,mean=0.2;poisson:rate=24,mean=0.1,sla=1;"
+      "diurnal:rate=16,amp=0.5,period=600,mean=0.3;"
+      "flash:rate=8,burst=6,on=60,off=180;"
+      "poisson:rate=12,service=lognormal,sigma=0.8;"
+      "poisson:rate=8,service=pareto,alpha=2.5;seed=44;drain=1",
+      1, 77, nullptr};
+  const std::vector<std::uint64_t> pinned = {
+      0xec635d12bedfc17bULL, 0x403e551ada285378ULL, 0xfd8610c49000e373ULL,
+      0x914d708554be224cULL, 0xb7308fd5b07ca784ULL, 0xb8976b128aad7492ULL,
+      0x814c988120323e1cULL, 0x6aefc652735eb1afULL, 0x2bb2a50469a1a7e4ULL,
+      0xc2f9c674f9e6fa8aULL, 0x811d66de5802ef9cULL, 0xec50a4f04aa01f88ULL,
+      0x119be7859003eb84ULL, 0xb035738adc584f96ULL, 0xaa9f2a99dccadd9cULL,
+      0x892791279992c9fbULL, 0x3b4bc249892855a4ULL, 0x279f2a03398b3443ULL,
+      0x2f77941d3f1b7efcULL, 0x49d6e0990dbe241cULL, 0xab2039e146f7e2f4ULL,
+      0x9ec4c1bfb66ad6dfULL, 0xbeffd9603623a53cULL, 0x90baf0c8435c6893ULL,
+      0x8a60e933709964d4ULL, 0x87cec8e701364f6bULL, 0xd84f4d5629a5d3ecULL,
+      0xdc8b118309d71866ULL, 0x77ef9c04720a2a93ULL, 0xdc8b118309d71866ULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.fleet_fallbacks, 0U);
+  EXPECT_GT(cov.summary.completed, 0U);
 }
 
 }  // namespace

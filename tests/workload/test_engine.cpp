@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -55,15 +58,18 @@ TEST(RequestSpec, RoundTripsThroughToSpec) {
   std::string error;
   const auto cfg = RequestWorkloadConfig::parse(
       "diurnal:rate=80,amp=0.4,period=7200;trace:file=/tmp/x.trs,scale=2;"
-      "seed=3;util=0.6",
+      "flash:rate=5,on=0.001,off=0.001;seed=3;util=0.6",
       &error);
   ASSERT_TRUE(cfg.has_value()) << error;
   const auto again = RequestWorkloadConfig::parse(cfg->to_spec(), &error);
   ASSERT_TRUE(again.has_value()) << error;
   EXPECT_EQ(again->to_spec(), cfg->to_spec());
-  ASSERT_EQ(again->streams.size(), 2U);
+  ASSERT_EQ(again->streams.size(), 3U);
   EXPECT_DOUBLE_EQ(again->streams[0].amplitude, 0.4);
   EXPECT_EQ(again->streams[1].trace_file, "/tmp/x.trs");
+  // The shortest accepted flash means.
+  EXPECT_DOUBLE_EQ(again->streams[2].on_mean.value, 0.001);
+  EXPECT_DOUBLE_EQ(again->streams[2].off_mean.value, 0.001);
 }
 
 TEST(RequestSpec, DiagnosticsCarryByteOffsetAndGrammar) {
@@ -88,13 +94,18 @@ TEST(RequestSpec, DiagnosticsCarryByteOffsetAndGrammar) {
 TEST(RequestSpec, RejectsKnobsThatWouldWrapOrBeNan) {
   // cap and drain are stored as u32; 2^32 used to pass the parse and wrap
   // (cap to 0, so tail-drop shed every arrival, and to_spec emitted cap=0,
-  // which does not re-parse).
+  // which does not re-parse).  A flash stream draws one sojourn per on/off
+  // toggle, so a mean of 1e-300 s needed ~1e298 toggles per window and the
+  // run never returned; means below 1 ms are out of range.
   std::string error;
   for (const char* spec : {
            "poisson:rate=5;admit=tail-drop;cap=4294967296",
            "poisson:rate=5;admit=tail-drop;cap=18446744073709551615",
            "poisson:rate=5;admit=tail-drop;cap=0",
            "poisson:rate=5;drain=4294967296",
+           "poisson:rate=5;flash:rate=5,on=1e-300,off=1e-300",
+           "poisson:rate=5;flash:rate=5,on=1e-4",
+           "poisson:rate=5;flash:rate=5,off=0.0009",
        }) {
     error.clear();
     EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
@@ -444,6 +455,73 @@ TEST(LatencyHistogram, UnderAndOverflowStayInTheCount) {
   EXPECT_EQ(h.overflow(), 1U);
   EXPECT_DOUBLE_EQ(h.quantile(0.0), LatencyHistogram::kLoSeconds);
   EXPECT_DOUBLE_EQ(h.quantile(1.0), LatencyHistogram::kHiSeconds);
+}
+
+/// The binning rule record() must reproduce, as first written: underflow
+/// (-1), overflow (kBucketCount) or floor(16 log10(x / kLoSeconds)).
+std::ptrdiff_t log10_oracle(double seconds) {
+  using H = LatencyHistogram;
+  if (!(seconds >= H::kLoSeconds)) return -1;
+  if (seconds >= H::kHiSeconds) return H::kBucketCount;
+  const double pos = std::log10(seconds / H::kLoSeconds) *
+                     static_cast<double>(H::kBucketsPerDecade);
+  return static_cast<std::ptrdiff_t>(
+      std::clamp(pos, 0.0, static_cast<double>(H::kBucketCount - 1)));
+}
+
+/// Where record() put a single value, in log10_oracle's encoding.
+std::ptrdiff_t recorded_bucket(double seconds) {
+  LatencyHistogram h;
+  h.record(seconds);
+  if (h.underflow() == 1) return -1;
+  if (h.overflow() == 1) return LatencyHistogram::kBucketCount;
+  for (std::size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+    if (h.bucket(i) == 1) return static_cast<std::ptrdiff_t>(i);
+  }
+  return -2;  // Counted nowhere.
+}
+
+TEST(LatencyHistogram, TableBinningMatchesLog10Formula) {
+  using H = LatencyHistogram;
+  std::size_t checked = 0;
+  const auto expect_same = [&checked](double x) {
+    ++checked;
+    const std::ptrdiff_t want = log10_oracle(x);
+    const std::ptrdiff_t got = recorded_bucket(x);
+    if (got != want) {
+      ADD_FAILURE() << "x=" << std::hexfloat << x << std::defaultfloat
+                    << " (" << x << "): bucket " << got << ", formula "
+                    << want;
+    }
+  };
+  // Every edge and the 64 representable values on each side of it.
+  for (std::size_t k = 0; k <= H::kBucketCount; ++k) {
+    const double edge = H::bucket_lower(k);
+    double up = edge;
+    double down = edge;
+    expect_same(edge);
+    for (int step = 0; step < 64; ++step) {
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, 0.0);
+      expect_same(up);
+      expect_same(down);
+    }
+  }
+  // Log-uniform over the range and one decade past each end.
+  common::Rng rng(2024);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_same(std::pow(10.0, rng.uniform(-5.0, 5.0)));
+  }
+  // The special values and the range ends.
+  for (const double x :
+       {0.0, std::numeric_limits<double>::denorm_min(), -1.0,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), H::kLoSeconds,
+        std::nextafter(H::kHiSeconds, 0.0), H::kHiSeconds}) {
+    expect_same(x);
+  }
+  EXPECT_EQ(checked, 129U * 129U + 1'000'000U + 9U);
 }
 
 TEST(LatencyHistogram, MergeEqualsUnionAndDigestTracksContent) {
