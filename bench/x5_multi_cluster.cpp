@@ -14,12 +14,12 @@
 // Flags: --tiny (CI smoke: fewer servers/intervals), --threads N (worker
 // count for the sweep sections; the determinism section always crosses
 // {1, 2, N}).
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cluster/fabric.h"
+#include "common/flags.h"
 #include "common/table.h"
 #include "experiment/scenario.h"
 #include "fault/injector.h"
@@ -68,17 +68,16 @@ std::vector<std::uint64_t> digest_run(std::size_t threads,
 
 int main(int argc, char** argv) {
   using namespace eclb;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tiny") == 0) {
-      g_tiny = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = static_cast<std::size_t>(std::stoul(argv[++i]));
-      if (g_threads == 0) g_threads = 1;
-    } else {
-      std::cerr << "usage: x5_multi_cluster [--tiny] [--threads N]\n";
-      return 2;
-    }
+  auto flags = common::Flags::parse(argc, argv);
+  g_tiny = flags.get_bool("tiny");
+  const long long wanted = flags.get_int("threads", 2);
+  for (const auto& err : flags.errors()) std::cerr << err << "\n";
+  if (!flags.errors().empty() || !flags.positional().empty() ||
+      !flags.unknown({"tiny", "threads"}).empty() || wanted < 0) {
+    std::cerr << "usage: x5_multi_cluster [--tiny] [--threads N]\n";
+    return 2;
   }
+  g_threads = wanted == 0 ? 1 : static_cast<std::size_t>(wanted);
 
   std::cout << "== X5: clustering for scalability (sharded fabric, "
             << g_threads << " worker thread" << (g_threads == 1 ? "" : "s")

@@ -190,9 +190,11 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
           });
     }
   }
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<common::ThreadPool>(config_.threads);
-  }
+  // parallel_for never runs more tasks than shards, so more workers would
+  // only sit idle.
+  const std::size_t workers =
+      std::min(common::ThreadPool::resolve(config_.threads), shards_.size());
+  if (workers > 1) pool_ = std::make_unique<common::ThreadPool>(workers);
 }
 
 Fabric::~Fabric() {

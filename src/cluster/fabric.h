@@ -54,7 +54,8 @@ struct FabricConfig {
   bool inter_cluster_overflow{true};
   /// Worker threads stepping the shards; 1 = step inline on the calling
   /// thread, 0 = hardware concurrency.  Any value replays bit-identically.
-  /// Ignored with one shard, which always steps inline.
+  /// The pool never holds more workers than shards, so one shard always
+  /// steps inline.
   std::size_t threads{1};
 };
 
@@ -156,7 +157,8 @@ class Fabric {
   /// Total servers across the fabric.
   [[nodiscard]] std::size_t total_servers() const;
   /// Worker threads the parallel phase actually uses: config threads with 0
-  /// resolved to hardware concurrency, 1 when stepping inline.  Benchmarks
+  /// resolved to hardware concurrency, capped at the shard count; 1 when
+  /// stepping inline.  Benchmarks
   /// report this per row so cross-machine comparisons are honest.
   [[nodiscard]] std::size_t resolved_threads() const {
     return pool_ != nullptr ? pool_->size() : 1;
@@ -209,8 +211,8 @@ class Fabric {
   /// own worker, so the phase is race-free without locks; the barrier drains
   /// them all.
   std::vector<std::vector<OverflowRequest>> outboxes_;
-  /// Workers for the parallel phase; null when config_.threads == 1 or the
-  /// fabric has one shard (the shards then step inline, which must produce
+  /// Workers for the parallel phase, min(resolved threads, shards) of them;
+  /// null when that is 1 (the shards then step inline, which must produce
   /// identical results -- the pool is an execution detail, never a semantic
   /// one).
   std::unique_ptr<common::ThreadPool> pool_;

@@ -1,22 +1,11 @@
 #include "common/flags.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+
+#include "common/spec_reader.h"
 
 namespace eclb::common {
-
-namespace {
-
-/// True when `s` parses entirely as a number -- the one case a "-"-leading
-/// token is a value ("-5", "-0.25", "-1e-3") rather than an option.
-bool looks_like_number(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  (void)std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
-}
-
-}  // namespace
 
 Flags Flags::parse(int argc, const char* const* argv) {
   Flags flags;
@@ -36,11 +25,13 @@ Flags Flags::parse(int argc, const char* const* argv) {
     // Peek at the next token for a space-separated value.  Option-like
     // tokens (leading "-" and not a number) are NOT swallowed, so
     // `--verbose --out x` leaves --verbose valueless while
-    // `--threshold -5` still takes its negative value.
+    // `--threshold -5` still takes its negative value ("-inf" too, so
+    // get_double() reports it instead of it turning positional).
     if (i + 1 < argc) {
       const std::string next = argv[i + 1];
+      double number = 0.0;
       const bool option_like =
-          next.rfind("-", 0) == 0 && !looks_like_number(next);
+          next.rfind("-", 0) == 0 && !scan_double(next, &number);
       if (!option_like) {
         flags.values_[body] = next;
         ++i;
@@ -62,34 +53,25 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
   return *it->second;  // an explicit empty value ("--out=") passes through
 }
 
-long long Flags::get_int(const std::string& name, long long fallback) {
+template <class T>
+T Flags::read(const std::string& name, T fallback, const char* what) {
   auto it = values_.find(name);
   if (it == values_.end() || !it->second.has_value() || it->second->empty()) {
     return fallback;
   }
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second->c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    errors_.push_back("--" + name + ": expected an integer, got '" +
-                      *it->second + "'");
-    return fallback;
-  }
-  return v;
+  T v{};
+  if (read_number(*it->second, &v)) return v;
+  errors_.push_back("--" + name + ": expected " + what + ", got '" +
+                    *it->second + "'");
+  return fallback;
+}
+
+long long Flags::get_int(const std::string& name, long long fallback) {
+  return read<std::int64_t>(name, fallback, "a 64-bit integer");
 }
 
 double Flags::get_double(const std::string& name, double fallback) {
-  auto it = values_.find(name);
-  if (it == values_.end() || !it->second.has_value() || it->second->empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(it->second->c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    errors_.push_back("--" + name + ": expected a number, got '" + *it->second +
-                      "'");
-    return fallback;
-  }
-  return v;
+  return read(name, fallback, "a finite number");
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {

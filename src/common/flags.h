@@ -32,11 +32,12 @@ class Flags {
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback = "") const;
 
-  /// Integer value; `fallback` when absent; nullopt stored parse errors are
-  /// reported through errors().
+  /// Integer value; `fallback` when absent or valueless.  A value that is
+  /// not a whole integer, or lies outside the 64-bit range, returns
+  /// `fallback` and is reported through errors().
   [[nodiscard]] long long get_int(const std::string& name, long long fallback);
 
-  /// Floating-point value.
+  /// Floating-point value, read like get_int(); `inf` and `nan` are errors.
   [[nodiscard]] double get_double(const std::string& name, double fallback);
 
   /// Boolean: present without value or with value in {1,true,yes,on}.
@@ -65,6 +66,11 @@ class Flags {
   std::unordered_map<std::string, std::optional<std::string>> values_;
   std::vector<std::string> positional_;
   std::vector<std::string> errors_;
+
+  /// The value of `name` through common::read_number; `fallback` when it is
+  /// absent or empty, or malformed (recorded in errors_ as "expected what").
+  template <class T>
+  T read(const std::string& name, T fallback, const char* what);
 };
 
 }  // namespace eclb::common

@@ -21,9 +21,12 @@ namespace eclb::common {
 /// back through futures.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (at least 1).
+  /// Spawns resolve(threads) workers.
   explicit ThreadPool(std::size_t threads = 0);
+
+  /// `threads`, with 0 meaning std::thread::hardware_concurrency() (at
+  /// least 1).
+  [[nodiscard]] static std::size_t resolve(std::size_t threads);
 
   /// Drains the queue and joins all workers.
   ~ThreadPool();

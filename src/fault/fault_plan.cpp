@@ -1,11 +1,10 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/spec_reader.h"
 
 namespace eclb::fault {
 
@@ -18,89 +17,47 @@ constexpr std::string_view kKindGrammar =
 constexpr std::string_view kParamGrammar =
     "seed=N, hb=SECS, miss=N, retries=N, backoff=SECS, cap=SECS";
 
-void set_error(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-}
-
-std::string at_offset(std::size_t offset) {
-  return " at offset " + std::to_string(offset);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-bool parse_double(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Splits `item` into comma-separated `key=value` arguments.  `offset` is
-/// the item's byte offset in the full spec (for diagnostics).
-bool parse_args(std::string_view args, std::string_view item, std::size_t offset,
-                std::vector<std::pair<std::string_view, std::string_view>>* out,
-                std::string* error) {
-  while (!args.empty()) {
-    const std::size_t comma = args.find(',');
-    const std::string_view part = trim(args.substr(0, comma));
-    args = comma == std::string_view::npos ? std::string_view{}
-                                           : args.substr(comma + 1);
-    const std::size_t eq = part.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      set_error(error, "faults: expected key=value in '" + std::string(item) +
-                           "'" + at_offset(offset));
-      return false;
-    }
-    out->emplace_back(trim(part.substr(0, eq)), trim(part.substr(eq + 1)));
+/// Appends the run LO-HI to `group`, extending its last run when LO follows
+/// it directly, so `0-4+5-9` and the ids 0..9 store (and print) as `0-9`.
+void add_run(std::vector<ServerRange>* group, std::uint64_t lo,
+             std::uint64_t hi) {
+  if (!group->empty() && group->back().hi.index() + 1 == lo) {
+    group->back().hi = common::ServerId{hi};
+  } else {
+    group->push_back({common::ServerId{lo}, common::ServerId{hi}});
   }
-  return true;
+}
+
+/// Reads a server id: an integer below ServerId::kInvalid.
+bool read_server(std::string_view text, std::uint64_t* out) {
+  return common::read_number(text, out) && *out < common::ServerId::kInvalid;
 }
 
 /// Parses a partition group spec: `|`-separated groups of `+`-separated
-/// members, each a server ID or an inclusive range LO-HI.
+/// members, each a server ID or an inclusive range LO-HI.  Ranges are kept
+/// as runs: a group's size is never the cost of reading it.
 bool parse_groups(std::string_view text,
-                  std::vector<std::vector<common::ServerId>>* out) {
+                  std::vector<std::vector<ServerRange>>* out) {
   while (true) {
     const std::size_t bar = text.find('|');
-    std::string_view group_text = trim(text.substr(0, bar));
-    std::vector<common::ServerId> group;
+    std::string_view group_text = common::trim(text.substr(0, bar));
+    std::vector<ServerRange> group;
     while (!group_text.empty()) {
       const std::size_t plus = group_text.find('+');
-      const std::string_view member = trim(group_text.substr(0, plus));
+      const std::string_view member = group_text.substr(0, plus);
       group_text = plus == std::string_view::npos
                        ? std::string_view{}
                        : group_text.substr(plus + 1);
       const std::size_t dash = member.find('-');
       std::uint64_t lo = 0;
       std::uint64_t hi = 0;
+      if (!read_server(member.substr(0, dash), &lo)) return false;
       if (dash == std::string_view::npos) {
-        if (!parse_u64(member, &lo)) return false;
         hi = lo;
-      } else {
-        if (!parse_u64(trim(member.substr(0, dash)), &lo) ||
-            !parse_u64(trim(member.substr(dash + 1)), &hi) || hi < lo) {
-          return false;
-        }
+      } else if (!read_server(member.substr(dash + 1), &hi) || hi < lo) {
+        return false;
       }
-      for (std::uint64_t id = lo; id <= hi; ++id) {
-        group.push_back(common::ServerId{id});
-      }
+      add_run(&group, lo, hi);
     }
     if (group.empty()) return false;
     out->push_back(std::move(group));
@@ -108,34 +65,53 @@ bool parse_groups(std::string_view text,
     text = text.substr(bar + 1);
   }
   if (out->size() < 2) return false;
-  // Disjointness: no server may sit in two groups.
-  std::vector<std::uint64_t> all;
-  for (const auto& g : *out) {
-    for (const auto id : g) all.push_back(id.index());
+  // Disjointness: no server may sit in two groups (nor twice in one).
+  std::vector<ServerRange> all;
+  for (const auto& g : *out) all.insert(all.end(), g.begin(), g.end());
+  const auto by_lo = [](const ServerRange& a, const ServerRange& b) {
+    return a.lo < b.lo;
+  };
+  std::sort(all.begin(), all.end(), by_lo);
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    if (all[i].lo <= all[i - 1].hi) return false;
   }
-  std::sort(all.begin(), all.end());
-  return std::adjacent_find(all.begin(), all.end()) == all.end();
+  return true;
 }
 
-void append_members(std::ostringstream& out,
-                    const std::vector<common::ServerId>& group) {
-  // Consecutive ascending runs compress to LO-HI.
-  bool first = true;
-  std::size_t i = 0;
-  while (i < group.size()) {
-    std::size_t j = i;
-    while (j + 1 < group.size() &&
-           group[j + 1].index() == group[j].index() + 1) {
-      ++j;
+/// Appends `e` in the flag syntax (`kind@T[:k=v,...]`).
+void append_event(std::ostringstream& out, const FaultEvent& e) {
+  using common::format_number;
+  out << to_string(e.kind) << '@' << format_number(e.at.value);
+  switch (e.kind) {
+    case FaultKind::kServerCrash:
+    case FaultKind::kServerRecover:
+      out << ":s=" << e.server.index();
+      break;
+    case FaultKind::kLeaderCrash: break;
+    case FaultKind::kLinkLoss:
+    case FaultKind::kMigrationFailureRate:
+      out << ":p=" << format_number(e.value);
+      break;
+    case FaultKind::kLinkDelay:
+      out << ":d=" << format_number(e.value);
+      break;
+    case FaultKind::kCapacityDerate:
+      out << ":s=" << e.server.index() << ",c=" << format_number(e.value);
+      break;
+    case FaultKind::kPartitionStart: {
+      out << ":g=";
+      for (std::size_t g = 0; g < e.groups.size(); ++g) {
+        if (g > 0) out << '|';
+        for (std::size_t r = 0; r < e.groups[g].size(); ++r) {
+          const ServerRange& run = e.groups[g][r];
+          if (r > 0) out << '+';
+          out << run.lo.index();
+          if (run.hi != run.lo) out << '-' << run.hi.index();
+        }
+      }
+      break;
     }
-    if (!first) out << '+';
-    first = false;
-    if (j == i) {
-      out << group[i].index();
-    } else {
-      out << group[i].index() << '-' << group[j].index();
-    }
-    i = j + 1;
+    case FaultKind::kPartitionHeal: break;
   }
 }
 
@@ -195,12 +171,17 @@ FaultPlan& FaultPlan::derate(common::Seconds at, common::ServerId server,
 }
 
 FaultPlan& FaultPlan::partition(
-    common::Seconds at, std::vector<std::vector<common::ServerId>> groups,
+    common::Seconds at,
+    const std::vector<std::vector<common::ServerId>>& groups,
     common::Seconds heal_at) {
   ECLB_ASSERT(groups.size() >= 2, "FaultPlan: a partition needs >= 2 groups");
   ECLB_ASSERT(heal_at.value > at.value, "FaultPlan: heal must follow the split");
-  events_.push_back({FaultKind::kPartitionStart, at, common::ServerId{}, 0.0,
-                     std::move(groups)});
+  FaultEvent split{FaultKind::kPartitionStart, at, common::ServerId{}, 0.0, {}};
+  for (const auto& members : groups) {
+    auto& runs = split.groups.emplace_back();
+    for (const auto id : members) add_run(&runs, id.index(), id.index());
+  }
+  events_.push_back(std::move(split));
   return heal(heal_at);
 }
 
@@ -212,100 +193,86 @@ FaultPlan& FaultPlan::heal(common::Seconds at) {
 std::optional<FaultPlan> FaultPlan::parse(std::string_view spec,
                                           std::string* error) {
   FaultPlan plan;
-  const std::string_view full = spec;
-  std::size_t cursor = 0;
-  while (cursor < full.size()) {
-    std::size_t semi = full.find(';', cursor);
-    if (semi == std::string_view::npos) semi = full.size();
-    const std::string_view raw = full.substr(cursor, semi - cursor);
-    std::size_t lead = 0;
-    while (lead < raw.size() && (raw[lead] == ' ' || raw[lead] == '\t')) ++lead;
-    const std::size_t offset = cursor + lead;  // Item start in the full spec.
-    const std::string_view item = trim(raw);
-    cursor = semi + 1;
-    if (item.empty()) continue;
-
-    const std::size_t at_pos = item.find('@');
+  common::SpecReader reader("faults", spec, error);
+  common::SpecItem item;
+  while (reader.next(&item)) {
+    const std::size_t at_pos = item.text.find('@');
     if (at_pos == std::string_view::npos) {
       // Plan parameter: key=value.
-      const std::size_t eq = item.find('=');
+      const std::size_t eq = item.text.find('=');
       if (eq == std::string_view::npos || eq == 0) {
-        set_error(error, "faults: unrecognized item '" + std::string(item) +
-                             "'" + at_offset(offset) +
-                             "; expected kind@TIME[:k=v,...] or one of " +
-                             std::string(kParamGrammar));
+        reader.fail(item, "unrecognized item",
+                    "expected kind@TIME[:k=v,...] or one of " +
+                        std::string(kParamGrammar));
         return std::nullopt;
       }
-      const std::string_view key = trim(item.substr(0, eq));
-      const std::string_view value = trim(item.substr(eq + 1));
+      const std::string_view key = common::trim(item.text.substr(0, eq));
+      const std::string_view value = item.text.substr(eq + 1);
       double d = 0.0;
       std::uint64_t n = 0;
-      if (key == "seed" && parse_u64(value, &n)) {
+      if (key == "seed" && common::read_number(value, &n)) {
         plan.seed_ = n;
-      } else if (key == "hb" && parse_double(value, &d) && d >= 0.0) {
+      } else if (key == "hb" && common::read_number(value, &d) && d >= 0.0) {
         plan.params_.heartbeat_period = common::Seconds{d};
-      } else if (key == "miss" && parse_u64(value, &n) && n >= 1) {
+      } else if (key == "miss" && common::read_number(value, &n) && n >= 1) {
         plan.params_.failover_after_missed = static_cast<std::size_t>(n);
-      } else if (key == "retries" && parse_u64(value, &n)) {
+      } else if (key == "retries" && common::read_number(value, &n)) {
         plan.params_.max_retries = static_cast<std::size_t>(n);
-      } else if (key == "backoff" && parse_double(value, &d) && d > 0.0) {
+      } else if (key == "backoff" && common::read_number(value, &d) &&
+                 d > 0.0) {
         plan.params_.retry_backoff_base = common::Seconds{d};
-      } else if (key == "cap" && parse_double(value, &d) && d > 0.0) {
+      } else if (key == "cap" && common::read_number(value, &d) && d > 0.0) {
         plan.params_.retry_backoff_cap = common::Seconds{d};
       } else {
-        set_error(error, "faults: bad parameter '" + std::string(item) + "'" +
-                             at_offset(offset) + "; expected one of " +
-                             std::string(kParamGrammar));
+        reader.fail(item, "bad parameter",
+                    "expected one of " + std::string(kParamGrammar));
         return std::nullopt;
       }
       continue;
     }
 
     // Fault item: kind@TIME[:k=v,...]
-    const std::string_view kind = trim(item.substr(0, at_pos));
-    std::string_view rest = item.substr(at_pos + 1);
+    const std::string_view kind = common::trim(item.text.substr(0, at_pos));
+    const std::string_view rest = item.text.substr(at_pos + 1);
     const std::size_t colon = rest.find(':');
-    const std::string_view time_text = trim(rest.substr(0, colon));
-    const std::string_view arg_text =
-        colon == std::string_view::npos ? std::string_view{}
-                                        : rest.substr(colon + 1);
     double at = 0.0;
-    if (!parse_double(time_text, &at) || at < 0.0) {
-      set_error(error, "faults: bad time in '" + std::string(item) + "'" +
-                           at_offset(offset) +
-                           "; expected kind@TIME with TIME >= 0 seconds");
+    if (!common::read_number(rest.substr(0, colon), &at) || at < 0.0) {
+      reader.fail(item, "bad time in",
+                  "expected kind@TIME with TIME >= 0 seconds");
       return std::nullopt;
     }
-    std::vector<std::pair<std::string_view, std::string_view>> args;
-    if (!parse_args(arg_text, item, offset, &args, error)) return std::nullopt;
+    common::SpecArgs args;
+    if (colon != std::string_view::npos &&
+        !reader.split_args(rest.substr(colon + 1), item, &args)) {
+      return std::nullopt;
+    }
 
     std::optional<common::ServerId> server;
     std::optional<double> probability;
     std::optional<double> delay;
     std::optional<double> capacity;
     std::optional<double> heal_at;
-    std::vector<std::vector<common::ServerId>> groups;
+    std::vector<std::vector<ServerRange>> groups;
     for (const auto& [key, value] : args) {
       double d = 0.0;
       std::uint64_t n = 0;
-      if (key == "s" && parse_u64(value, &n)) {
+      const bool number = common::read_number(value, &d);
+      if (key == "s" && read_server(value, &n)) {
         server = common::ServerId{n};
-      } else if (key == "p" && parse_double(value, &d) && d >= 0.0 && d <= 1.0) {
+      } else if (key == "p" && number && d >= 0.0 && d <= 1.0) {
         probability = d;
-      } else if (key == "d" && parse_double(value, &d) && d >= 0.0) {
+      } else if (key == "d" && number && d >= 0.0) {
         delay = d;
-      } else if (key == "c" && parse_double(value, &d) && d > 0.0 && d <= 1.0) {
+      } else if (key == "c" && number && d > 0.0 && d <= 1.0) {
         capacity = d;
       } else if (key == "g" && parse_groups(value, &groups)) {
         // Parsed in place; validity checked by parse_groups.
-      } else if (key == "heal" && parse_double(value, &d) && d > at) {
+      } else if (key == "heal" && number && d > at) {
         heal_at = d;
       } else {
-        set_error(error,
-                  "faults: bad argument '" + std::string(key) + "' in '" +
-                      std::string(item) + "'" + at_offset(offset) +
-                      "; expected s=ID, p=PROB, d=SECS, c=CAP, "
-                      "g=GROUPS (e.g. g=0-4|5-9) or heal=T2 > T");
+        reader.fail(item, "bad argument '" + std::string(key) + "' in",
+                    "expected s=ID, p=PROB, d=SECS, c=CAP, g=GROUPS "
+                    "(e.g. g=0-4|5-9) or heal=T2 > T");
         return std::nullopt;
       }
     }
@@ -326,68 +293,60 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec,
     } else if (kind == "derate" && server.has_value() && capacity.has_value()) {
       plan.derate(when, *server, *capacity);
     } else if (kind == "part" && !groups.empty()) {
-      if (heal_at.has_value()) {
-        plan.partition(when, std::move(groups), common::Seconds{*heal_at});
-      } else {
-        plan.events_.push_back({FaultKind::kPartitionStart, when,
-                                common::ServerId{}, 0.0, std::move(groups)});
-      }
+      plan.events_.push_back({FaultKind::kPartitionStart, when,
+                              common::ServerId{}, 0.0, std::move(groups)});
+      if (heal_at.has_value()) plan.heal(common::Seconds{*heal_at});
     } else if (kind == "heal" && args.empty()) {
       plan.heal(when);
     } else {
-      set_error(error,
-                "faults: unrecognized or incomplete item '" + std::string(item) +
-                    "'" + at_offset(offset) + "; expected one of " +
-                    std::string(kKindGrammar) + " (see --help for the grammar)");
+      reader.fail(item, "unrecognized or incomplete item",
+                  "expected one of " + std::string(kKindGrammar) +
+                      " (see --help for the grammar)");
       return std::nullopt;
     }
   }
   return plan;
 }
 
+bool FaultPlan::check_servers(std::size_t servers, std::string* error) const {
+  for (const FaultEvent& e : events_) {
+    std::size_t highest = e.server.valid() ? e.server.index() : 0;
+    for (const auto& group : e.groups) {
+      for (const ServerRange& run : group) {
+        highest = std::max(highest, run.hi.index());
+      }
+    }
+    if (highest < servers) continue;
+    std::ostringstream item;
+    append_event(item, e);
+    if (error != nullptr) {
+      *error = "faults: server " + std::to_string(highest) +
+               " out of range in '" + item.str() + "'; expected ids below " +
+               std::to_string(servers) + ", the servers per shard";
+    }
+    return false;
+  }
+  return true;
+}
+
 std::string FaultPlan::to_spec() const {
+  using common::format_number;
   std::ostringstream out;
-  out << "seed=" << seed_ << ";hb=" << params_.heartbeat_period.value
+  out << "seed=" << seed_
+      << ";hb=" << format_number(params_.heartbeat_period.value)
       << ";miss=" << params_.failover_after_missed;
   if (params_.max_retries.has_value()) {
     out << ";retries=" << *params_.max_retries;
   }
   if (params_.retry_backoff_base.has_value()) {
-    out << ";backoff=" << params_.retry_backoff_base->value;
+    out << ";backoff=" << format_number(params_.retry_backoff_base->value);
   }
   if (params_.retry_backoff_cap.has_value()) {
-    out << ";cap=" << params_.retry_backoff_cap->value;
+    out << ";cap=" << format_number(params_.retry_backoff_cap->value);
   }
   for (const auto& e : events_) {
-    out << ';' << to_string(e.kind) << '@' << e.at.value;
-    switch (e.kind) {
-      case FaultKind::kServerCrash:
-      case FaultKind::kServerRecover:
-        out << ":s=" << e.server.index();
-        break;
-      case FaultKind::kLeaderCrash: break;
-      case FaultKind::kLinkLoss:
-      case FaultKind::kMigrationFailureRate:
-        out << ":p=" << e.value;
-        break;
-      case FaultKind::kLinkDelay:
-        out << ":d=" << e.value;
-        break;
-      case FaultKind::kCapacityDerate:
-        out << ":s=" << e.server.index() << ",c=" << e.value;
-        break;
-      case FaultKind::kPartitionStart: {
-        out << ":g=";
-        bool first_group = true;
-        for (const auto& g : e.groups) {
-          if (!first_group) out << '|';
-          first_group = false;
-          append_members(out, g);
-        }
-        break;
-      }
-      case FaultKind::kPartitionHeal: break;
-    }
+    out << ';';
+    append_event(out, e);
   }
   return out.str();
 }

@@ -40,6 +40,14 @@ enum class FaultKind : std::uint8_t {
 /// Display name of a fault kind (stable; part of the flag syntax).
 [[nodiscard]] std::string_view to_string(FaultKind k);
 
+/// An inclusive run of server ids: `LO-HI` in the flag syntax, `ID` when
+/// LO == HI.
+struct ServerRange {
+  common::ServerId lo{};
+  common::ServerId hi{};
+  friend bool operator==(const ServerRange&, const ServerRange&) = default;
+};
+
 /// One scheduled fault.
 struct FaultEvent {
   FaultKind kind{FaultKind::kServerCrash};
@@ -47,8 +55,10 @@ struct FaultEvent {
   common::ServerId server{};   ///< Target server, for the per-server kinds.
   double value{0.0};           ///< Probability / delay / capacity, per kind.
   /// Partition sides (kPartitionStart only): groups[g] lists group g's
-  /// members; servers not listed in any group join group 0.
-  std::vector<std::vector<common::ServerId>> groups{};
+  /// members as id runs, never expanded before the injector compiles them
+  /// against the cluster's size; servers not listed in any group join
+  /// group 0.
+  std::vector<std::vector<ServerRange>> groups{};
 };
 
 /// Hardened-protocol parameters a plan carries (heartbeat cadence, failover
@@ -89,8 +99,9 @@ class FaultPlan {
   FaultPlan& derate(common::Seconds at, common::ServerId server, double capacity);
   /// From `at` until `heal_at`, splits the fabric into `groups` (at least
   /// two disjoint server sets; servers listed nowhere join group 0).
+  /// Consecutive ascending ids are stored as one run.
   FaultPlan& partition(common::Seconds at,
-                       std::vector<std::vector<common::ServerId>> groups,
+                       const std::vector<std::vector<common::ServerId>>& groups,
                        common::Seconds heal_at);
   /// Heals whatever partition is in force at `at` (no-op when whole).
   FaultPlan& heal(common::Seconds at);
@@ -133,11 +144,20 @@ class FaultPlan {
   ///   seed=N  hb=SECS  miss=N  retries=N  backoff=SECS  cap=SECS
   ///                     (plan parameters)
   ///
-  /// Returns nullopt on a malformed spec and, when `error` is non-null,
-  /// stores a human-readable description of the first problem including the
-  /// byte offset of the offending token and the grammar expected there.
+  /// Times and values are finite numbers; server ids are below
+  /// ServerId::kInvalid.  Returns nullopt on a malformed spec and, when
+  /// `error` is non-null, stores a human-readable description of the first
+  /// problem including the byte offset of the offending token and the
+  /// grammar expected there.
   [[nodiscard]] static std::optional<FaultPlan> parse(std::string_view spec,
                                                       std::string* error = nullptr);
+
+  /// True when every server the plan names -- crash, recover and derate
+  /// targets and partition members -- is below `servers`, the size of the
+  /// cluster (or of each fabric shard) it will run on.  Otherwise stores a
+  /// diagnostic naming the first offending item in `error` (may be null).
+  [[nodiscard]] bool check_servers(std::size_t servers,
+                                   std::string* error = nullptr) const;
 
   /// Serializes back into the flag syntax (parse(to_spec()) round-trips).
   [[nodiscard]] std::string to_spec() const;

@@ -49,13 +49,17 @@ void FaultInjector::apply(const FaultEvent& event) {
       cluster_.derate_server(event.server, event.value);
       break;
     case FaultKind::kPartitionStart: {
-      // Compile the event's member lists into the per-server group map the
-      // cluster and the link table share; unlisted servers join group 0.
+      // Compile the event's id runs into the per-server group map the
+      // cluster and the link table share; unlisted servers join group 0, and
+      // a run is never walked past the cluster's last server.
       std::vector<std::int32_t> group_of(cluster_.size(), 0);
       for (std::size_t g = 0; g < event.groups.size(); ++g) {
-        for (const auto id : event.groups[g]) {
-          if (!id.valid() || id.index() >= cluster_.size()) continue;
-          group_of[id.index()] = static_cast<std::int32_t>(g);
+        for (const ServerRange& run : event.groups[g]) {
+          const std::size_t end =
+              std::min(run.hi.index() + 1, group_of.size());
+          for (std::size_t id = run.lo.index(); id < end; ++id) {
+            group_of[id] = static_cast<std::int32_t>(g);
+          }
         }
       }
       const std::int32_t quorum = cluster_.begin_partition(group_of);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 
+#include "common/spec_reader.h"
 #include "obs/counters.h"
 
 namespace eclb::obs {
@@ -242,27 +243,13 @@ std::optional<std::size_t> size_value(std::string_view line,
   return static_cast<std::size_t>(*v);
 }
 
-/// The enumerator among the first `count` of `E` whose display name is
-/// `name`; nullopt when none is.
-template <class E>
-std::optional<E> parse_name(std::string_view name, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto k = static_cast<E>(i);
-    if (name == cluster::to_string(k)) return k;
-  }
-  return std::nullopt;
-}
-
 /// Reads the optional name field `key` into `out`; false when the field is
 /// present but names none of the first `count` enumerators of `E`.
 template <class E>
 bool name_field(std::string_view line, std::string_view key, std::size_t count,
                 E& out) {
   const auto name = string_value(line, key);
-  if (!name.has_value()) return true;
-  const auto v = parse_name<E>(*name, count);
-  if (v.has_value()) out = *v;
-  return v.has_value();
+  return !name.has_value() || common::read_name(*name, count, &out);
 }
 
 constexpr std::size_t kDecisionKindCount =
@@ -274,10 +261,10 @@ std::optional<TraceRecord> parse_event(std::string_view line, TraceRecord rec) {
   rec.type = TraceRecord::Type::kEvent;
   const auto kind_name = string_value(line, "kind");
   if (!kind_name.has_value()) return std::nullopt;
-  const auto kind = parse_name<cluster::ProtocolEvent::Kind>(
-      *kind_name, cluster::kProtocolEventKindCount);
-  if (!kind.has_value()) return std::nullopt;
-  rec.event.kind = *kind;
+  if (!common::read_name(*kind_name, cluster::kProtocolEventKindCount,
+                         &rec.event.kind)) {
+    return std::nullopt;
+  }
   rec.event.interval = rec.interval;
   if (const auto server = size_value(line, "server"); server.has_value()) {
     rec.event.server = common::ServerId{*server};

@@ -16,19 +16,6 @@ std::string_view to_string(ServiceKind kind) {
   return "?";
 }
 
-bool parse_service_kind(std::string_view name, ServiceKind* out) {
-  if (name == "exp") {
-    *out = ServiceKind::kExponential;
-  } else if (name == "lognormal") {
-    *out = ServiceKind::kLognormal;
-  } else if (name == "pareto") {
-    *out = ServiceKind::kPareto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 ServiceSampler::ServiceSampler(const ServiceModel& model) : model_(model) {
   ECLB_ASSERT(model_.mean > 0.0, "service model: mean must be > 0");
   ECLB_ASSERT(model_.sigma > 0.0, "service model: sigma must be > 0");

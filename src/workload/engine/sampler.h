@@ -24,8 +24,6 @@ enum class ServiceKind : std::uint8_t {
 
 /// Display name ("exp" / "lognormal" / "pareto").
 [[nodiscard]] std::string_view to_string(ServiceKind kind);
-/// Parses a display name; false on unknown.
-[[nodiscard]] bool parse_service_kind(std::string_view name, ServiceKind* out);
 
 /// One stream's service-time law.
 struct ServiceModel {

@@ -1,16 +1,18 @@
 // The `--requests` flag grammar: a compact spec for request workloads.
 //
-// Mirrors the fault-plan spec (fault/fault_plan.h): semicolon-separated
-// items, each a stream `kind:key=value,...` or a bare global `key=value`
-// parameter, parsed with byte-offset diagnostics and an expected-grammar
-// hint -- never an ad-hoc parse error.  parse(to_spec()) round-trips.
+// Read like the fault-plan spec (fault/fault_plan.h), through the shared
+// common/spec_reader: semicolon-separated items, each a stream
+// `kind:key=value,...` or a bare global `key=value` parameter, with
+// byte-offset diagnostics and an expected-grammar hint.  Every number must
+// be finite.  parse(to_spec()) round-trips.
 //
 //   --requests "poisson:rate=200,mean=0.2;flash:rate=50,burst=8;seed=7"
 //
 // Stream items:
 //   poisson:rate=R                        homogeneous Poisson arrivals
 //   diurnal:rate=R[,amp=A,period=S]       sinusoidal day/night swing
-//   flash:rate=R[,burst=M,on=S,off=S]     MMPP-2 flash crowds
+//   flash:rate=R[,burst=M,on=S,off=S]     MMPP-2 flash crowds (1 <= M <=
+//                                         1000; on/off means >= 0.001 s)
 //   trace:file=PATH[,scale=F]             rate replayed from a trace stream
 // Per-stream options (any item): service=exp|lognormal|pareto, mean=S,
 //   sigma=F, alpha=F, sla=SECS.
@@ -44,10 +46,6 @@ enum class AdmissionPolicy : std::uint8_t {
 /// Display name ("none" / "tail-drop" / "deadline-shed").
 [[nodiscard]] std::string_view to_string(AdmissionPolicy policy);
 
-/// Parses a policy name; returns false on an unknown name.
-[[nodiscard]] bool parse_admission_policy(std::string_view name,
-                                          AdmissionPolicy* out);
-
 /// A parsed request workload: the streams plus the engine-level knobs.
 struct RequestWorkloadConfig {
   std::vector<StreamSpec> streams;
@@ -78,6 +76,17 @@ struct RequestWorkloadConfig {
   /// non-null, a diagnostic with the byte offset and expected grammar.
   [[nodiscard]] static std::optional<RequestWorkloadConfig> parse(
       std::string_view spec, std::string* error);
+
+  /// Sets one global parameter from its spec spelling: `seed`, `util`,
+  /// `admit`, `cap`, `budget` or `drain` -- the CLI's `--admission`,
+  /// `--admission-cap`, `--admission-budget` and `--drain-intervals` are
+  /// spellings of the last four.  `sla` is accepted only with `global_sla`,
+  /// which parse() applies to every stream without its own.  On an unknown
+  /// key or a bad value returns false and, when `expected` is non-null,
+  /// stores what the value should have been.
+  [[nodiscard]] bool set_global(std::string_view key, std::string_view value,
+                                std::string* expected,
+                                std::optional<double>* global_sla = nullptr);
 
   /// Serializes back into the flag syntax (parse(to_spec()) round-trips).
   [[nodiscard]] std::string to_spec() const;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
+
+#include "common/spec_reader.h"
 
 namespace eclb::workload::stream {
 
@@ -90,15 +92,14 @@ StreamStatus TraceStreamReader::decode_payload(std::uint32_t count,
     }
     return StreamStatus::kOk;
   }
-  // Text codec: one strtod-parseable decimal per '\n'-terminated line.
+  // Text codec: one finite decimal per '\n'-terminated line.
+  const std::string_view payload = payload_;
   std::size_t pos = 0;
-  while (pos < payload_.size()) {
-    const std::size_t nl = payload_.find('\n', pos);
-    if (nl == std::string::npos) return StreamStatus::kCorruptChunk;
-    const std::string line = payload_.substr(pos, nl - pos);
-    char* end = nullptr;
-    const double v = std::strtod(line.c_str(), &end);
-    if (line.empty() || end != line.c_str() + line.size()) {
+  while (pos < payload.size()) {
+    const std::size_t nl = payload.find('\n', pos);
+    double v = 0.0;
+    if (nl == std::string_view::npos ||
+        !common::read_number(payload.substr(pos, nl - pos), &v)) {
       return StreamStatus::kCorruptChunk;
     }
     out->push_back(v);

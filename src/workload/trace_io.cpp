@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/csv.h"
+#include "common/spec_reader.h"
 
 namespace eclb::workload {
 
@@ -33,19 +34,17 @@ std::optional<Trace> load_trace(std::istream& in) {
   std::vector<double> values;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto comma = line.find(',');
-    if (comma == std::string::npos) return std::nullopt;
-    try {
-      std::size_t used = 0;
-      const double t = std::stod(line.substr(0, comma), &used);
-      const double v = std::stod(line.substr(comma + 1));
-      (void)used;
-      if (v < 0.0 || !std::isfinite(t) || !std::isfinite(v)) return std::nullopt;
-      times.push_back(t);
-      values.push_back(v);
-    } catch (const std::exception&) {
+    const std::string_view row = line;
+    const auto comma = row.find(',');
+    double t = 0.0;
+    double v = 0.0;
+    if (comma == std::string_view::npos ||
+        !common::read_number(row.substr(0, comma), &t) ||
+        !common::read_number(row.substr(comma + 1), &v) || v < 0.0) {
       return std::nullopt;
     }
+    times.push_back(t);
+    values.push_back(v);
   }
   if (times.size() < 2) return std::nullopt;
 

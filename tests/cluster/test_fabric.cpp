@@ -242,6 +242,18 @@ TEST(Fabric, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(digest_run(8), baseline);
 }
 
+TEST(Fabric, PoolNeverOutnumbersShards) {
+  // parallel_for submits at most one task per shard, so the pool is sized
+  // at min(resolved threads, shards): extra workers would only sit idle.
+  EXPECT_EQ(Fabric(make_config(2, 0.3, 0.6, 8)).resolved_threads(), 2U);
+  EXPECT_EQ(Fabric(make_config(3, 0.3, 0.6, 2)).resolved_threads(), 2U);
+  EXPECT_EQ(Fabric(make_config(3, 0.3, 0.6, 1)).resolved_threads(), 1U);
+  const std::size_t hardware =
+      Fabric(make_config(2, 0.3, 0.6, 0)).resolved_threads();
+  EXPECT_GE(hardware, 1U);
+  EXPECT_LE(hardware, 2U);
+}
+
 TEST(Fabric, BitIdenticalAcrossRuns) {
   EXPECT_EQ(digest_run(2), digest_run(2));
 }

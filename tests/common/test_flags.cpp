@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace eclb::common {
 namespace {
 
@@ -152,6 +154,36 @@ TEST(Flags, SingleDashTokenIsNotSwallowed) {
   EXPECT_TRUE(f.get_bool("quick"));
   ASSERT_EQ(f.positional().size(), 1U);
   EXPECT_EQ(f.positional()[0], "-v");
+}
+
+TEST(Flags, NonFiniteDoublesAreErrors) {
+  // inf and nan are not values: --hours nan used to run out of memory.
+  for (const char* bad : {"inf", "nan", "1e309", "-inf"}) {
+    auto f = parse({"--x", bad});
+    EXPECT_TRUE(f.positional().empty()) << bad;  // "-inf" is a value too
+    EXPECT_DOUBLE_EQ(f.get_double("x", 7.0), 7.0) << bad;
+    ASSERT_EQ(f.errors().size(), 1U) << bad;
+    EXPECT_NE(f.errors()[0].find("--x: expected a finite number"),
+              std::string::npos)
+        << f.errors()[0];
+  }
+}
+
+TEST(Flags, OverflowingIntegersAreErrorsNotSaturated) {
+  auto f = parse({"--n", "9223372036854775808", "--m=-9223372036854775808"});
+  EXPECT_EQ(f.get_int("n", 9), 9);
+  ASSERT_EQ(f.errors().size(), 1U);
+  EXPECT_NE(f.errors()[0].find("--n: expected a 64-bit integer"),
+            std::string::npos);
+  EXPECT_EQ(f.get_int("m", 0), INT64_MIN);
+}
+
+TEST(Flags, NumbersTolerateBlanksAndASign) {
+  auto f = parse({"--n", " 7\r", "--m=+3", "--x", "\t2.5 "});
+  EXPECT_EQ(f.get_int("n", 0), 7);
+  EXPECT_EQ(f.get_int("m", 0), 3);
+  EXPECT_DOUBLE_EQ(f.get_double("x", 0.0), 2.5);
+  EXPECT_TRUE(f.errors().empty());
 }
 
 }  // namespace

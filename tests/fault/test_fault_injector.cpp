@@ -303,6 +303,23 @@ TEST(FaultInjector, PartitionEventSplitsFabricAndMembership) {
   EXPECT_EQ(c.self_audit(), std::nullopt);
 }
 
+TEST(FaultInjector, PartitionRunsStopAtTheClusterSize) {
+  // A parsed run may reach far past the cluster; compiling it walks only
+  // the cluster's own servers.
+  cluster::Cluster c(small_config(7));
+  const auto plan =
+      FaultPlan::parse("part@90:g=0-39|40-4294967294,heal=330");
+  ASSERT_TRUE(plan.has_value());
+  FaultInjector injector(c, *plan);
+  c.step();
+  c.step();  // t = 120: split since 90
+  ASSERT_TRUE(c.membership().partitioned());
+  EXPECT_EQ(c.membership().quorum(), 0);  // 40 live vs 10
+  EXPECT_TRUE(c.degraded(ServerId{45}));
+  EXPECT_FALSE(c.degraded(ServerId{5}));
+  EXPECT_EQ(injector.stats().partitions, 1U);
+}
+
 TEST(FaultInjector, PartitionRunIsBitReproducible) {
   auto run = [] {
     cluster::Cluster c(small_config(1001, 0.5, 0.7));

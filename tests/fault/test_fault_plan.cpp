@@ -116,13 +116,12 @@ TEST(FaultPlanParse, PartitionGrammar) {
   const auto& split = plan->events()[0];
   EXPECT_EQ(split.kind, FaultKind::kPartitionStart);
   EXPECT_DOUBLE_EQ(split.at.value, 100.0);
+  // Each range is kept as one run, never expanded by the parser.
   ASSERT_EQ(split.groups.size(), 2U);
-  ASSERT_EQ(split.groups[0].size(), 5U);
-  EXPECT_EQ(split.groups[0].front(), ServerId{0});
-  EXPECT_EQ(split.groups[0].back(), ServerId{4});
-  ASSERT_EQ(split.groups[1].size(), 5U);
-  EXPECT_EQ(split.groups[1].front(), ServerId{5});
-  EXPECT_EQ(split.groups[1].back(), ServerId{9});
+  EXPECT_EQ(split.groups[0],
+            (std::vector<ServerRange>{{ServerId{0}, ServerId{4}}}));
+  EXPECT_EQ(split.groups[1],
+            (std::vector<ServerRange>{{ServerId{5}, ServerId{9}}}));
   const auto& heal = plan->events()[1];
   EXPECT_EQ(heal.kind, FaultKind::kPartitionHeal);
   EXPECT_DOUBLE_EQ(heal.at.value, 300.0);
@@ -135,8 +134,11 @@ TEST(FaultPlanParse, PartitionMembersMixRangesAndSingles) {
   const auto& split = plan->events()[0];
   ASSERT_EQ(split.groups.size(), 2U);
   EXPECT_EQ(split.groups[0],
-            (std::vector<ServerId>{ServerId{0}, ServerId{2}, ServerId{3}}));
-  EXPECT_EQ(split.groups[1], (std::vector<ServerId>{ServerId{1}, ServerId{4}}));
+            (std::vector<ServerRange>{{ServerId{0}, ServerId{0}},
+                                      {ServerId{2}, ServerId{3}}}));
+  EXPECT_EQ(split.groups[1],
+            (std::vector<ServerRange>{{ServerId{1}, ServerId{1}},
+                                      {ServerId{4}, ServerId{4}}}));
   EXPECT_EQ(plan->events()[1].kind, FaultKind::kPartitionHeal);
 }
 
@@ -235,6 +237,80 @@ TEST(FaultPlanParse, RoundTripsThroughToSpec) {
     EXPECT_EQ(a.server, b.server) << i;
     EXPECT_DOUBLE_EQ(a.value, b.value) << i;
   }
+}
+
+TEST(FaultPlanParse, RejectsNonFiniteNumbersAndWrappingIds) {
+  // Times and values read through the shared finite-number rule; a NaN time
+  // used to pass `at < 0` and abort the run in the event kernel.  Server ids
+  // are 32-bit: 2^32 used to wrap to server 0, and 2^32-1 is the invalid id.
+  for (const char* spec : {
+           "crash@nan:s=1", "crash@inf:s=1", "crash@1e309:s=1",
+           "loss@0:p=nan", "delay@0:d=inf", "derate@0:s=1,c=nan",
+           "part@0:g=0|1,heal=inf", "hb=nan", "backoff=inf", "cap=-nan",
+           "seed=18446744073709551616", "retries=-1",
+           "crash@0:s=4294967295", "crash@0:s=4294967296",
+           "recover@0:s=18446744073709551616",
+           "part@0:g=0-4|5-4294967295", "part@0:g=0-4|4294967296",
+       }) {
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(spec, &error).has_value()) << spec;
+    EXPECT_EQ(error.rfind("faults: ", 0), 0U) << spec << " -> " << error;
+    EXPECT_NE(error.find("at offset 0"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(FaultPlan::parse("crash@0:s=4294967294").has_value());
+}
+
+TEST(FaultPlanParse, PartitionRangesAreNeverExpanded) {
+  // The widest legal split parses at once: two runs, not 2^32 ids.
+  const auto plan = FaultPlan::parse("part@0:g=0-4294967293|4294967294");
+  ASSERT_TRUE(plan.has_value());
+  const auto& split = plan->events()[0];
+  EXPECT_EQ(split.groups[0],
+            (std::vector<ServerRange>{{ServerId{0}, ServerId{4294967293}}}));
+  EXPECT_EQ(split.groups[1].size(), 1U);
+  // Duplicates inside one group still count as overlap.
+  EXPECT_FALSE(FaultPlan::parse("part@0:g=0+0|1").has_value());
+  EXPECT_FALSE(FaultPlan::parse("part@0:g=0-9|3-4294967294").has_value());
+}
+
+TEST(FaultPlan, CheckServersNamesTheFirstItemOutOfRange) {
+  const auto plan = FaultPlan::parse(
+      "crash@0:s=9; loss@0:p=0.5; recover@5:s=50; derate@9:s=99,c=0.5");
+  ASSERT_TRUE(plan.has_value());
+  std::string error;
+  EXPECT_FALSE(plan->check_servers(10, &error));
+  EXPECT_EQ(error,
+            "faults: server 50 out of range in 'recover@5:s=50'; expected ids "
+            "below 10, the servers per shard");
+  EXPECT_FALSE(plan->check_servers(51, &error));
+  EXPECT_NE(error.find("'derate@9:s=99,c=0.5'"), std::string::npos) << error;
+  EXPECT_TRUE(plan->check_servers(100, &error));
+  EXPECT_TRUE(plan->check_servers(100));
+
+  const auto part = FaultPlan::parse("part@0:g=0-4|5-1000000000");
+  ASSERT_TRUE(part.has_value());
+  EXPECT_FALSE(part->check_servers(10, &error));
+  EXPECT_NE(error.find("server 1000000000 out of range in "
+                       "'part@0:g=0-4|5-1000000000'"),
+            std::string::npos)
+      << error;
+  // Leader, link and heal items name no server.
+  EXPECT_TRUE(FaultPlan::parse("leader@5;loss@0:p=1;delay@0:d=1;heal@9")
+                  ->check_servers(1));
+}
+
+TEST(FaultPlanParse, ToSpecKeepsEveryDigit) {
+  // Six significant digits used to print heal=100.0000002 as 100, which no
+  // longer follows the split at 100.0000001 and does not re-parse.
+  const auto plan = FaultPlan::parse(
+      "crash@100.0000001:s=1; part@100.0000001:g=0|1,heal=100.0000002;"
+      "loss@0:p=0.99999999");
+  ASSERT_TRUE(plan.has_value());
+  const auto again = FaultPlan::parse(plan->to_spec());
+  ASSERT_TRUE(again.has_value()) << plan->to_spec();
+  EXPECT_EQ(again->to_spec(), plan->to_spec());
+  EXPECT_EQ(again->events()[2].at.value, 100.0000002);
+  EXPECT_EQ(again->events()[3].value, 0.99999999);
 }
 
 TEST(FaultPlanParse, LastParameterWins) {

@@ -9,7 +9,9 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/engine/latency.h"
@@ -125,6 +127,87 @@ TEST(RequestSpec, RejectsKnobsThatWouldWrapOrBeNan) {
         << spec;
     EXPECT_NE(error.find("bad parameter"), std::string::npos) << error;
   }
+}
+
+TEST(RequestSpec, RejectsNonFiniteNumbersAndHugeBursts) {
+  // burst=inf and 1e300 never finished a window (the thinning envelope is
+  // rate * burst in both phases), rate=inf exhausted memory and mean=inf
+  // printed an infinite backlog.
+  for (const char* spec : {
+           "poisson:rate=inf", "poisson:rate=nan", "poisson:rate=1e309",
+           "poisson:rate=10,mean=inf", "flash:rate=10,burst=inf",
+           "diurnal:rate=5,period=inf", "poisson:rate=5,sla=nan",
+           "poisson:rate=5,sigma=inf", "poisson:rate=5;util=nan",
+           "poisson:rate=5;sla=inf", "poisson:rate=5;seed=18446744073709551616",
+       }) {
+    std::string error;
+    EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec;
+    EXPECT_EQ(error.rfind("requests: ", 0), 0U) << error;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << error;
+  }
+  for (const char* spec : {"flash:rate=10,burst=1e300",
+                           "flash:rate=10,burst=1000.5",
+                           "flash:rate=10,burst=0.5"}) {
+    std::string error;
+    EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec;
+    EXPECT_NE(error.find("burst out of range"), std::string::npos) << error;
+    EXPECT_NE(error.find("[1, 1000]"), std::string::npos) << error;
+  }
+  std::string error;
+  const auto widest =
+      RequestWorkloadConfig::parse("flash:rate=10,burst=1000", &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_DOUBLE_EQ(widest->streams[0].burst, 1000.0);
+}
+
+TEST(RequestSpec, SetGlobalIsTheOneCheckOfTheFlagSpellings) {
+  // eclb_cli's --admission, --admission-cap, --admission-budget and
+  // --drain-intervals go through set_global, exactly like the spec keys.
+  RequestWorkloadConfig cfg;
+  std::string expected;
+  EXPECT_TRUE(cfg.set_global("admit", "tail-drop", &expected));
+  EXPECT_EQ(cfg.admission, AdmissionPolicy::kTailDrop);
+  EXPECT_TRUE(cfg.set_global("cap", "4294967295", &expected));
+  EXPECT_EQ(cfg.admission_cap, 4294967295U);
+  EXPECT_TRUE(cfg.set_global("drain", "0", &expected));
+  EXPECT_TRUE(cfg.set_global("budget", "2.5", &expected));
+  EXPECT_DOUBLE_EQ(cfg.admission_budget_seconds, 2.5);
+
+  EXPECT_FALSE(cfg.set_global("cap", "0", &expected));
+  EXPECT_EQ(expected,
+            "cap out of range, expected an integer in [1, 4294967295]");
+  EXPECT_FALSE(cfg.set_global("drain", "4294967296", &expected));
+  EXPECT_EQ(expected,
+            "drain out of range, expected an integer in [0, 4294967295]");
+  EXPECT_EQ(cfg.admission_cap, 4294967295U);  // Refused values change nothing.
+  for (const auto& [key, value] :
+       {std::pair{"budget", "nan"}, {"budget", "-1"}, {"admit", "bogus"},
+        {"admit", ""}, {"sla", "2"}, {"bogus", "1"}}) {
+    EXPECT_FALSE(cfg.set_global(key, value, &expected)) << key << "=" << value;
+    EXPECT_NE(expected.find("expected one of"), std::string::npos) << expected;
+  }
+  // The global sla needs parse()'s sink, which applies it to the streams.
+  std::optional<double> sla;
+  EXPECT_TRUE(cfg.set_global("sla", "2", &expected, &sla));
+  EXPECT_EQ(sla, 2.0);
+}
+
+TEST(RequestSpec, ToSpecKeepsEveryDigit) {
+  // Six significant digits used to print amp=0.9999999 as the invalid 1.
+  std::string error;
+  const auto cfg = RequestWorkloadConfig::parse(
+      "diurnal:rate=123.4567891,amp=0.9999999;"
+      "poisson:rate=5,service=pareto,alpha=1.0000001",
+      &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  const auto again = RequestWorkloadConfig::parse(cfg->to_spec(), &error);
+  ASSERT_TRUE(again.has_value()) << cfg->to_spec() << ": " << error;
+  EXPECT_EQ(again->to_spec(), cfg->to_spec());
+  EXPECT_EQ(again->streams[0].rate, 123.4567891);
+  EXPECT_EQ(again->streams[0].amplitude, 0.9999999);
+  EXPECT_EQ(again->streams[1].service.alpha, 1.0000001);
 }
 
 TEST(RequestSpec, U32KnobLimitsRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -86,6 +87,17 @@ TEST(TraceStream, TextRoundTripIsBitExact) {
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   EXPECT_NE(contents.find('\n'), std::string::npos);
+}
+
+TEST(TraceStream, TextCodecRejectsNonFiniteSamples) {
+  // The text codec reads samples with the shared finite-number rule, so a
+  // "nan" line is a corrupt chunk, not a NaN rate.
+  const auto path = write_stream("nan_text.trs", StreamCodec::kText, 60.0, 4,
+                                 {1.0, std::nan(""), 2.0});
+  TraceStreamReader reader(path);
+  ASSERT_EQ(reader.status(), StreamStatus::kOk);
+  std::vector<double> chunk;
+  EXPECT_EQ(reader.next_chunk(&chunk), StreamStatus::kCorruptChunk);
 }
 
 TEST(TraceStream, EmptyStreamReadsCleanly) {

@@ -81,6 +81,22 @@ TEST(TraceIo, SkipsBlankLines) {
   EXPECT_EQ(loaded->size(), 2U);
 }
 
+TEST(TraceIo, ToleratesBlanksAndCrlfRows) {
+  std::istringstream in("time_s,demand\r\n0, 1\r\n 60 ,\t2\r\n");
+  const auto loaded = load_trace(in);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 2U);
+  EXPECT_DOUBLE_EQ(loaded->at(1), 2.0);
+}
+
+TEST(TraceIo, RejectsTrailingJunkAndNonFiniteCells) {
+  for (const char* body : {"0,1\n60,2x\n", "0,1\n60,2,3\n", "0,1\n60,inf\n",
+                           "0,nan\n60,2\n"}) {
+    std::istringstream in(std::string("time_s,demand\n") + body);
+    EXPECT_FALSE(load_trace(in).has_value()) << body;
+  }
+}
+
 TEST(TraceIo, LoadedTraceReplaysAsProfile) {
   const Trace t(Seconds{60.0}, {10.0, 20.0});
   std::ostringstream out;

@@ -11,15 +11,14 @@
 //   eclb_cli farm --policy autoscale --workload spiky --servers 100
 //   eclb_cli migrate --ram 4096 --dirty 200 --bandwidth 1000
 //   eclb_cli model --a-avg 0.3 --b-avg 0.6 --a-opt 0.9 --b-opt 0.8
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <new>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "analytic/homogeneous_model.h"
@@ -80,14 +79,14 @@ int usage() {
       "            deadline-shed, cap=N, budget=SECS, drain=N) and prints an\n"
       "            SLA percentile trailer (p50/p99/p999 sojourns) to stderr;\n"
       "            [--request-trace FILE] is shorthand for appending\n"
-      "            \"trace:file=FILE\" to --requests;\n"
-      "            [--admission none|tail-drop|deadline-shed] overload\n"
-      "            admission policy ([--admission-cap N] tail-drop backlog\n"
-      "            cap, [--admission-budget SECS] deadline-shed wait budget),\n"
-      "            [--drain-intervals N] drains migrated VMs' backlog on the\n"
-      "            source over N intervals instead of teleporting it (both\n"
-      "            need --requests), [--hysteresis] enables sleep/wake\n"
-      "            hysteresis (dual thresholds + minimum dwell)\n"
+      "            \"trace:file=FILE\" to --requests; [--admission P]\n"
+      "            [--admission-cap N] [--admission-budget SECS]\n"
+      "            [--drain-intervals N] set the spec's admit= (overload\n"
+      "            shedding policy), cap= (tail-drop backlog cap), budget=\n"
+      "            (deadline-shed wait budget) and drain= (intervals a\n"
+      "            migrated VM's backlog drains on its source) and need\n"
+      "            --requests; [--hysteresis] enables sleep/wake hysteresis\n"
+      "            (dual thresholds + minimum dwell)\n"
       "  farm      --policy always-on|reactive|reactive+extra|autoscale|\n"
       "                     predictive-mw|predictive-lr\n"
       "            --workload diurnal|spiky|walk|constant [--trace FILE]\n"
@@ -100,80 +99,42 @@ int usage() {
   return 2;
 }
 
-/// Combines --requests / --request-trace into one parsed workload config.
-/// Returns 0 when the flags are absent or parse cleanly, 2 on a grammar
-/// error (already reported to stderr).
+/// Combines --requests / --request-trace into one parsed workload config,
+/// then applies --admission, --admission-cap, --admission-budget and
+/// --drain-intervals: spellings of the spec's admit=, cap=, budget= and
+/// drain= keys that override the spec's own.  Returns 0 when the flags are
+/// absent or valid, 2 on a bad one (already reported to stderr).
 int parse_request_flags(
-    common::Flags& flags,
+    const common::Flags& flags,
     std::optional<workload::engine::RequestWorkloadConfig>* out) {
   std::string spec = flags.get("requests");
   if (flags.has("request-trace")) {
     if (!spec.empty()) spec += ';';
-    spec += "trace:file=";
-    spec += flags.get("request-trace");
+    spec += "trace:file=" + flags.get("request-trace");
   }
-  if (spec.empty()) return 0;
   std::string error;
-  auto parsed = workload::engine::RequestWorkloadConfig::parse(spec, &error);
-  if (!parsed.has_value()) {
-    std::cerr << "--requests: " << error << "\n";
-    return 2;
-  }
-  *out = std::move(*parsed);
-  return 0;
-}
-
-/// Applies the overload-resilience flags (--admission, --admission-cap,
-/// --admission-budget, --drain-intervals) onto the parsed request workload.
-/// Returns 0 when absent or valid, 2 on a bad value (reported to stderr).
-int apply_resilience_flags(
-    common::Flags& flags,
-    std::optional<workload::engine::RequestWorkloadConfig>* requests) {
-  const bool wants = flags.has("admission") || flags.has("admission-cap") ||
-                     flags.has("admission-budget") ||
-                     flags.has("drain-intervals");
-  if (!wants) return 0;
-  if (!requests->has_value()) {
-    std::cerr << "--admission / --drain-intervals need --requests\n";
-    return 2;
-  }
-  workload::engine::RequestWorkloadConfig& cfg = **requests;
-  if (flags.has("admission")) {
-    const std::string name = flags.get("admission");
-    if (!workload::engine::parse_admission_policy(name, &cfg.admission)) {
-      std::cerr << "--admission: unknown policy '" << name
-                << "'; expected none | tail-drop | deadline-shed\n";
+  if (!spec.empty()) {
+    *out = workload::engine::RequestWorkloadConfig::parse(spec, &error);
+    if (!out->has_value()) {
+      std::cerr << "--requests: " << error << "\n";
       return 2;
     }
   }
-  // Both counts are stored as u32: a wider value must not wrap.
-  constexpr long long kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-  if (flags.has("admission-cap")) {
-    const long long cap = flags.get_int("admission-cap", 256);
-    if (cap <= 0 || cap > kMaxU32) {
-      std::cerr << "--admission-cap must be in [1, " << kMaxU32 << "] (got "
-                << cap << ")\n";
+  for (const auto& [flag, key] : {std::pair{"admission", "admit"},
+                                  {"admission-cap", "cap"},
+                                  {"admission-budget", "budget"},
+                                  {"drain-intervals", "drain"}}) {
+    if (!flags.has(flag)) continue;
+    if (!out->has_value()) {
+      std::cerr << "--admission / --drain-intervals need --requests\n";
       return 2;
     }
-    cfg.admission_cap = static_cast<std::uint32_t>(cap);
-  }
-  if (flags.has("admission-budget")) {
-    const double budget = flags.get_double("admission-budget", 0.0);
-    if (!std::isfinite(budget) || budget < 0.0) {
-      std::cerr << "--admission-budget must be a finite number >= 0 (got "
-                << budget << ")\n";
+    const std::string value = flags.get(flag);
+    if (!(*out)->set_global(key, value, &error)) {
+      std::cerr << "--" << flag << ": bad value '" << value << "' for "
+                << key << "=; " << error << "\n";
       return 2;
     }
-    cfg.admission_budget_seconds = budget;
-  }
-  if (flags.has("drain-intervals")) {
-    const long long n = flags.get_int("drain-intervals", 0);
-    if (n < 0 || n > kMaxU32) {
-      std::cerr << "--drain-intervals must be in [0, " << kMaxU32 << "] (got "
-                << n << ")\n";
-      return 2;
-    }
-    cfg.drain_intervals = static_cast<std::uint32_t>(n);
   }
   return 0;
 }
@@ -335,7 +296,7 @@ int cmd_cluster(common::Flags& flags) {
     return 2;
   }
   const double tau = flags.get_double("tau", 60.0);
-  if (!std::isfinite(tau) || tau <= 0.0) {
+  if (tau <= 0.0) {
     std::cerr << "--tau must be a positive number of seconds (got " << tau
               << ")\n";
     return 2;
@@ -377,7 +338,7 @@ int cmd_cluster(common::Flags& flags) {
   if (flags.has("faults")) {
     std::string error;
     plan = fault::FaultPlan::parse(flags.get("faults"), &error);
-    if (!plan.has_value()) {
+    if (!plan.has_value() || !plan->check_servers(servers / shards, &error)) {
       std::cerr << "--faults: " << error << "\n";
       return 2;
     }
@@ -385,9 +346,6 @@ int cmd_cluster(common::Flags& flags) {
 
   std::optional<workload::engine::RequestWorkloadConfig> requests;
   if (const int rc = parse_request_flags(flags, &requests); rc != 0) return rc;
-  if (const int rc = apply_resilience_flags(flags, &requests); rc != 0) {
-    return rc;
-  }
   if (flags.get_bool("hysteresis")) cfg.hysteresis.enabled = true;
   if (requests.has_value()) cfg.demand_evolution_enabled = false;
   if (!flags_parsed(flags)) return 2;
@@ -522,10 +480,24 @@ int cmd_farm(common::Flags& flags) {
     std::cerr << "unknown policy: " << policy_name << "\n";
     return 2;
   }
-  const auto servers = static_cast<std::size_t>(flags.get_int("servers", 100));
+  std::size_t servers = 0;
+  if (!read_count(flags, "servers", 100, 1, &servers)) return 2;
   const double hours = flags.get_double("hours", 24.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   if (!flags_parsed(flags)) return 2;
+  // The workload is sampled once a minute, so the horizon sizes the trace;
+  // a year (525,600 samples) is the longest run accepted.
+  constexpr double kMaxHours = 8760.0;
+  if (!(hours > 0.0 && hours <= kMaxHours)) {
+    std::cerr << "--hours must be in (0, " << kMaxHours << "] (got " << hours
+              << ")\n";
+    return 2;
+  }
+  const std::string sleep = flags.get("sleep-state", "C6");
+  if (sleep != "C3" && sleep != "C6") {
+    std::cerr << "--sleep-state must be C3 or C6 (got '" << sleep << "')\n";
+    return 2;
+  }
   const common::Seconds horizon{hours * 3600.0};
 
   workload::Trace trace(common::Seconds{60.0});
@@ -570,7 +542,6 @@ int cmd_farm(common::Flags& flags) {
 
   policy::FarmConfig fc;
   fc.server_count = servers;
-  const std::string sleep = flags.get("sleep-state", "C6");
   fc.sleep_state = sleep == "C3" ? energy::CState::kC3 : energy::CState::kC6;
   const auto result = policy::FarmSimulator(fc).run(*policy, trace);
 
@@ -597,6 +568,12 @@ int cmd_migrate(common::Flags& flags) {
   vm::MigrationEnvironment env;
   env.bandwidth = common::MiBps{flags.get_double("bandwidth", 1000.0)};
   if (!flags_parsed(flags)) return 2;
+  if (!(spec.ram.value > 0.0 && env.bandwidth.value > 0.0 &&
+        spec.dirty_rate.value >= 0.0 && spec.image_size.value >= 0.0)) {
+    std::cerr << "--ram and --bandwidth must be positive, --dirty and "
+                 "--image non-negative\n";
+    return 2;
+  }
   const vm::Vm v(common::VmId{1}, common::AppId{1}, 0.2, spec);
   const auto c = vm::migrate_cost(v, env);
   std::printf("pre-copy rounds: %zu (%s)\n", c.rounds,
