@@ -180,18 +180,37 @@ bool Cluster::accept_external(common::AppId app, double demand) {
   if (demand <= 0.0) return false;
   const auto target_id = pick_placement(demand, common::ServerId{});
   if (!target_id.has_value()) return false;
-  auto& target = server_ref(*target_id);
+  (void)start_vm(*target_id, app, demand);
+  // Unlike the other starts, an accepted sibling VM also prices its
+  // negotiation messages as network traffic.
+  traffic_energy_ += config_.costs.energy_per_message *
+                     static_cast<double>(config_.costs.messages_per_negotiation);
+  return true;
+}
+
+common::VmId Cluster::start_vm(common::ServerId target_id, common::AppId app,
+                               double demand) {
+  auto& target = server_ref(target_id);
   const common::VmId new_id = spawn_vm(target, app, demand, /*force=*/false);
   const vm::ScalingCost cost =
       vm::horizontal_start_cost(*target.find(new_id), config_.costs);
   in_cluster_cost_ += cost;
   target.charge_energy(cost.energy);
-  messages_.record(MessageKind::kTransferRequest,
-                   config_.costs.messages_per_negotiation,
-                   config_.costs.energy_per_message);
-  traffic_energy_ += config_.costs.energy_per_message *
-                     static_cast<double>(config_.costs.messages_per_negotiation);
-  return true;
+  // A fresh start moves no VM image: the negotiation messages are counted,
+  // but no traffic energy is charged for them.
+  charge_message(MessageKind::kTransferRequest,
+                 config_.costs.messages_per_negotiation,
+                 /*network_energy=*/false);
+  return new_id;
+}
+
+void Cluster::charge_message(MessageKind kind, std::size_t n,
+                             bool network_energy) {
+  messages_.record(kind, n, config_.costs.energy_per_message);
+  if (network_energy) {
+    traffic_energy_ +=
+        config_.costs.energy_per_message * static_cast<double>(n);
+  }
 }
 
 server::Server& Cluster::server_ref(common::ServerId id) {
@@ -281,9 +300,7 @@ void Cluster::heartbeat_tick() {
   // keeps the historical single probe).
   for (std::size_t g = 0; g < membership_.side_count(); ++g) {
     const auto group = static_cast<std::int32_t>(g);
-    messages_.record(MessageKind::kHeartbeat, 1,
-                     config_.costs.energy_per_message);
-    traffic_energy_ += config_.costs.energy_per_message;
+    charge_message(MessageKind::kHeartbeat, 1, /*network_energy=*/true);
     SideState& side = membership_.side(group);
     if (!side.leader_down) {
       side.missed_heartbeats = 0;
@@ -336,9 +353,7 @@ void Cluster::elect_side_leader(std::int32_t group, bool provisional) {
   for (const auto& s : servers_) {
     if (membership_.group_of(s.id()) == group && !s.failed()) ++live;
   }
-  messages_.record(MessageKind::kElection, live, config_.costs.energy_per_message);
-  traffic_energy_ +=
-      config_.costs.energy_per_message * static_cast<double>(live);
+  charge_message(MessageKind::kElection, live, /*network_energy=*/true);
   recorder_.failover(side.leader);
   if (was_down && faults_ != nullptr) {
     faults_->note_failover(when - down_since);
@@ -364,11 +379,9 @@ bool Cluster::do_migrate(server::Server& source, common::VmId vm_id,
   target.charge_energy(mig.target_energy);
   traffic_energy_ += mig.network_energy;
   in_cluster_cost_ += cost;
-  messages_.record(MessageKind::kTransferRequest,
-                   config_.costs.messages_per_negotiation,
-                   config_.costs.energy_per_message);
-  traffic_energy_ += config_.costs.energy_per_message *
-                     static_cast<double>(config_.costs.messages_per_negotiation);
+  charge_message(MessageKind::kTransferRequest,
+                 config_.costs.messages_per_negotiation,
+                 /*network_energy=*/true);
   recorder_.migration(cause, target_id);
   return true;
 }
@@ -378,8 +391,8 @@ void Cluster::begin_wake_now(common::ServerId id) {
   const common::Seconds done = s.begin_wake(sim_.now());
   schedule_transition(id, done);
   last_wake_interval_[id] = interval_index_;
-  // Delayed/retried wakes count toward the flap metric exactly like
-  // round-time wakes: the reversal happened regardless of the path.
+  // Flap metric (always measured, whatever path the wake took): a wake this
+  // soon after a deep sleep is the other half of the oscillation.
   const auto slept = last_sleep_interval_.find(id);
   if (slept != last_sleep_interval_.end() &&
       interval_index_ - slept->second <=
@@ -389,10 +402,45 @@ void Cluster::begin_wake_now(common::ServerId id) {
   recorder_.wake_begun(id);
 }
 
-void Cluster::wake_command_dropped(common::ServerId id) {
-  faults_->note_dropped(MessageKind::kWakeCommand, 1);
-  recorder_.message_dropped(MessageKind::kWakeCommand, id);
-  schedule_wake_retry(id, 1, membership_.epoch_of(id));
+void Cluster::send_wake(common::ServerId id, std::size_t attempt,
+                        Epoch issued) {
+  charge_message(MessageKind::kWakeCommand, 1, /*network_energy=*/true);
+  // The command crosses the leader link: it can be lost (the retry protocol
+  // takes over off-round) or delayed (the wake starts late on the kernel).
+  if (faults_ != nullptr && !faults_->deliver(MessageKind::kWakeCommand, id)) {
+    faults_->note_dropped(MessageKind::kWakeCommand, 1);
+    recorder_.message_dropped(MessageKind::kWakeCommand, id);
+    schedule_wake_retry(id, attempt + 1, issued);
+    return;
+  }
+  // Only a first send pays the link's propagation delay; a retried command
+  // starts the wake on delivery.
+  const common::Seconds delay = attempt == 0 && faults_ != nullptr
+                                    ? faults_->link_delay(id)
+                                    : common::Seconds{0.0};
+  if (delay.value <= 0.0) {
+    begin_wake_now(id);
+    return;
+  }
+  sim_.schedule_in(delay, [this, id, issued](sim::Simulation&) {
+    if (wake_still_due(id, issued)) begin_wake_now(id);
+  });
+}
+
+bool Cluster::wake_still_due(common::ServerId id, Epoch issued) {
+  // Epoch fence: a deferred command belongs to the epoch that issued it;
+  // once the receiver's side moved on (election, partition, reconcile) the
+  // stale command is dropped and counted.
+  if (membership_.is_stale(issued, id)) {
+    recorder_.command_fenced(MessageKind::kWakeCommand, id);
+    if (faults_ != nullptr) faults_->note_fenced(MessageKind::kWakeCommand);
+    return false;
+  }
+  auto& s = server_ref(id);
+  const common::Seconds now = sim_.now();
+  s.settle(now);
+  // Moot when the server crashed, woke another way, or is mid-flight.
+  return !(s.failed() || s.awake(now) || s.in_transition(now));
 }
 
 void Cluster::schedule_wake_retry(common::ServerId id, std::size_t attempt,
@@ -400,57 +448,42 @@ void Cluster::schedule_wake_retry(common::ServerId id, std::size_t attempt,
   if (faults_ == nullptr || attempt > faults_->max_retries()) return;
   sim_.schedule_in(
       faults_->retry_backoff(attempt),
-      [this, id, attempt, issued](sim::Simulation& sm) {
-        if (faults_ == nullptr) return;
-        // Epoch fence: the retry chain belongs to the epoch that issued the
-        // original command; once the receiver's side moved on (election,
-        // partition, reconcile) the stale command is dropped and counted.
-        if (membership_.is_stale(issued, id)) {
-          recorder_.command_fenced(MessageKind::kWakeCommand, id);
-          faults_->note_fenced(MessageKind::kWakeCommand);
-          return;
-        }
-        auto& s = server_ref(id);
-        s.settle(sm.now());
-        // Moot when the server crashed, woke another way, or is mid-flight.
-        if (s.failed() || s.awake(sm.now()) || s.in_transition(sm.now())) return;
-        messages_.record(MessageKind::kWakeCommand, 1,
-                         config_.costs.energy_per_message);
-        traffic_energy_ += config_.costs.energy_per_message;
+      [this, id, attempt, issued](sim::Simulation&) {
+        if (faults_ == nullptr || !wake_still_due(id, issued)) return;
         recorder_.message_retried(MessageKind::kWakeCommand, id);
         faults_->note_retried(MessageKind::kWakeCommand);
-        if (!faults_->deliver(MessageKind::kWakeCommand, id)) {
-          faults_->note_dropped(MessageKind::kWakeCommand, 1);
-          recorder_.message_dropped(MessageKind::kWakeCommand, id);
-          schedule_wake_retry(id, attempt + 1, issued);
-          return;
-        }
-        begin_wake_now(id);
+        send_wake(id, attempt, issued);
       });
 }
 
-void Cluster::schedule_delayed_wake(common::ServerId id, common::Seconds delay) {
-  const Epoch issued = membership_.epoch_of(id);
-  sim_.schedule_in(delay, [this, id, issued](sim::Simulation& sm) {
-    if (membership_.is_stale(issued, id)) {
-      recorder_.command_fenced(MessageKind::kWakeCommand, id);
-      if (faults_ != nullptr) faults_->note_fenced(MessageKind::kWakeCommand);
-      return;
+bool Cluster::send_transfer(common::ServerId source, common::VmId vm,
+                            common::ServerId target, MigrationCause cause,
+                            std::size_t attempt, Epoch issued) {
+  if (faults_ != nullptr) {
+    if (!faults_->deliver(MessageKind::kTransferRequest, target)) {
+      // The negotiation went onto the wire and was lost: its message cost is
+      // sunk, and the retry protocol takes over off-round.
+      charge_message(MessageKind::kTransferRequest,
+                     config_.costs.messages_per_negotiation,
+                     /*network_energy=*/true);
+      faults_->note_dropped(MessageKind::kTransferRequest,
+                            config_.costs.messages_per_negotiation);
+      recorder_.message_dropped(MessageKind::kTransferRequest, target);
+      schedule_transfer_retry(source, vm, target, cause, attempt + 1, issued);
+      return false;
     }
-    auto& s = server_ref(id);
-    s.settle(sm.now());
-    if (s.failed() || s.awake(sm.now()) || s.in_transition(sm.now())) return;
-    begin_wake_now(id);
-  });
-}
-
-void Cluster::transfer_dropped(common::ServerId source, common::VmId vm,
-                               common::ServerId target, MigrationCause cause) {
-  faults_->note_dropped(MessageKind::kTransferRequest,
-                        config_.costs.messages_per_negotiation);
-  recorder_.message_dropped(MessageKind::kTransferRequest, target);
-  schedule_transfer_retry(source, vm, target, cause, 1,
-                          membership_.epoch_of(source));
+    if (faults_->migration_fails(source, target)) {
+      // Negotiated, then the copy aborted mid-flight: pay the messages, the
+      // VM stays on the source.
+      charge_message(MessageKind::kTransferRequest,
+                     config_.costs.messages_per_negotiation,
+                     /*network_energy=*/true);
+      recorder_.migration_failed(source);
+      return false;
+    }
+  }
+  // do_migrate charges this attempt's negotiation messages itself.
+  return do_migrate(server_ref(source), vm, target, cause);
 }
 
 void Cluster::schedule_transfer_retry(common::ServerId source, common::VmId vm,
@@ -462,16 +495,12 @@ void Cluster::schedule_transfer_retry(common::ServerId source, common::VmId vm,
       faults_->retry_backoff(attempt),
       [this, source, vm, target, cause, attempt, issued](sim::Simulation& sm) {
         if (faults_ == nullptr) return;
-        // Epoch fence (see schedule_wake_retry): the receiving end judges
-        // staleness against its side's current epoch.
-        if (membership_.is_stale(issued, target)) {
-          recorder_.command_fenced(MessageKind::kTransferRequest, target);
-          faults_->note_fenced(MessageKind::kTransferRequest);
-          return;
-        }
-        // A transfer never crosses an active partition.
-        if (membership_.partitioned() &&
-            membership_.group_of(source) != membership_.group_of(target)) {
+        // Epoch fence (see wake_still_due): the receiving end judges
+        // staleness against its side's current epoch.  A transfer never
+        // crosses an active partition either.
+        if (membership_.is_stale(issued, target) ||
+            (membership_.partitioned() &&
+             membership_.group_of(source) != membership_.group_of(target))) {
           recorder_.command_fenced(MessageKind::kTransferRequest, target);
           faults_->note_fenced(MessageKind::kTransferRequest);
           return;
@@ -484,49 +513,12 @@ void Cluster::schedule_transfer_retry(common::ServerId source, common::VmId vm,
         if (tgt.load() + v->demand() > tgt.capacity() + kEps) return;
         recorder_.message_retried(MessageKind::kTransferRequest, target);
         faults_->note_retried(MessageKind::kTransferRequest);
-        if (!faults_->deliver(MessageKind::kTransferRequest, target)) {
-          // Re-sent and lost again: the negotiation cost is sunk once more.
-          messages_.record(MessageKind::kTransferRequest,
-                           config_.costs.messages_per_negotiation,
-                           config_.costs.energy_per_message);
-          traffic_energy_ +=
-              config_.costs.energy_per_message *
-              static_cast<double>(config_.costs.messages_per_negotiation);
-          faults_->note_dropped(MessageKind::kTransferRequest,
-                                config_.costs.messages_per_negotiation);
-          recorder_.message_dropped(MessageKind::kTransferRequest, target);
-          schedule_transfer_retry(source, vm, target, cause, attempt + 1,
-                                  issued);
-          return;
-        }
-        if (faults_->migration_fails(source, target)) {
-          messages_.record(MessageKind::kTransferRequest,
-                           config_.costs.messages_per_negotiation,
-                           config_.costs.energy_per_message);
-          traffic_energy_ +=
-              config_.costs.energy_per_message *
-              static_cast<double>(config_.costs.messages_per_negotiation);
-          recorder_.migration_failed(source);
-          return;
-        }
-        // do_migrate charges this attempt's negotiation messages itself.
-        (void)do_migrate(src, vm, target, cause);
+        (void)send_transfer(source, vm, target, cause, attempt, issued);
       });
 }
 
 void Cluster::replace_orphan(common::ServerId target_id, const OrphanVm& orphan) {
-  auto& target = server_ref(target_id);
-  const common::VmId new_id =
-      spawn_vm(target, orphan.app, orphan.demand, /*force=*/false);
-  const vm::ScalingCost cost =
-      vm::horizontal_start_cost(*target.find(new_id), config_.costs);
-  in_cluster_cost_ += cost;
-  target.charge_energy(cost.energy);
-  // A restart moves no VM image; only the negotiation messages are priced
-  // (matching a horizontal start).
-  messages_.record(MessageKind::kTransferRequest,
-                   config_.costs.messages_per_negotiation,
-                   config_.costs.energy_per_message);
+  (void)start_vm(target_id, orphan.app, orphan.demand);
   recorder_.orphan_replaced(target_id);
   close_crash_outstanding(orphan.origin);
 }
@@ -622,16 +614,7 @@ void Cluster::shadow_restart_minority() {
     for (const auto& v : s.vms()) {
       const auto target = pick_placement(v.demand(), common::ServerId{});
       if (!target.has_value()) continue;  // quorum full: wait out the split
-      auto& host = server_ref(*target);
-      const common::VmId shadow = spawn_vm(host, v.app(), v.demand(),
-                                           /*force=*/false);
-      const vm::ScalingCost cost =
-          vm::horizontal_start_cost(*host.find(shadow), config_.costs);
-      in_cluster_cost_ += cost;
-      host.charge_energy(cost.energy);
-      messages_.record(MessageKind::kTransferRequest,
-                       config_.costs.messages_per_negotiation,
-                       config_.costs.energy_per_message);
+      const common::VmId shadow = start_vm(*target, v.app(), v.demand());
       shadow_ledger_.push_back({v.app(), s.id(), v.id(), shadow});
       recorder_.shadow_started(*target);
       if (faults_ != nullptr) faults_->note_shadow_started();
@@ -732,9 +715,8 @@ ClusterMemoryStats Cluster::memory_stats() const {
   m.index_bytes = index_->memory_bytes();
   m.server_objects_bytes = servers_.capacity() * sizeof(server::Server);
   for (const auto& s : servers_) m.vm_storage_bytes += s.vm_storage_bytes();
-  m.recorder_bytes = recorder_.memory_bytes();
   m.total_bytes = m.state_table_bytes + m.index_bytes + m.server_objects_bytes +
-                  m.vm_storage_bytes + m.recorder_bytes;
+                  m.vm_storage_bytes;
   m.bytes_per_server =
       servers_.empty() ? 0.0
                        : static_cast<double>(m.total_bytes) /

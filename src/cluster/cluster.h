@@ -64,7 +64,9 @@ struct ClusterMemoryStats {
   std::size_t index_bytes{0};           ///< Regime index (bitsets + key arena).
   std::size_t server_objects_bytes{0};  ///< The Server array itself.
   std::size_t vm_storage_bytes{0};      ///< Hosted-VM vectors across the fleet.
-  std::size_t recorder_bytes{0};        ///< The interval event buffer.
+  /// Always 0: the recorder hands each event to its sink and keeps no
+  /// buffer.  Kept because perfbench reports it as mem.recorder_bytes.
+  std::size_t recorder_bytes{0};
   std::size_t total_bytes{0};           ///< Sum of the above.
   double bytes_per_server{0.0};         ///< total_bytes / server count.
 };
@@ -321,27 +323,43 @@ class Cluster {
   /// at its exact completion instant.
   void schedule_transition(common::ServerId id, common::Seconds done);
 
-  // --- fault-path helpers (called by ClusterView / scheduled events) --------
+  // --- priced protocol acts: one function each, shared by every path -------
 
+  /// Records `n` control messages of `kind`, plus their traffic energy when
+  /// `network_energy`.  The only place a control message is counted.
+  void charge_message(MessageKind kind, std::size_t n, bool network_energy);
+  /// A horizontal VM start on pre-checked `target`: spawn, start cost (in-
+  /// cluster cost, host energy) and negotiation messages.  Callers record
+  /// their own event.
+  common::VmId start_vm(common::ServerId target, common::AppId app,
+                        double demand);
   /// Executes a pre-checked migration: moves the VM, charges energies,
-  /// negotiation messages and the in-cluster decision.  Shared by the
-  /// protocol's migrate primitive and the dropped-transfer retry path.
+  /// negotiation messages and the in-cluster decision.
   bool do_migrate(server::Server& source, common::VmId vm_id,
                   common::ServerId target_id, MigrationCause cause);
   /// Begins waking `id` now (transition scheduling + bookkeeping).
   void begin_wake_now(common::ServerId id);
-  /// Books a dropped wake command to `id` and schedules its first retry.
-  /// Scheduled commands carry `issued`, the epoch of the side that sent
-  /// them: a receiver whose side has since moved to a newer epoch fences
-  /// the command instead of executing it (the stale-leader guard).
-  void wake_command_dropped(common::ServerId id);
+
+  // A leader command's first send (attempt 0, from the round) and each
+  // retry go through its send_* function: charge, cross the leader link,
+  // then book a drop and arm the next retry, or act on delivery.  Commands
+  // carry `issued`, the epoch of the sending side: a receiver whose side
+  // has moved on fences a retried or delayed command (the stale-leader
+  // guard).  The schedule_*_retry timers keep only the fence, the moot
+  // checks and the retry booking.
+
+  /// Sends a wake command to `id`.  Only a first send pays the link delay.
+  void send_wake(common::ServerId id, std::size_t attempt, Epoch issued);
+  /// Fence and moot checks of a retried or delayed wake at fire time: false
+  /// when the command is fenced (and booked so) or the wake is moot.
+  [[nodiscard]] bool wake_still_due(common::ServerId id, Epoch issued);
   void schedule_wake_retry(common::ServerId id, std::size_t attempt,
                            Epoch issued);
-  /// Begins `id`'s wake after a faulty-link propagation delay.
-  void schedule_delayed_wake(common::ServerId id, common::Seconds delay);
-  /// Books a dropped transfer request and schedules its first retry.
-  void transfer_dropped(common::ServerId source, common::VmId vm,
-                        common::ServerId target, MigrationCause cause);
+  /// Sends `vm`'s transfer request; on delivery draws the mid-copy failure
+  /// and migrates.  True when the VM moved.
+  bool send_transfer(common::ServerId source, common::VmId vm,
+                     common::ServerId target, MigrationCause cause,
+                     std::size_t attempt, Epoch issued);
   void schedule_transfer_retry(common::ServerId source, common::VmId vm,
                                common::ServerId target, MigrationCause cause,
                                std::size_t attempt, Epoch issued);

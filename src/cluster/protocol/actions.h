@@ -73,8 +73,10 @@ class DrainAndSleep final : public ProtocolAction {
   void run(ClusterView& view) override;
 };
 
-/// The leader's wake arbitration: wake the shallowest settled sleeper and
-/// stamp its anti-thrash cooldown.  Invoked via ClusterView::request_wake.
+/// The leader's wake arbitration: pick the shallowest settled sleeper, hold
+/// it to the hysteresis dwell, and send it the wake command
+/// (ClusterView::send_wake; Cluster::send_wake starts the wake and stamps
+/// its anti-thrash cooldown).  Invoked via ClusterView::request_wake.
 class RequestWake final : public ProtocolAction {
  public:
   [[nodiscard]] std::string_view name() const override { return "request-wake"; }

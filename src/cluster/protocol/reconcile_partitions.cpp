@@ -120,10 +120,7 @@ void Cluster::reconcile_partitions() {
   for (const auto& s : servers_) {
     if (!s.failed()) ++live;
   }
-  messages_.record(MessageKind::kReconcile, live,
-                   config_.costs.energy_per_message);
-  traffic_energy_ +=
-      config_.costs.energy_per_message * static_cast<double>(live);
+  charge_message(MessageKind::kReconcile, live, /*network_energy=*/true);
 
   const common::Seconds convergence = when - heal_time_;
   recorder_.reconciled(convergence, new_leader);

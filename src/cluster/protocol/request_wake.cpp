@@ -7,9 +7,8 @@ namespace eclb::cluster::protocol {
 void RequestWake::run(ClusterView& view) {
   const auto candidate = view.pick_wake_candidate();
   if (!candidate.has_value()) return;
-  auto& s = view.server(*candidate);
   const HysteresisConfig& hyst = view.config().hysteresis;
-  const auto slept = view.last_sleep_interval(s.id());
+  const auto slept = view.last_sleep_interval(*candidate);
   // Minimum dwell: with hysteresis on, a sleeper must stay down for at
   // least min_dwell_intervals before the leader may recall it.  The
   // pressure that wanted the wake persists, so the request simply retries
@@ -19,28 +18,7 @@ void RequestWake::run(ClusterView& view) {
       view.interval_index() - *slept < hyst.min_dwell_intervals) {
     return;
   }
-  view.charge_message(MessageKind::kWakeCommand, 1, /*network_energy=*/true);
-  // The command crosses the leader link: it can be lost (the retry protocol
-  // takes over off-round) or delayed (the wake starts late on the kernel).
-  if (!view.deliver_message(MessageKind::kWakeCommand, s.id())) {
-    view.wake_command_dropped(s.id());
-    return;
-  }
-  const common::Seconds delay = view.fault_link_delay(s.id());
-  if (delay.value > 0.0) {
-    view.schedule_delayed_wake(s.id(), delay);
-    return;
-  }
-  const common::Seconds done = s.begin_wake(view.now());
-  view.begin_transition(s, done);
-  view.note_wake(s.id());
-  // Flap metric (always measured): a wake this soon after a deep sleep is
-  // the other half of the oscillation.
-  if (slept.has_value() &&
-      view.interval_index() - *slept <= hyst.flap_window_intervals) {
-    view.recorder().wake_sleep_flap(s.id());
-  }
-  view.recorder().wake_begun(s.id());
+  view.send_wake(*candidate);
 }
 
 }  // namespace eclb::cluster::protocol

@@ -142,18 +142,7 @@ void ClusterView::grant_vertical(common::ServerId server) {
 
 void ClusterView::spawn_remote(common::ServerId target_id, common::AppId app,
                                double demand) {
-  auto& target = cluster_.server_ref(target_id);
-  const common::VmId new_id =
-      cluster_.spawn_vm(target, app, demand, /*force=*/false);
-  const vm::ScalingCost cost =
-      vm::horizontal_start_cost(*target.find(new_id), cluster_.config_.costs);
-  cluster_.in_cluster_cost_ += cost;
-  target.charge_energy(cost.energy);
-  // Negotiation messages are counted but, unlike a migration, a fresh start
-  // moves no VM image over the network, so no traffic energy is charged.
-  charge_message(MessageKind::kTransferRequest,
-                 cluster_.config_.costs.messages_per_negotiation,
-                 /*network_energy=*/false);
+  (void)cluster_.start_vm(target_id, app, demand);
   cluster_.recorder_.horizontal_start(target_id);
 }
 
@@ -170,28 +159,9 @@ bool ClusterView::migrate(server::Server& source, common::VmId vm_id,
   const vm::Vm* v = source.find(vm_id);
   if (v == nullptr || !target.awake(now())) return false;
   if (target.load() + v->demand() > target.capacity() + kEps) return false;
-
-  if (cluster_.faults_ != nullptr) {
-    if (!cluster_.faults_->deliver(MessageKind::kTransferRequest, target_id)) {
-      // The negotiation went onto the wire and was lost: its message cost is
-      // sunk, and the retry protocol takes over off-round.
-      charge_message(MessageKind::kTransferRequest,
-                     cluster_.config_.costs.messages_per_negotiation,
-                     /*network_energy=*/true);
-      cluster_.transfer_dropped(source.id(), vm_id, target_id, cause);
-      return false;
-    }
-    if (cluster_.faults_->migration_fails(source.id(), target_id)) {
-      // Negotiated, then the copy aborted mid-flight: pay the messages, the
-      // VM stays on the source.
-      charge_message(MessageKind::kTransferRequest,
-                     cluster_.config_.costs.messages_per_negotiation,
-                     /*network_energy=*/true);
-      cluster_.recorder_.migration_failed(source.id());
-      return false;
-    }
-  }
-  return cluster_.do_migrate(source, vm_id, target_id, cause);
+  return cluster_.send_transfer(source.id(), vm_id, target_id, cause,
+                                /*attempt=*/0,
+                                cluster_.membership_.epoch_of(source.id()));
 }
 
 bool ClusterView::try_offload(common::AppId app, double demand,
@@ -210,13 +180,13 @@ void ClusterView::request_wake(common::ServerId requester) {
   wake_action_.run(*this);
 }
 
+void ClusterView::send_wake(common::ServerId id) {
+  cluster_.send_wake(id, /*attempt=*/0, cluster_.membership_.epoch_of(id));
+}
+
 void ClusterView::charge_message(MessageKind kind, std::size_t n,
                                  bool network_energy) {
-  cluster_.messages_.record(kind, n, cluster_.config_.costs.energy_per_message);
-  if (network_energy) {
-    cluster_.traffic_energy_ += cluster_.config_.costs.energy_per_message *
-                                static_cast<double>(n);
-  }
+  cluster_.charge_message(kind, n, network_energy);
 }
 
 void ClusterView::begin_transition(server::Server& s, common::Seconds done) {
@@ -228,10 +198,6 @@ std::optional<std::size_t> ClusterView::last_wake_interval(
   const auto it = cluster_.last_wake_interval_.find(id);
   if (it == cluster_.last_wake_interval_.end()) return std::nullopt;
   return it->second;
-}
-
-void ClusterView::note_wake(common::ServerId id) {
-  cluster_.last_wake_interval_[id] = cluster_.interval_index_;
 }
 
 std::optional<std::size_t> ClusterView::last_sleep_interval(
@@ -261,24 +227,6 @@ void ClusterView::requeue_orphan(const OrphanVm& orphan) {
 
 void ClusterView::replace_orphan(common::ServerId target, const OrphanVm& orphan) {
   cluster_.replace_orphan(target, orphan);
-}
-
-bool ClusterView::deliver_message(MessageKind kind, common::ServerId server) {
-  return cluster_.faults_ == nullptr || cluster_.faults_->deliver(kind, server);
-}
-
-common::Seconds ClusterView::fault_link_delay(common::ServerId server) const {
-  if (cluster_.faults_ == nullptr) return common::Seconds{0.0};
-  return cluster_.faults_->link_delay(server);
-}
-
-void ClusterView::wake_command_dropped(common::ServerId id) {
-  cluster_.wake_command_dropped(id);
-}
-
-void ClusterView::schedule_delayed_wake(common::ServerId id,
-                                        common::Seconds delay) {
-  cluster_.schedule_delayed_wake(id, delay);
 }
 
 bool ClusterView::degraded(common::ServerId id) const {

@@ -2,10 +2,13 @@
 //
 // Actions never touch Cluster directly; they see servers, the leader's
 // queries, the RNG, and a small set of priced mutation primitives (remote VM
-// start, migration, offload, wake request, message charging).  Every
+// start, migration, offload, wake command, message charging).  Every
 // primitive records its typed event with the interval recorder, so the
 // actions stay focused on *policy* while the view guarantees consistent
-// *bookkeeping*.
+// *bookkeeping*.  The primitives forward to Cluster's one function per
+// priced act (Cluster::start_vm, send_transfer, send_wake, charge_message),
+// which the fault layer's retry timers share, so a command's first send and
+// its retries are priced and booked alike.
 #pragma once
 
 #include <cstddef>
@@ -125,7 +128,9 @@ class ClusterView {
 
   /// Live-migrates `vm_id` off `source` onto `target_id`, booking migration
   /// energy (source, target, network), negotiation messages and the
-  /// in-cluster decision.  False when the target cannot take the VM.
+  /// in-cluster decision.  False when the target cannot take the VM, or the
+  /// transfer request was lost (the retry protocol takes over) or the copy
+  /// aborted.
   bool migrate(server::Server& source, common::VmId vm_id,
                common::ServerId target_id, MigrationCause cause);
 
@@ -141,6 +146,10 @@ class ClusterView {
   /// degraded partition side (no cross-side wake commands).
   void request_wake(common::ServerId requester);
 
+  /// Sends the leader's wake command to sleeping `id`: charged, then lost
+  /// (retried off-round), delayed by the link, or begun at once.
+  void send_wake(common::ServerId id);
+
   /// Records `n` control messages of kind `kind`; when `network_energy` is
   /// set their cost is also charged to the cluster's traffic energy.
   void charge_message(MessageKind kind, std::size_t n, bool network_energy);
@@ -155,8 +164,6 @@ class ClusterView {
   /// Interval at which `id` last began a wake; nullopt when it never woke.
   [[nodiscard]] std::optional<std::size_t> last_wake_interval(
       common::ServerId id) const;
-  /// Stamps `id` as woken this interval (anti-thrash cooldown input).
-  void note_wake(common::ServerId id);
   /// Interval at which `id` last began a deep sleep; nullopt when it never
   /// slept.
   [[nodiscard]] std::optional<std::size_t> last_sleep_interval(
@@ -180,15 +187,6 @@ class ClusterView {
   /// cost + negotiation messages and closing the crash episode when it was
   /// the last outstanding VM.
   void replace_orphan(common::ServerId target, const OrphanVm& orphan);
-  /// Whether a control message of `kind` to `server` is delivered.  True
-  /// when no fault runtime is installed.
-  [[nodiscard]] bool deliver_message(MessageKind kind, common::ServerId server);
-  /// Extra propagation delay on `server`'s leader link (zero without faults).
-  [[nodiscard]] common::Seconds fault_link_delay(common::ServerId server) const;
-  /// Books a dropped wake command to `id` and arms the retry protocol.
-  void wake_command_dropped(common::ServerId id);
-  /// Begins `id`'s wake after a faulty-link propagation delay.
-  void schedule_delayed_wake(common::ServerId id, common::Seconds delay);
 
   // --- partition tolerance ----------------------------------------------------
 

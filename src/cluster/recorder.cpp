@@ -64,7 +64,6 @@ void IntervalRecorder::begin_interval(std::size_t index) {
 
 void IntervalRecorder::emit(ProtocolEvent event) {
   event.interval = report_.interval_index;
-  events_.push_back(event);
   if (sink_) sink_(event);
 }
 
@@ -250,9 +249,7 @@ IntervalReport IntervalRecorder::finish(const FleetSnapshot& snapshot) {
   report_.interval_energy = snapshot.interval_energy;
   const IntervalReport done = report_;
   // Reset for the next window, pre-stamped with the next index so events
-  // firing between rounds carry the interval they will be counted in.  The
-  // event buffer keeps its capacity: rows of the next interval reuse it.
-  events_.clear();
+  // firing between rounds carry the interval they will be counted in.
   report_ = IntervalReport{};
   report_.interval_index = done.interval_index + 1;
   return done;

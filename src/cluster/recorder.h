@@ -11,9 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "cluster/messages.h"
 #include "common/types.h"
@@ -260,25 +258,10 @@ class IntervalRecorder {
   /// The report being assembled (tests / mid-interval inspection).
   [[nodiscard]] const IntervalReport& current() const { return report_; }
 
-  /// The typed events of the interval being assembled, in emission order
-  /// (tests, observers pulling the raw rows after the round).  The rows sit
-  /// in a buffer reused across intervals: finish() clears the contents but
-  /// keeps the capacity, so steady-state recording allocates nothing
-  /// per event.
-  [[nodiscard]] std::span<const ProtocolEvent> interval_events() const {
-    return events_;
-  }
-
-  /// Heap bytes held by the event buffer (memory accounting).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return events_.capacity() * sizeof(ProtocolEvent);
-  }
-
  private:
   void emit(ProtocolEvent event);
 
   IntervalReport report_{};
-  std::vector<ProtocolEvent> events_;
   EventSink sink_;
 };
 

@@ -13,8 +13,8 @@ namespace {
 constexpr std::size_t kLanes = 8;
 
 /// One 8-lane block of the branchless classification.  The per-lane math is
-/// exactly classify_regime_branchless; keeping it in a helper shared by the
-/// contiguous and gather kernels keeps the bit-identity argument local.
+/// exactly classify_regime_branchless, which keeps the bit-identity argument
+/// local.
 inline void classify_block(const double* load, const double* capacity,
                            const double* sopt_low, const double* opt_low,
                            const double* opt_high, const double* sopt_high,
@@ -37,31 +37,6 @@ inline void classify_block(const double* load, const double* capacity,
 
 }  // namespace
 
-void classify_regimes(std::span<const double> load,
-                      std::span<const double> capacity,
-                      std::span<const double> alpha_sopt_low,
-                      std::span<const double> alpha_opt_low,
-                      std::span<const double> alpha_opt_high,
-                      std::span<const double> alpha_sopt_high,
-                      std::span<std::int8_t> out) {
-  const std::size_t n = load.size();
-  ECLB_ASSERT(capacity.size() == n && alpha_sopt_low.size() == n &&
-                  alpha_opt_low.size() == n && alpha_opt_high.size() == n &&
-                  alpha_sopt_high.size() == n && out.size() == n,
-              "classify_regimes: span length mismatch");
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    classify_block(&load[i], &capacity[i], &alpha_sopt_low[i],
-                   &alpha_opt_low[i], &alpha_opt_high[i], &alpha_sopt_high[i],
-                   &out[i]);
-  }
-  for (; i < n; ++i) {
-    out[i] = classify_regime_branchless(load[i], capacity[i], alpha_sopt_low[i],
-                                        alpha_opt_low[i], alpha_opt_high[i],
-                                        alpha_sopt_high[i]);
-  }
-}
-
 void classify_regimes_gather(std::span<const std::uint32_t> slots,
                              std::span<const double> load,
                              std::span<const double> capacity,
@@ -79,8 +54,8 @@ void classify_regimes_gather(std::span<const std::uint32_t> slots,
               "classify_regimes_gather: out span length mismatch");
   std::size_t j = 0;
   for (; j + kLanes <= slots.size(); j += kLanes) {
-    // Gather the eight dirty lanes into contiguous blocks, then run the same
-    // straight-line block kernel as the contiguous pass.
+    // Gather the eight dirty lanes into contiguous blocks, then run the
+    // straight-line block kernel on them.
     double g_load[kLanes], g_cap[kLanes], g_sl[kLanes], g_ol[kLanes];
     double g_oh[kLanes], g_sh[kLanes];
     for (std::size_t l = 0; l < kLanes; ++l) {

@@ -3,11 +3,11 @@
 // RegimeThresholds::classify is four compares and a couple of branches; what
 // makes fleet-wide classification expensive at 10^5+ servers is walking one
 // heap-allocated Server per call.  When loads, capacities and the four alpha
-// thresholds live in parallel arrays, the whole fleet classifies in one
-// tight, branch-free, auto-vectorizable pass.  The branchless form below is
-// proven (and property-tested) equal to the scalar classify at every
-// boundary, including the exact threshold values -- the regime index and the
-// golden-hash contract depend on that bit-identity.
+// thresholds live in parallel arrays, the dirty servers of an index flush
+// classify in one tight, branch-free, auto-vectorizable pass.  The branchless
+// form below is proven (and property-tested) equal to the scalar classify at
+// every boundary, including the exact threshold values -- the regime index
+// and the golden-hash contract depend on that bit-identity.
 #pragma once
 
 #include <cstdint>
@@ -17,31 +17,22 @@
 
 namespace eclb::energy {
 
-/// Classifies served load min(load[i], capacity[i]) against per-server
-/// thresholds for every i, writing the 0-based regime index (0..4, i.e.
-/// regime_index(classify(a))) into `out`.  All spans must have equal length.
+/// The coalesced notification pipeline's kernel: classifies the served
+/// load min(load[s], capacity[s]) of each column row s named by `slots`
+/// against that row's thresholds, writing the 0-based regime index (0..4,
+/// i.e. regime_index(classify(a))) of row slots[j] into out[j].  Every
+/// slots[j] must index into the column spans (all of equal length); `out`
+/// must have slots.size() elements.  Lane-for-lane the arithmetic is the
+/// scalar classify_regime_branchless, so the result is bit-identical to
+/// classifying the same rows one at a time.
 ///
 /// Equivalence with RegimeThresholds::classify: the scalar decision ladder
 ///   a <  sopt_low  -> R1        a <  opt_low   -> R2
 ///   a <= opt_high  -> R3        a <= sopt_high -> R4        else R5
 /// counts, for each value, how many of the predicates {a >= sopt_low,
 /// a >= opt_low, a > opt_high, a > sopt_high} hold -- which is exactly the
-/// sum below (note >= at the two lower bounds, > at the two upper bounds,
-/// matching R3/R4 being closed on the right).
-void classify_regimes(std::span<const double> load,
-                      std::span<const double> capacity,
-                      std::span<const double> alpha_sopt_low,
-                      std::span<const double> alpha_opt_low,
-                      std::span<const double> alpha_opt_high,
-                      std::span<const double> alpha_sopt_high,
-                      std::span<std::int8_t> out);
-
-/// Gather variant for the coalesced notification pipeline: classifies only
-/// the lanes named by `slots`, writing out[j] = classification of column row
-/// slots[j].  Every slots[j] must index into the column spans; `out` must
-/// have slots.size() elements.  Lane-for-lane the arithmetic is the scalar
-/// classify_regime_branchless, so the result is bit-identical to classifying
-/// the same rows one at a time.
+/// sum the kernel takes (note >= at the two lower bounds, > at the two upper
+/// bounds, matching R3/R4 being closed on the right).
 void classify_regimes_gather(std::span<const std::uint32_t> slots,
                              std::span<const double> load,
                              std::span<const double> capacity,

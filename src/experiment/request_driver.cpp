@@ -249,9 +249,8 @@ void RequestDriver::advance_interval() {
     --drain_count_;
   }
 
-  // 4. Convert backlog into each VM's next demand and refresh the queue
-  //    mirror the VM carries.  Walk the slots (server index order) so the
-  //    force_demand sequence is deterministic.
+  // 4. Convert backlog into each VM's next demand.  Walk the slots (server
+  //    index order) so the force_demand sequence is deterministic.
   const double util = engine_.config().target_utilization;
   double backlog_total = 0.0;
   for (const VmSlot& slot : slots_) {
@@ -262,8 +261,6 @@ void RequestDriver::advance_interval() {
         std::clamp(backlog / (tau.value * util), 0.0, 1.0);
     server::Server& host = servers[slot.server];
     (void)host.force_demand(slot.id, demand);
-    (void)host.set_vm_queue_state(
-        slot.id, static_cast<std::uint32_t>(queue.depth()), backlog);
   }
   for (std::size_t id = 0; drain_count_ > 0 && id < draining_.size(); ++id) {
     if (draining_[id].intervals_left > 0) {

@@ -15,7 +15,16 @@ constexpr std::string_view kKindGrammar =
     "migfail@T:p=P, derate@T:s=ID,c=CAP, part@T:g=GROUPS[,heal=T2], heal@T";
 
 constexpr std::string_view kParamGrammar =
-    "seed=N, hb=SECS, miss=N, retries=N, backoff=SECS, cap=SECS";
+    "seed=N, hb=SECS (0 or >= 0.001), miss=N (>= 1), retries=N (<= 64), "
+    "backoff=SECS, cap=SECS (>= 0.001)";
+
+/// The shortest heartbeat period and retry delay, in seconds.  Each beat
+/// and each retry is a kernel event: a period far below the 60 s interval
+/// schedules ~interval/period of them, and 1e-9 never finishes.
+constexpr double kMinProtocolSeconds = 0.001;
+/// The most retries of one dropped message.  retry_backoff() loops once per
+/// attempt, and a longer chain only re-sends into the backoff cap.
+constexpr std::uint64_t kMaxRetries = 64;
 
 /// Appends the run LO-HI to `group`, extending its last run when LO follows
 /// it directly, so `0-4+5-9` and the ids 0..9 store (and print) as `0-9`.
@@ -212,17 +221,32 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec,
       std::uint64_t n = 0;
       if (key == "seed" && common::read_number(value, &n)) {
         plan.seed_ = n;
-      } else if (key == "hb" && common::read_number(value, &d) && d >= 0.0) {
+      } else if (key == "hb" && common::read_number(value, &d)) {
+        if (!(d == 0.0 || d >= kMinProtocolSeconds)) {
+          reader.fail(item, "hb out of range in",
+                      "expected 0 (no heartbeat) or a period of at least "
+                      "0.001 seconds");
+          return std::nullopt;
+        }
         plan.params_.heartbeat_period = common::Seconds{d};
       } else if (key == "miss" && common::read_number(value, &n) && n >= 1) {
         plan.params_.failover_after_missed = static_cast<std::size_t>(n);
       } else if (key == "retries" && common::read_number(value, &n)) {
+        if (n > kMaxRetries) {
+          reader.fail(item, "retries out of range in",
+                      "expected an integer in [0, 64]");
+          return std::nullopt;
+        }
         plan.params_.max_retries = static_cast<std::size_t>(n);
-      } else if (key == "backoff" && common::read_number(value, &d) &&
-                 d > 0.0) {
-        plan.params_.retry_backoff_base = common::Seconds{d};
-      } else if (key == "cap" && common::read_number(value, &d) && d > 0.0) {
-        plan.params_.retry_backoff_cap = common::Seconds{d};
+      } else if ((key == "backoff" || key == "cap") &&
+                 common::read_number(value, &d)) {
+        if (!(d >= kMinProtocolSeconds)) {
+          reader.fail(item, std::string(key) + " out of range in",
+                      "expected at least 0.001 seconds");
+          return std::nullopt;
+        }
+        (key == "backoff" ? plan.params_.retry_backoff_base
+                          : plan.params_.retry_backoff_cap) = common::Seconds{d};
       } else {
         reader.fail(item, "bad parameter",
                     "expected one of " + std::string(kParamGrammar));

@@ -142,7 +142,9 @@ class FaultPlan {
   ///                     (e.g. g=0-4|5-9); optional heal at time T2
   ///   heal@T            heal the partition in force at time T
   ///   seed=N  hb=SECS  miss=N  retries=N  backoff=SECS  cap=SECS
-  ///                     (plan parameters)
+  ///                     (plan parameters: hb is 0 -- no heartbeat -- or
+  ///                     at least 0.001 s; backoff and cap are at least
+  ///                     0.001 s; retries is at most 64)
   ///
   /// Times and values are finite numbers; server ids are below
   /// ServerId::kInvalid.  Returns nullopt on a malformed spec and, when

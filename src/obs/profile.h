@@ -1,5 +1,4 @@
-// Wall-clock phase profiling: a Profiler aggregates per-phase timings and a
-// RAII ProfileScope measures one region.
+// Wall-clock phase profiling: a Profiler aggregates per-phase timings.
 //
 // Phases are named free-form ("round", "placement_search", "cstate_settle",
 // "replication", ...).  Recording is mutex-guarded -- phases fire a handful
@@ -7,7 +6,6 @@
 // Profiler aggregate across concurrently running replications.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -40,31 +38,6 @@ class Profiler {
  private:
   mutable std::mutex mu_;
   std::map<std::string, PhaseStats, std::less<>> phases_;
-};
-
-/// RAII timer: records the scope's wall-clock duration into `profiler` under
-/// `phase` on destruction.  A null profiler makes the scope inert.
-class ProfileScope {
- public:
-  ProfileScope(Profiler* profiler, std::string_view phase)
-      : profiler_(profiler), phase_(phase) {
-    if (profiler_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ProfileScope() {
-    if (profiler_ != nullptr) {
-      profiler_->record(
-          phase_,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-              .count());
-    }
-  }
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  Profiler* profiler_;
-  std::string phase_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace eclb::obs

@@ -133,27 +133,6 @@ std::vector<vm::Vm> Server::take_all_vms() {
   return out;
 }
 
-bool Server::set_vm_queue_state(common::VmId id, std::uint32_t requests,
-                                double work) {
-  auto it = std::find_if(vms_.begin(), vms_.end(),
-                         [id](const vm::Vm& v) { return v.id() == id; });
-  if (it == vms_.end()) return false;
-  it->set_queue_state(requests, work);
-  return true;
-}
-
-std::size_t Server::queued_requests() const {
-  std::size_t n = 0;
-  for (const vm::Vm& v : vms_) n += v.queued_requests();
-  return n;
-}
-
-double Server::queued_work() const {
-  double w = 0.0;
-  for (const vm::Vm& v : vms_) w += v.queued_work();
-  return w;
-}
-
 void Server::fail(common::Seconds now) {
   if (failed()) return;
   ECLB_ASSERT(vms_.empty(), "fail: orphan hosted VMs via take_all_vms() first");

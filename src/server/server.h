@@ -165,16 +165,6 @@ class Server {
   /// custody of the orphans).  Load drops to zero.
   [[nodiscard]] std::vector<vm::Vm> take_all_vms();
 
-  /// Records the request-engine queue mirror on a hosted VM (no load
-  /// change).  Returns false when the VM is not hosted here.
-  bool set_vm_queue_state(common::VmId id, std::uint32_t requests, double work);
-
-  /// Requests queued across hosted VMs (the request engine's mirror; always
-  /// 0 when no request workload is attached).
-  [[nodiscard]] std::size_t queued_requests() const;
-  /// Queued work across hosted VMs, capacity-seconds (same mirror).
-  [[nodiscard]] double queued_work() const;
-
   // --- failure -------------------------------------------------------------
 
   /// True while crashed (fault layer).  A failed server is not awake, hosts

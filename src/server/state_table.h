@@ -184,17 +184,10 @@ class ServerStateTable {
   [[nodiscard]] std::span<const double> alpha_opt_lows() const { return a_opt_low_; }
   [[nodiscard]] std::span<const double> alpha_opt_highs() const { return a_opt_high_; }
   [[nodiscard]] std::span<const double> alpha_sopt_highs() const { return a_sopt_high_; }
-  [[nodiscard]] std::span<const double> centers() const { return center_; }
-  [[nodiscard]] std::span<const double> static_powers() const { return static_power_; }
   [[nodiscard]] std::span<const std::uint32_t> vm_counts() const { return vm_count_; }
   [[nodiscard]] std::span<const std::uint8_t> alive_flags() const { return alive_; }
   [[nodiscard]] std::span<const std::uint8_t> awake_flags() const { return awake_; }
   [[nodiscard]] std::span<const std::uint8_t> pending_flags() const { return pending_; }
-  [[nodiscard]] std::span<const std::int8_t> regimes() const { return regime_; }
-  [[nodiscard]] std::span<const std::int8_t> classified_regimes() const {
-    return classified_;
-  }
-  [[nodiscard]] std::span<const std::int8_t> sleep_depths() const { return sleep_depth_; }
 
   /// Heap bytes held by the columns (arena accounting).
   [[nodiscard]] std::size_t memory_bytes() const {

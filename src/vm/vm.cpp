@@ -22,10 +22,4 @@ void Vm::set_served(double s) {
   served_ = std::min(s, demand_);
 }
 
-void Vm::set_queue_state(std::uint32_t requests, double work) {
-  ECLB_ASSERT(work >= 0.0, "Vm: queued work must be >= 0");
-  queued_requests_ = requests;
-  queued_work_ = work;
-}
-
 }  // namespace eclb::vm

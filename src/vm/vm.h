@@ -45,25 +45,12 @@ class Vm {
   /// Records the served amount (<= demand).
   void set_served(double s);
 
-  /// Requests queued on this VM by the request engine (a mirror of the
-  /// driver-side queue, refreshed each interval; travels with the VM on
-  /// migration).  0 when no request workload is attached.
-  [[nodiscard]] std::uint32_t queued_requests() const {
-    return queued_requests_;
-  }
-  /// Outstanding queued work in capacity-seconds (same mirror).
-  [[nodiscard]] double queued_work() const { return queued_work_; }
-  /// Records the queue mirror (request driver only).
-  void set_queue_state(std::uint32_t requests, double work);
-
  private:
   common::VmId id_;
   common::AppId app_;
   VmSpec spec_;
   double demand_;
   double served_;
-  std::uint32_t queued_requests_{0};
-  double queued_work_{0.0};
 };
 
 }  // namespace eclb::vm

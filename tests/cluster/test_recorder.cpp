@@ -64,16 +64,16 @@ TEST(Recorder, FinishResetsCountersForNextInterval) {
   EXPECT_EQ(r.drains, 0U);
 }
 
-TEST(Recorder, IntervalEventsRetainedUntilFinish) {
-  // The arena-backed event buffer keeps this interval's typed events
-  // readable in order (observers replay them at round end), then finish()
-  // clears the rows but keeps the heap capacity for the next interval.
+TEST(Recorder, SinkSeesEventsInEmissionOrderAcrossFinish) {
+  // The recorder keeps no event rows: the sink receives each typed event as
+  // it is emitted, in order, stamped with the interval it accrues to.
   IntervalRecorder rec;
+  std::vector<ProtocolEvent> events;
+  rec.set_sink([&events](const ProtocolEvent& e) { events.push_back(e); });
   rec.begin_interval(2);
   rec.local_decision(ServerId{0});
   rec.migration(MigrationCause::kShed, ServerId{1});
   rec.sla_violation(0.25, ServerId{2});
-  const auto events = rec.interval_events();
   ASSERT_EQ(events.size(), 4U);  // migration books its in-cluster decision too
   EXPECT_EQ(events[0].kind, ProtocolEvent::Kind::kDecision);
   EXPECT_EQ(events[1].kind, ProtocolEvent::Kind::kMigration);
@@ -81,11 +81,12 @@ TEST(Recorder, IntervalEventsRetainedUntilFinish) {
   EXPECT_EQ(events[3].kind, ProtocolEvent::Kind::kSlaViolation);
   for (const auto& e : events) EXPECT_EQ(e.interval, 2U);
 
-  const std::size_t bytes_before = rec.memory_bytes();
-  EXPECT_GT(bytes_before, 0U);
+  // After finish() the next event already carries the next interval.
   (void)rec.finish(FleetSnapshot{});
-  EXPECT_TRUE(rec.interval_events().empty());
-  EXPECT_EQ(rec.memory_bytes(), bytes_before);  // capacity retained
+  rec.wake_begun(ServerId{3});
+  ASSERT_EQ(events.size(), 5U);
+  EXPECT_EQ(events[4].kind, ProtocolEvent::Kind::kWake);
+  EXPECT_EQ(events[4].interval, 3U);
 }
 
 TEST(Recorder, EventsBetweenRoundsAccrueToNextInterval) {

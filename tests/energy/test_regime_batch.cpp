@@ -1,9 +1,11 @@
 // Property suite for the batched regime classification kernel.
 //
-// classify_regimes() is the vectorizable SoA twin of
-// RegimeThresholds::classify(); the two must agree for every load,
-// capacity and threshold block -- including loads landing exactly on the
-// boundary values, where the closed/open interval edges decide the regime.
+// classify_regimes_gather() -- the kernel the index flush runs -- is the
+// vectorizable SoA twin of RegimeThresholds::classify(); the two must agree
+// for every load, capacity and threshold block -- including loads landing
+// exactly on the boundary values, where the closed/open interval edges
+// decide the regime -- whatever rows the slot list names, in whatever
+// order.
 #include "energy/regime_batch.h"
 
 #include <gtest/gtest.h>
@@ -35,6 +37,13 @@ std::int8_t scalar_regime(const RegimeThresholds& t, double load,
   return static_cast<std::int8_t>(regime_index(t.classify(served)));
 }
 
+/// Slots 0..n-1 in order: the gather kernel over every row.
+std::vector<std::uint32_t> all_slots(std::size_t n) {
+  std::vector<std::uint32_t> slots(n);
+  for (std::size_t i = 0; i < n; ++i) slots[i] = static_cast<std::uint32_t>(i);
+  return slots;
+}
+
 TEST(RegimeBatch, ExactBoundaryValues) {
   const RegimeThresholds t = make_thresholds(0.25, 0.4, 0.7, 0.85);
   // Each boundary plus a value just inside/outside on either side: the
@@ -48,7 +57,8 @@ TEST(RegimeBatch, ExactBoundaryValues) {
   std::vector<double> oh(loads.size(), t.alpha_opt_high);
   std::vector<double> sh(loads.size(), t.alpha_sopt_high);
   std::vector<std::int8_t> out(loads.size());
-  classify_regimes(loads, capacity, sl, ol, oh, sh, out);
+  classify_regimes_gather(all_slots(loads.size()), loads, capacity, sl, ol, oh,
+                          sh, out);
   for (std::size_t i = 0; i < loads.size(); ++i) {
     EXPECT_EQ(out[i], scalar_regime(t, loads[i], capacity[i]))
         << "load " << loads[i];
@@ -93,11 +103,19 @@ TEST(RegimeBatch, RandomizedLoadsThresholdsAndCapacities) {
     else if (roll < 0.3) load[i] = c;
     else if (roll < 0.4) load[i] = d;
   }
-  std::vector<std::int8_t> out(kN);
-  classify_regimes(load, capacity, sl, ol, oh, sh, out);
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(out[i], scalar_regime(blocks[i], load[i], capacity[i]))
-        << "i=" << i << " load=" << load[i] << " cap=" << capacity[i];
+  // Every row in order, then a shuffled subset with repeats: both the
+  // 8-lane blocks and the scalar tail see gathered rows.
+  std::vector<std::uint32_t> slots = all_slots(kN);
+  for (std::size_t i = 0; i < kN / 3 + 5; ++i) {
+    slots.push_back(static_cast<std::uint32_t>(rng.uniform(0.0, 1.0) * kN) %
+                    kN);
+  }
+  std::vector<std::int8_t> out(slots.size());
+  classify_regimes_gather(slots, load, capacity, sl, ol, oh, sh, out);
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    const std::size_t i = slots[j];
+    EXPECT_EQ(out[j], scalar_regime(blocks[i], load[i], capacity[i]))
+        << "slot " << i << " load=" << load[i] << " cap=" << capacity[i];
   }
 }
 

@@ -109,6 +109,49 @@ TEST(FaultPlanParse, PlanParameters) {
   EXPECT_TRUE(plan->empty());
 }
 
+TEST(FaultPlanParse, ProtocolParametersAreBounded) {
+  // Heartbeats and retries are kernel events: hb=1e-9 and an unbounded
+  // retry chain at a nanosecond backoff never finished.  The bounds
+  // themselves are accepted.
+  const auto edge =
+      FaultPlan::parse("hb=0.001; retries=64; backoff=0.001; cap=0.001");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_DOUBLE_EQ(edge->params().heartbeat_period.value, 0.001);
+  EXPECT_EQ(*edge->params().max_retries, 64U);
+  EXPECT_DOUBLE_EQ(edge->params().retry_backoff_base->value, 0.001);
+  EXPECT_DOUBLE_EQ(edge->params().retry_backoff_cap->value, 0.001);
+  // hb=0 switches the heartbeat off; retries=0 never re-sends.
+  const auto off = FaultPlan::parse("hb=0; retries=0");
+  ASSERT_TRUE(off.has_value());
+  EXPECT_DOUBLE_EQ(off->params().heartbeat_period.value, 0.0);
+  EXPECT_EQ(*off->params().max_retries, 0U);
+
+  const struct {
+    const char* spec;
+    const char* diagnostic;
+  } rejected[] = {
+      {"hb=1e-9", "hb out of range in 'hb=1e-9' at offset 0; expected 0 (no "
+                  "heartbeat) or a period of at least 0.001 seconds"},
+      {"hb=0.0009", "hb out of range"},
+      {"hb=-1", "hb out of range"},
+      {"retries=65", "retries out of range in 'retries=65' at offset 0; "
+                     "expected an integer in [0, 64]"},
+      {"retries=100000000", "retries out of range"},
+      {"backoff=1e-9", "backoff out of range in 'backoff=1e-9' at offset 0; "
+                       "expected at least 0.001 seconds"},
+      {"backoff=0", "backoff out of range"},
+      {"cap=0.0009", "cap out of range"},
+      {"seed=1; cap=-2", "cap out of range in 'cap=-2' at offset 8"},
+  };
+  for (const auto& r : rejected) {
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(r.spec, &error).has_value()) << r.spec;
+    EXPECT_EQ(error.rfind("faults: ", 0), 0U) << error;
+    EXPECT_NE(error.find(r.diagnostic), std::string::npos)
+        << r.spec << " -> " << error;
+  }
+}
+
 TEST(FaultPlanParse, PartitionGrammar) {
   const auto plan = FaultPlan::parse("part@100:g=0-4|5-9,heal=300");
   ASSERT_TRUE(plan.has_value());

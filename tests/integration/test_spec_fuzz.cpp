@@ -163,11 +163,12 @@ class Mutator {
         "inf", "-inf", "nan", "1e309", "1e-300", "0", "-0", "0x1p3",
         "4294967294", "4294967295", "4294967296", "18446744073709551615",
         "18446744073709551616", "9223372036854775808", "1000", "1000.5",
-        "0.0009", "0.9999999", "1e300", "s=", "g=", "heal=", "burst=",
-        "rate=", "cap=", "drain=", "--", "--x", "-"};
+        "0.0009", "0.001", "64", "65", "0.9999999", "1e300", "s=", "g=",
+        "heal=", "burst=", "rate=", "cap=", "drain=", "hb=", "retries=",
+        "backoff=", "--", "--x", "-"};
     static constexpr std::string_view kNumbers[] = {
         "inf", "nan", "1e309", "-0", "0", "0x1p3", "1e-300", "0.0009",
-        "0.9999999", "1.0000001", "100.0000001", "999.99999", "1000.0000001",
+        "0.001", "64", "65", "0.9999999", "1.0000001", "100.0000001", "999.99999", "1000.0000001",
         "4294967294", "4294967295", "4294967296", "18446744073709551616"};
     const std::size_t pos = below(s->size() + 1);
     switch (below(8)) {
@@ -236,7 +237,18 @@ TEST(SpecFuzz, FaultPlanRejectsWithADiagnosticOrRoundTrips) {
     for (const auto& e : plan->events()) {
       ASSERT_TRUE(std::isfinite(e.at.value) && std::isfinite(e.value)) << spec;
     }
-    ASSERT_TRUE(std::isfinite(plan->params().heartbeat_period.value)) << spec;
+    // The protocol parameters stay inside their bounds: a smaller period or
+    // backoff, or a longer retry chain, would run without end.
+    const fault::FaultPlanParams& params = plan->params();
+    const double hb = params.heartbeat_period.value;
+    ASSERT_TRUE(hb == 0.0 || (hb >= 0.001 && std::isfinite(hb))) << spec;
+    ASSERT_LE(params.max_retries.value_or(0), 64U) << spec;
+    ASSERT_GE(params.retry_backoff_base.value_or(common::Seconds{1}).value,
+              0.001)
+        << spec;
+    ASSERT_GE(params.retry_backoff_cap.value_or(common::Seconds{1}).value,
+              0.001)
+        << spec;
     const std::string once = plan->to_spec();
     const auto again = FaultPlan::parse(once, &error);
     ASSERT_TRUE(again.has_value()) << spec << " -> " << once << ": " << error;

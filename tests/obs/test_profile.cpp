@@ -28,21 +28,6 @@ TEST(Profile, RecordAggregatesPerPhase) {
   EXPECT_EQ(snap[1].second.calls, 1U);
 }
 
-TEST(Profile, ScopeRecordsElapsedTime) {
-  Profiler p;
-  { ProfileScope scope(&p, "work"); }
-  const auto snap = p.snapshot();
-  ASSERT_EQ(snap.size(), 1U);
-  EXPECT_EQ(snap[0].first, "work");
-  EXPECT_EQ(snap[0].second.calls, 1U);
-  EXPECT_GE(snap[0].second.total_seconds, 0.0);
-}
-
-TEST(Profile, NullProfilerScopeIsInert) {
-  ProfileScope scope(nullptr, "nothing");
-  SUCCEED();
-}
-
 TEST(Profile, ConcurrentRecordsAreLossless) {
   Profiler p;
   constexpr int kThreads = 6;

@@ -186,7 +186,6 @@ cluster::ClusterMemoryStats fabric_memory_stats(const cluster::Fabric& fabric) {
     sum.index_bytes += m.index_bytes;
     sum.server_objects_bytes += m.server_objects_bytes;
     sum.vm_storage_bytes += m.vm_storage_bytes;
-    sum.recorder_bytes += m.recorder_bytes;
     sum.total_bytes += m.total_bytes;
   }
   sum.bytes_per_server = static_cast<double>(sum.total_bytes) /
@@ -223,8 +222,7 @@ int finish_observability(const cluster::Fabric& fabric,
     std::cerr << "memory: state table " << m.state_table_bytes
               << " B, regime index " << m.index_bytes << " B, server objects "
               << m.server_objects_bytes << " B, vm storage "
-              << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
-              << " B\n"
+              << m.vm_storage_bytes << " B\n"
               << "memory: total " << m.total_bytes << " B ("
               << m.bytes_per_server << " B/server)";
     if (const auto rss = common::peak_rss_bytes(); rss > 0) {
