@@ -1,9 +1,8 @@
-#include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "cluster/config.h"
 #include "cluster/protocol/actions.h"
+#include "cluster/protocol/shed_pick.h"
 #include "cluster/protocol/view.h"
 
 namespace eclb::cluster::protocol {
@@ -50,25 +49,14 @@ void ShedOverloaded::run(ClusterView& view) {
       while (sends_left > 0 && s.load() > s.thresholds().alpha_opt_high + kEps) {
         // Move the largest VM that still has a home elsewhere; big moves
         // need the fewest migrations to reach the optimal region.
-        std::vector<const vm::Vm*> candidates;
-        candidates.reserve(s.vm_count());
-        for (const auto& v : s.vms()) candidates.push_back(&v);
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const vm::Vm* a, const vm::Vm* b) {
-                    return a->demand() > b->demand();
-                  });
-        bool moved = false;
-        for (const vm::Vm* v : candidates) {
-          if (v->demand() >= min_failed_demand) continue;
-          const auto target_id = view.find_target(
-              v->demand(), s.id(), policy::PlacementTier::kStayOptimal);
-          if (!target_id.has_value()) {
-            min_failed_demand = v->demand();
-            continue;
-          }
-          moved = view.migrate(s, v->id(), *target_id, MigrationCause::kShed);
-          break;
-        }
+        const ShedPick pick = pick_shed_vm(
+            s.vms(), min_failed_demand, [&](double demand) {
+              return view.find_target(demand, s.id(),
+                                      policy::PlacementTier::kStayOptimal);
+            });
+        const bool moved =
+            pick.vm != nullptr &&
+            view.migrate(s, pick.vm->id(), pick.target, MigrationCause::kShed);
         if (!moved) {
           if (urgent) {
             // The R5 rule: when no partner exists, the leader wakes one or

@@ -249,18 +249,20 @@ void RequestDriver::advance_interval() {
     --drain_count_;
   }
 
-  // 4. Convert backlog into each VM's next demand.  Walk the slots (server
-  //    index order) so the force_demand sequence is deterministic.
+  // 4. Convert backlog into each VM's next demand.  Step 1 laid each
+  //    server's VMs out as one run of slots in roster order, so every host
+  //    takes its run's demands in one write-back.
   const double util = engine_.config().target_utilization;
   double backlog_total = 0.0;
-  for (const VmSlot& slot : slots_) {
-    const workload::engine::RequestQueue& queue = vms_[slot.id.index()].queue;
-    const double backlog = queue.backlog_work();
-    backlog_total += backlog;
-    const double demand =
-        std::clamp(backlog / (tau.value * util), 0.0, 1.0);
-    server::Server& host = servers[slot.server];
-    (void)host.force_demand(slot.id, demand);
+  std::size_t i = 0;
+  for (server::Server& host : servers) {
+    demands_.clear();
+    for (const std::size_t end = i + host.vm_count(); i < end; ++i) {
+      const double backlog = vms_[slots_[i].id.index()].queue.backlog_work();
+      backlog_total += backlog;
+      demands_.push_back(std::clamp(backlog / (tau.value * util), 0.0, 1.0));
+    }
+    host.force_demands(demands_);
   }
   for (std::size_t id = 0; drain_count_ > 0 && id < draining_.size(); ++id) {
     if (draining_[id].intervals_left > 0) {

@@ -94,8 +94,8 @@ class RequestDriver {
   [[nodiscard]] std::string error() const { return engine_.error(); }
 
   /// Generates, routes and serves the upcoming interval [now, now + tau),
-  /// then installs each VM's next demand and queue mirror and books the
-  /// batch into the cluster's recorder.
+  /// then installs each VM's next demand (one write-back per server) and
+  /// books the batch into the cluster's recorder.
   void advance_interval();
 
   /// Accounting so far (quantiles computed from the live histogram).
@@ -164,6 +164,7 @@ class RequestDriver {
   workload::engine::RequestEngine engine_;
   std::vector<std::vector<workload::engine::Request>> per_stream_;
   std::vector<VmSlot> slots_;
+  std::vector<double> demands_;  ///< One host's next demands (step 4, reused).
   std::vector<std::vector<std::size_t>> targets_;  ///< Slot indices per stream.
   std::vector<std::uint64_t> rr_;                  ///< Round-robin cursors.
   /// Per-VM state indexed by VmId::value.  A cluster allocates VM ids in

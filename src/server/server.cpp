@@ -125,6 +125,20 @@ bool Server::force_demand(common::VmId id, double new_demand) {
   return true;
 }
 
+void Server::force_demands(std::span<const double> demands) {
+  ECLB_ASSERT(demands.size() == vms_.size(),
+              "force_demands: one demand per hosted VM");
+  if (vms_.empty()) return;
+  double total = load();
+  for (std::size_t i = 0; i < vms_.size(); ++i) {
+    const double before = vms_[i].demand();
+    vms_[i].set_demand(demands[i]);
+    total = total + (vms_[i].demand() - before);
+  }
+  table_->set_load(slot_, total);
+  notify_changed();
+}
+
 std::vector<vm::Vm> Server::take_all_vms() {
   std::vector<vm::Vm> out = std::move(vms_);
   vms_.clear();

@@ -161,6 +161,13 @@ class Server {
   /// sees the overload).  Returns false when the VM is not hosted here.
   bool force_demand(common::VmId id, double new_demand);
 
+  /// force_demand for the whole roster at once: `demands[i]` goes to the VM
+  /// at roster position i (vms()[i]).  The load moves by each VM's change in
+  /// roster order, exactly as one force_demand per VM in that order would
+  /// move it, and the listener is notified once.  Requires one demand per
+  /// hosted VM; an empty roster changes nothing and notifies no one.
+  void force_demands(std::span<const double> demands);
+
   /// Removes and returns every hosted VM (crash handling: the cluster takes
   /// custody of the orphans).  Load drops to zero.
   [[nodiscard]] std::vector<vm::Vm> take_all_vms();

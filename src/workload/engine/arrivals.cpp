@@ -17,6 +17,20 @@ std::string_view to_string(StreamKind kind) {
   return "?";
 }
 
+double peak_rate(const StreamSpec& spec) {
+  switch (spec.kind) {
+    case StreamKind::kPoisson:
+      return spec.rate;
+    case StreamKind::kDiurnal:
+      return spec.rate * (1.0 + spec.amplitude);
+    case StreamKind::kFlash:
+      return spec.rate * spec.burst;
+    case StreamKind::kTrace:
+      return 0.0;
+  }
+  return 0.0;
+}
+
 double mean_rate(const StreamSpec& spec) {
   switch (spec.kind) {
     case StreamKind::kPoisson:
@@ -94,21 +108,10 @@ void ArrivalStream::generate(common::Seconds t0, common::Seconds t1,
   // The thinning envelope: a constant rate dominating the target rate over
   // the whole window.  Candidates arrive as a homogeneous Poisson process at
   // the envelope; each survives with probability rate(t) / envelope.
-  double envelope = 0.0;
-  switch (spec_.kind) {
-    case StreamKind::kPoisson:
-      envelope = spec_.rate;
-      break;
-    case StreamKind::kDiurnal:
-      envelope = spec_.rate * (1.0 + spec_.amplitude);
-      break;
-    case StreamKind::kFlash:
-      envelope = spec_.rate * spec_.burst;
-      break;
-    case StreamKind::kTrace:
-      envelope = cursor_->window_max(t0, t1) * spec_.trace_scale;
-      break;
-  }
+  const double envelope =
+      spec_.kind == StreamKind::kTrace
+          ? cursor_->window_max(t0, t1) * spec_.trace_scale
+          : peak_rate(spec_);
   if (!(envelope > 0.0)) {
     clock_ = t1;
     return;

@@ -58,6 +58,11 @@ struct StreamSpec {
 /// the empirical-rate property test checks against.
 [[nodiscard]] double mean_rate(const StreamSpec& spec);
 
+/// Highest arrival rate of `spec` (requests/second): `rate`, `rate·(1+amp)`
+/// for diurnal and `rate·burst` for flash streams -- the envelope thinning
+/// draws candidates at.  0 for trace streams, whose peak is in the file.
+[[nodiscard]] double peak_rate(const StreamSpec& spec);
+
 /// One deterministic arrival stream.  generate() must be called with
 /// contiguous, non-decreasing windows (the reallocation intervals).
 class ArrivalStream {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/spec_reader.h"
+#include "workload/engine/latency.h"
 
 namespace eclb::workload::engine {
 
@@ -27,6 +28,12 @@ constexpr double kMinFlashMeanSeconds = 1e-3;
 /// rate * burst in both phases, so the cost of a window grows with it
 /// (burst=1e300 never finished one); the diagnostic quotes it as "1000".
 constexpr double kMaxFlashBurst = 1000.0;
+
+/// Largest accepted peak arrival rate (peak_rate: rate, rate*(1+amp) or
+/// rate*burst), in requests per second.  Every arrival is held in memory
+/// for its window, so rate=1e9 ran out of memory; the diagnostic quotes it
+/// as "1e6".
+constexpr double kMaxPeakRate = 1e6;
 
 constexpr std::string_view kParamGrammar =
     "seed=N, util=F, sla=SECS, admit=none|tail-drop|deadline-shed, cap=N, "
@@ -172,6 +179,14 @@ std::optional<RequestWorkloadConfig> RequestWorkloadConfig::parse(
                                                        &stream.service.kind)) {
         // Parsed in place.
       } else if (key == "mean" && number && d > 0.0) {
+        // A sojourn at or past the histogram's top bucket only lands in
+        // overflow (mean=1e300 printed a 300-digit backlog).
+        if (!(d <= LatencyHistogram::kHiSeconds)) {
+          reader.fail(item, "mean out of range in",
+                      "expected a mean service time of at most 10000 "
+                      "seconds");
+          return std::nullopt;
+        }
         stream.service.mean = d;
       } else if (key == "sigma" && number && d > 0.0) {
         stream.service.sigma = d;
@@ -194,6 +209,12 @@ std::optional<RequestWorkloadConfig> RequestWorkloadConfig::parse(
     if (!complete) {
       reader.fail(item, "incomplete stream",
                   "expected one of " + std::string(kKindGrammar));
+      return std::nullopt;
+    }
+    if (!(peak_rate(stream) <= kMaxPeakRate)) {
+      reader.fail(item, "peak rate out of range in",
+                  "expected a peak rate of at most 1e6 requests/s (rate, "
+                  "rate*(1+amp) for diurnal, rate*burst for flash)");
       return std::nullopt;
     }
     config.streams.push_back(std::move(stream));

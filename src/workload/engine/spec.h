@@ -14,8 +14,10 @@
 //   flash:rate=R[,burst=M,on=S,off=S]     MMPP-2 flash crowds (1 <= M <=
 //                                         1000; on/off means >= 0.001 s)
 //   trace:file=PATH[,scale=F]             rate replayed from a trace stream
-// Per-stream options (any item): service=exp|lognormal|pareto, mean=S,
-//   sigma=F, alpha=F, sla=SECS.
+// Per-stream options (any item): service=exp|lognormal|pareto, mean=S
+//   (at most 10^4 s, the latency histogram's top), sigma=F, alpha=F,
+//   sla=SECS.  A stream's peak rate -- rate, rate*(1+amp) for diurnal,
+//   rate*burst for flash -- is at most 10^6 requests/s.
 // Global parameters: seed=N, util=F (queue-to-demand target utilization),
 //   sla=SECS (default for streams without their own),
 //   admit=none|tail-drop|deadline-shed (admission policy), cap=N (tail-drop

@@ -1,9 +1,10 @@
 // Request-plane runs pinned end to end.
 //
-// Five request workloads on a 4-shard fabric -- a flash crowd with migration
+// Six request workloads on a 4-shard fabric -- a flash crowd with migration
 // draining, tail-drop admission, deadline-shed admission, a crash +
-// partition plan under which VMs vanish with queued work, and a multi-stream
-// mix on a fleet with fewer live VMs than streams -- each run at 1, 3 and 4
+// partition plan under which VMs vanish with queued work, a multi-stream
+// mix on a fleet with fewer live VMs than streams, and 1000-server shards
+// that consolidate onto hosts of many equal-demand VMs -- each run at 1, 3 and 4
 // fabric threads (3 workers claim 4 shards unevenly).  Every interval records
 // the fabric report digest and the merged SlaSummary digest (the report
 // digest carries no request counters); the trail ends with the fabric state
@@ -14,7 +15,9 @@
 // dense per-VM storage, vector-backed queues and the parallel advance change
 // nothing.  The sparse multi-stream scenario was captured while the pool
 // still gave each worker a fixed block of shards, sojourns were binned by
-// log10 and routing took a modulo per request.
+// log10 and routing took a modulo per request.  The consolidated-fleet
+// scenario was captured while ShedOverloaded still sorted the donor's roster
+// before every migration and the driver wrote demands back one VM at a time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,6 +45,7 @@ struct Scenario {
   std::size_t servers;       ///< Servers per shard.
   std::uint64_t seed;        ///< Cluster template seed.
   const char* faults;        ///< Per-shard fault plan, nullptr for none.
+  std::size_t intervals{kIntervals};
 };
 
 /// What a run exercised, beyond its digests: the pinned scenarios must keep
@@ -105,7 +109,7 @@ Trail run(const Scenario& sc, std::size_t threads) {
   EXPECT_TRUE(session.ok());
 
   Trail trail;
-  for (std::size_t i = 0; i < kIntervals; ++i) {
+  for (std::size_t i = 0; i < sc.intervals; ++i) {
     for (std::size_t k = 0; k < fabric.size(); ++k) {
       trail.coverage.fleet_fallbacks +=
           streams_without_vms(fabric.cluster(k), workload->streams.size());
@@ -271,6 +275,35 @@ TEST(RequestPlanePinned, SparseFleetMultiStreamDigestsPinned) {
   };
   const Coverage cov = expect_pinned(sc, pinned);
   EXPECT_GT(cov.fleet_fallbacks, 0U);
+  EXPECT_GT(cov.summary.completed, 0U);
+}
+
+TEST(RequestPlanePinned, ConsolidatedFleetDigestsPinned) {
+  // 1000-server shards under request-driven demand consolidate onto R5
+  // hosts carrying dozens of VMs, many at the same demand.  Shedding such a
+  // host picks among equal demands in std::sort's order, which above 16 VMs
+  // is not roster order: picking the roster-first VM instead changes these
+  // digests from interval 14 on.
+  const Scenario sc{"poisson:rate=800;flash:rate=200,burst=8", 1000, 3,
+                    nullptr, 20};
+  const std::vector<std::uint64_t> pinned = {
+      0x5fc3c9ebb176458bULL, 0xcdf8af37b76e2b10ULL, 0x37b0330b240cb556ULL,
+      0x153c01d5c2b91ffbULL, 0x115a5b5b1a810602ULL, 0xfb97e38653365d77ULL,
+      0xd9eb4f6ecf6ec1e1ULL, 0x4dcae31fabcbce68ULL, 0xa78c24c8921de33fULL,
+      0xb2c20e7172e5a0f8ULL, 0x7f6eed9b01f58363ULL, 0xd8cffde3788c205eULL,
+      0x0ecdefcb399f202cULL, 0xdf4186615d8526a5ULL, 0x1a019823f8e009dcULL,
+      0x83d359ecbdc187d7ULL, 0xe6da8a6ce274a431ULL, 0x8b497624dae83577ULL,
+      0x9ef921907b5148b0ULL, 0xdf7fcb2dd41afe59ULL, 0x9257aca3cb169b3cULL,
+      0xc69ff381448ba3beULL, 0xf968106e2bab1625ULL, 0x31de2a2cd7bdd74cULL,
+      0x3268b90cf078d9f5ULL, 0xa8c50b196b3a0a15ULL, 0xe81e4dd979894106ULL,
+      0x13015cee5ca7cc78ULL, 0x3dab5c3c312403d9ULL, 0x686f60a7e416d805ULL,
+      0x24a0c1c634084a00ULL, 0x6aa5bcf48cb576d0ULL, 0x0f75b534e28fb3d5ULL,
+      0x4802cb76340f58e0ULL, 0x660fd9f70fbe26abULL, 0xf2d8d5af17db57d2ULL,
+      0x9c76fc130796d385ULL, 0xffbaec58719b64d7ULL, 0x9eb4ed83bdd7a86bULL,
+      0xbd400825b8ca7f30ULL, 0xa6a26e87459d18f0ULL, 0xbd400825b8ca7f30ULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.migrations, 0U);
   EXPECT_GT(cov.summary.completed, 0U);
 }
 

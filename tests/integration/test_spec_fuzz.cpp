@@ -163,12 +163,14 @@ class Mutator {
         "inf", "-inf", "nan", "1e309", "1e-300", "0", "-0", "0x1p3",
         "4294967294", "4294967295", "4294967296", "18446744073709551615",
         "18446744073709551616", "9223372036854775808", "1000", "1000.5",
-        "0.0009", "0.001", "64", "65", "0.9999999", "1e300", "s=", "g=",
-        "heal=", "burst=", "rate=", "cap=", "drain=", "hb=", "retries=",
-        "backoff=", "--", "--x", "-"};
+        "0.0009", "0.001", "64", "65", "0.9999999", "1e300", "1e6",
+        "1000000.0001", "10000", "10000.000001", "s=", "g=", "heal=",
+        "burst=", "rate=", "mean=", "amp=", "cap=", "drain=", "hb=",
+        "retries=", "backoff=", "--", "--x", "-"};
     static constexpr std::string_view kNumbers[] = {
         "inf", "nan", "1e309", "-0", "0", "0x1p3", "1e-300", "0.0009",
         "0.001", "64", "65", "0.9999999", "1.0000001", "100.0000001", "999.99999", "1000.0000001",
+        "1e6", "1000000.0001", "1e9", "10000", "10000.000001",
         "4294967294", "4294967295", "4294967296", "18446744073709551616"};
     const std::size_t pos = below(s->size() + 1);
     switch (below(8)) {
@@ -287,6 +289,10 @@ TEST(SpecFuzz, RequestSpecRejectsWithADiagnosticOrRoundTrips) {
                              st.sla_seconds}) {
         ASSERT_TRUE(std::isfinite(v)) << spec;
       }
+      // A larger peak rate ran out of memory; a larger mean only fills the
+      // histogram's overflow.
+      ASSERT_LE(workload::engine::peak_rate(st), 1e6) << spec;
+      ASSERT_LE(st.service.mean, 1e4) << spec;
     }
     const std::string once = cfg->to_spec();
     const auto again = RequestWorkloadConfig::parse(once, &error);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
+
+#include "cluster/index/regime_index.h"
 
 namespace eclb::server {
 namespace {
@@ -211,6 +217,111 @@ TEST(Server, ChargeEnergyAddsLumpSum) {
   Server s = make_server();
   s.charge_energy(common::Joules{55.0});
   EXPECT_DOUBLE_EQ(s.energy_used().value, 55.0);
+}
+
+/// A fleet of four hosts watched by a regime index: an ordinary mix, an
+/// oversubscribed host, a sleeping host with VMs force-placed on it, and a
+/// host whose demands all go to zero.
+struct WriteBackFleet {
+  std::vector<Server> servers;
+  std::unique_ptr<cluster::index::RegimeIndex> index;
+
+  WriteBackFleet() {
+    const std::vector<std::vector<double>> rosters = {
+        {0.1, 0.2, 0.15}, {0.6, 0.5, 0.3}, {0.2, 0.1}, {0.3, 0.2}};
+    servers.reserve(rosters.size());
+    std::uint32_t vm_id = 0;
+    for (std::uint32_t i = 0; i < rosters.size(); ++i) {
+      servers.push_back(make_server(i));
+      if (i == 2) {
+        servers[i].begin_sleep(energy::CState::kC3, Seconds{0.0});
+        servers[i].settle(Seconds{100.0});
+      }
+      for (const double d : rosters[i]) servers[i].force_place(make_vm(vm_id++, d));
+    }
+    index = std::make_unique<cluster::index::RegimeIndex>(
+        std::span<const Server>(servers));
+    for (Server& s : servers) s.set_state_listener(index.get());
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The index's id-ordered cursor over one regime, walked to the end.
+std::vector<std::uint32_t> regime_walk(const cluster::index::RegimeIndex& index,
+                                       energy::Regime regime) {
+  std::vector<std::uint32_t> ids;
+  for (auto at = index.next_in_regime(regime, std::nullopt); at.has_value();
+       at = index.next_in_regime(regime, at)) {
+    ids.push_back(at->value);
+  }
+  return ids;
+}
+
+TEST(Server, ForceDemandsMatchesPerVmForceDemand) {
+  WriteBackFleet batched;
+  WriteBackFleet per_vm;
+  ASSERT_TRUE(batched.servers[2].asleep(Seconds{100.0}));
+  // Two write-backs, the first with demands the [0, 1] clamp cuts and the
+  // second leaving host 1 oversubscribed and host 3 at all-zero demand.
+  const std::vector<std::vector<std::vector<double>>> rounds = {
+      {{0.4, 1.5, -0.25}, {0.9, 0.7, 0.3}, {0.05, 0.6}, {0.1, 0.7}},
+      {{0.35, 0.05, 0.2}, {0.5, 0.45, 0.4}, {0.3, 0.3}, {0.0, -0.0}}};
+  for (const auto& demands : rounds) {
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      batched.servers[i].force_demands(demands[i]);
+      Server& s = per_vm.servers[i];
+      for (std::size_t j = 0; j < demands[i].size(); ++j) {
+        ASSERT_TRUE(s.force_demand(s.vms()[j].id(), demands[i][j]));
+      }
+    }
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      const Server& a = batched.servers[i];
+      const Server& b = per_vm.servers[i];
+      SCOPED_TRACE("host " + std::to_string(i));
+      ASSERT_EQ(a.vm_count(), b.vm_count());
+      for (std::size_t j = 0; j < a.vm_count(); ++j) {
+        EXPECT_EQ(bits(a.vms()[j].demand()), bits(b.vms()[j].demand()));
+      }
+      const ServerStateTable& ta = a.state_table();
+      const ServerStateTable& tb = b.state_table();
+      const ServerSlot sa = a.slot();
+      const ServerSlot sb = b.slot();
+      EXPECT_EQ(bits(ta.load(sa)), bits(tb.load(sb)));
+      EXPECT_EQ(bits(ta.static_power(sa)), bits(tb.static_power(sb)));
+      EXPECT_EQ(ta.vm_count(sa), tb.vm_count(sb));
+      EXPECT_EQ(ta.awake(sa), tb.awake(sb));
+      EXPECT_EQ(ta.transition_pending(sa), tb.transition_pending(sb));
+      EXPECT_EQ(ta.cstate_src(sa), tb.cstate_src(sb));
+      EXPECT_EQ(ta.effective_cstate(sa), tb.effective_cstate(sb));
+      EXPECT_EQ(ta.regime(sa), tb.regime(sb));
+      EXPECT_EQ(ta.classified(sa), tb.classified(sb));
+      EXPECT_EQ(ta.sleep_depth(sa), tb.sleep_depth(sb));
+      EXPECT_TRUE(ta.index_row(sa) == tb.index_row(sb));
+      EXPECT_EQ(bits(ta.index_row(sa).load), bits(tb.index_row(sb).load));
+    }
+    EXPECT_GT(batched.servers[1].load(), 1.0);
+
+    batched.index->flush();
+    per_vm.index->flush();
+    const cluster::index::RegimeIndex& x = *batched.index;
+    const cluster::index::RegimeIndex& y = *per_vm.index;
+    EXPECT_EQ(x.self_check(), std::nullopt);
+    EXPECT_EQ(y.self_check(), std::nullopt);
+    EXPECT_EQ(x.total_vms(), y.total_vms());
+    EXPECT_EQ(x.sleeping_count(), y.sleeping_count());
+    EXPECT_EQ(x.regime_histogram(), y.regime_histogram());
+    for (int r = 1; r <= static_cast<int>(energy::kRegimeCount); ++r) {
+      const auto regime = static_cast<energy::Regime>(r);
+      EXPECT_EQ(regime_walk(x, regime), regime_walk(y, regime));
+    }
+    for (const double demand : {0.05, 0.2, 0.5}) {
+      EXPECT_EQ(x.find_tiered_target(demand, ServerId{0},
+                                     policy::PlacementTier::kStayOptimal),
+                y.find_tiered_target(demand, ServerId{0},
+                                     policy::PlacementTier::kStayOptimal));
+    }
+  }
 }
 
 TEST(ServerDeathTest, SleepWithVmsAborts) {

@@ -162,6 +162,43 @@ TEST(RequestSpec, RejectsNonFiniteNumbersAndHugeBursts) {
   EXPECT_DOUBLE_EQ(widest->streams[0].burst, 1000.0);
 }
 
+TEST(RequestSpec, PeakRateAndServiceMeanAreBounded) {
+  // rate=1e9 ran out of memory holding one window's arrivals and mean=1e300
+  // printed a 300-digit backlog.  The peak rate counts the diurnal swing
+  // and the flash multiplier; a mean past the latency histogram's top only
+  // lands in overflow.
+  for (const char* spec : {"poisson:rate=1e9", "poisson:rate=1000000.0001",
+                           "diurnal:rate=600000,amp=0.8",
+                           "flash:rate=2000,burst=501",
+                           "poisson:rate=5;flash:rate=1e6,burst=2"}) {
+    std::string error;
+    EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec;
+    EXPECT_EQ(error.rfind("requests: ", 0), 0U) << error;
+    EXPECT_NE(error.find("peak rate out of range"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("at most 1e6 requests/s"), std::string::npos)
+        << error;
+  }
+  for (const char* spec : {"poisson:rate=5,mean=1e300",
+                           "poisson:rate=5,mean=10000.000001"}) {
+    std::string error;
+    EXPECT_FALSE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec;
+    EXPECT_NE(error.find("mean out of range"), std::string::npos) << error;
+    EXPECT_NE(error.find("at most 10000 seconds"), std::string::npos)
+        << error;
+  }
+  // The bounds themselves are accepted; a trace stream's rate is unused.
+  for (const char* spec :
+       {"poisson:rate=1e6,mean=10000", "diurnal:rate=500000,amp=0.99",
+        "flash:rate=1000,burst=1000", "trace:file=/tmp/x.trs,rate=1e9"}) {
+    std::string error;
+    EXPECT_TRUE(RequestWorkloadConfig::parse(spec, &error).has_value())
+        << spec << ": " << error;
+  }
+}
+
 TEST(RequestSpec, SetGlobalIsTheOneCheckOfTheFlagSpellings) {
   // eclb_cli's --admission, --admission-cap, --admission-budget and
   // --drain-intervals go through set_global, exactly like the spec keys.
