@@ -544,13 +544,6 @@ bool Cluster::take_shadow_entry(common::VmId vm) {
   return false;
 }
 
-const server::Server* Cluster::find_vm_host(common::VmId vm) const {
-  for (const auto& s : servers_) {
-    if (s.find(vm) != nullptr) return &s;
-  }
-  return nullptr;
-}
-
 // --- partition tolerance -----------------------------------------------------
 
 std::int32_t Cluster::begin_partition(const std::vector<std::int32_t>& group_of) {

@@ -388,8 +388,6 @@ class Cluster {
   /// Closes one outstanding orphan of `origin`'s crash episode (MTTR sample
   /// when it was the last).
   void close_crash_outstanding(common::ServerId origin);
-  /// The server currently hosting `vm`; nullptr when none does.
-  [[nodiscard]] const server::Server* find_vm_host(common::VmId vm) const;
 
   ClusterConfig config_;
   common::Rng rng_;

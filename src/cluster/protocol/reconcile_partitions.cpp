@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <unordered_map>
 
 #include "cluster/cluster.h"
 #include "cluster/config.h"
@@ -72,23 +73,37 @@ void Cluster::reconcile_partitions() {
     }
   }
 
-  // 2. Resolve the shadow ledger (deterministic: insertion order).
+  // 2. Resolve the shadow ledger (deterministic: insertion order).  Each
+  // shadow is a fresh VM id and the loop only removes shadows, never moves
+  // a VM, so one roster pass up front finds every shadow's current host
+  // (it may have migrated since the split began).
+  std::unordered_map<common::VmId, server::Server*> shadow_host;
+  shadow_host.reserve(shadow_ledger_.size());
+  for (const auto& entry : shadow_ledger_) {
+    const bool fresh = shadow_host.emplace(entry.shadow, nullptr).second;
+    ECLB_ASSERT(fresh, "reconcile: shadow listed twice in the ledger");
+  }
+  for (std::size_t i = 0; !shadow_host.empty() && i < servers_.size(); ++i) {
+    for (const auto& v : servers_[i].vms()) {
+      const auto it = shadow_host.find(v.id());
+      if (it != shadow_host.end()) it->second = &servers_[i];
+    }
+  }
   std::size_t duplicates = 0;
   std::size_t adopted = 0;
   for (const auto& entry : shadow_ledger_) {
-    const server::Server* shadow_host = find_vm_host(entry.shadow);
-    if (shadow_host == nullptr) continue;  // shadow died with its host
+    server::Server* const host = shadow_host.at(entry.shadow);
+    if (host == nullptr) continue;  // shadow died with its host
     server::Server& origin = server_ref(entry.origin);
     const bool original_alive =
         !origin.failed() && origin.find(entry.original) != nullptr;
     if (original_alive) {
       // Both instances survived the split: the original (the older
       // placement) wins and the quorum's shadow is retired.
-      auto& host = server_ref(shadow_host->id());
-      auto removed = host.remove(entry.shadow);
+      auto removed = host->remove(entry.shadow);
       ECLB_ASSERT(removed.has_value(), "reconcile: ledger shadow vanished");
       retire_growth(entry.shadow);
-      recorder_.duplicate_resolved(host.id());
+      recorder_.duplicate_resolved(host->id());
       ++duplicates;
       continue;
     }

@@ -59,10 +59,12 @@ RequestDriver::RequestDriver(cluster::Cluster& cluster,
               "RequestDriver: build the cluster with demand_evolution_enabled "
               "= false; the driver owns the demand signal");
   rr_.assign(engine_.stream_count(), 0);
-  targets_.resize(engine_.stream_count());
+  plans_.resize(engine_.stream_count());
+  owned_.resize(engine_.stream_count());
 }
 
 void RequestDriver::advance_interval() {
+  using workload::engine::Pending;
   const common::Seconds t0 = cluster_.now();
   const common::Seconds tau = cluster_.config().reallocation_interval;
   const common::Seconds t1{t0.value + tau.value};
@@ -72,12 +74,20 @@ void RequestDriver::advance_interval() {
 
   // 1. Snapshot the live fleet in deterministic (server index, roster
   //    position) order, stamping each live VM's entry with this interval's
-  //    epoch and its slot index.  The capacity share is the host's
-  //    oversubscription discount: an overloaded server serves every hosted
-  //    VM proportionally, exactly how ServeAndAccount grants demand.
+  //    epoch and recording its owning stream and its position among that
+  //    stream's VMs.  The capacity share is the host's oversubscription
+  //    discount: an overloaded server serves every hosted VM
+  //    proportionally, exactly how ServeAndAccount grants demand.
+  //
+  //    The same loop detects migrations against the last-seen placements.
+  //    With draining enabled a moved VM's backlog stays behind as a
+  //    source-side residue, served at the frozen pre-move rate; without it
+  //    the queue travels with the VM.  last_seen also lets step 3 tell a
+  //    crashed host from a retired VM.
   ++epoch_;
   slots_.clear();
-  for (auto& t : targets_) t.clear();
+  std::fill(owned_.begin(), owned_.end(), 0U);
+  const std::uint32_t drain_window = engine_.config().drain_intervals;
   const std::span<server::Server> servers = cluster_.mutable_servers();
   for (std::size_t si = 0; si < servers.size(); ++si) {
     const server::Server& s = servers[si];
@@ -85,188 +95,135 @@ void RequestDriver::advance_interval() {
     const double share =
         load > s.capacity() && load > 0.0 ? s.capacity() / load : 1.0;
     for (const vm::Vm& v : s.vms()) {
-      const std::size_t owner =
-          nstreams == 0 ? 0 : v.app().index() % nstreams;
       VmSlot slot;
       slot.id = v.id();
-      slot.server = si;
       slot.rate = v.demand() * share;
-      slot.sla_seconds = nstreams == 0
-                             ? 0.0
-                             : engine_.config().streams[owner].sla_seconds;
-      if (slot.id.index() >= vms_.size()) vms_.resize(slot.id.index() + 1);
-      VmEntry& e = vms_[slot.id.index()];
+      if (nstreams > 0) {
+        slot.owner = static_cast<std::uint32_t>(v.app().index() % nstreams);
+        slot.owner_pos = owned_[slot.owner]++;
+        slot.sla_seconds = engine_.config().streams[slot.owner].sla_seconds;
+      }
+      const std::size_t id = slot.id.index();
+      if (id >= vms_.size()) vms_.resize(id + 1);
+      VmEntry& e = vms_[id];
       e.live_epoch = epoch_;
-      e.slot = static_cast<std::uint32_t>(slots_.size());
-      if (owner < targets_.size()) targets_[owner].push_back(slots_.size());
+      if (drain_window > 0 && e.seen && e.last_seen.server != si &&
+          e.count > 0) {
+        start_drain(id, slot, drain_window);
+      }
+      e.last_seen = LastSeen{si, slot.rate};
+      e.seen = true;
       slots_.push_back(slot);
     }
   }
 
-  // 1b. Detect migrations against the last-seen placements.  With draining
-  //     enabled a moved VM's backlog stays behind as a source-side residue,
-  //     served at the frozen pre-move rate; without it the queue travels
-  //     with the VM exactly as before.  last_seen also lets step 3 tell a
-  //     crashed host from a retired VM.
-  const std::uint32_t drain_window = engine_.config().drain_intervals;
-  for (const VmSlot& slot : slots_) {
-    VmEntry& e = vms_[slot.id.index()];
-    if (drain_window > 0 && e.seen && e.last_seen.server != slot.server &&
-        e.queue.depth() > 0) {
-      if (draining_.size() < vms_.size()) draining_.resize(vms_.size());
-      DrainState& old = draining_[slot.id.index()];
-      DrainState st;
-      st.queue.prepend(e.queue.take_all());
-      if (old.intervals_left > 0) {
-        // Second hop while still draining: the older residue re-joins at
-        // the front so overall arrival order survives.
-        st.queue.prepend(old.queue.take_all());
-      } else {
-        ++drain_count_;
-      }
-      st.source = e.last_seen.server;
-      st.rate = e.last_seen.rate;
-      st.sla_seconds = slot.sla_seconds;
-      st.intervals_left = drain_window;
-      old = std::move(st);
-    }
-  }
-  for (const VmSlot& slot : slots_) {
-    VmEntry& e = vms_[slot.id.index()];
-    e.last_seen = LastSeen{slot.server, slot.rate};
-    e.seen = true;
-  }
-
-  // 2. Route each stream's arrivals round-robin over the VMs it owns
-  //    (falling back to the whole fleet when the stream owns none).  The
-  //    cursors persist across intervals so routing does not restart at the
-  //    first VM every window.
-  std::vector<std::size_t> all_slots;
+  // 2. Plan each stream's round-robin over the VMs it owns (falling back
+  //    to the whole fleet when it owns none).  The cursors persist across
+  //    intervals so routing does not restart at the first VM every window,
+  //    and advance by one per arrival, shed ones included.
+  fallbacks_.clear();
   for (std::size_t s = 0; s < nstreams; ++s) {
-    const std::vector<workload::engine::Request>& reqs = per_stream_[s];
-    if (reqs.empty()) continue;
-    const std::vector<std::size_t>* tgt = &targets_[s];
-    if (tgt->empty()) {
-      if (all_slots.empty() && !slots_.empty()) {
-        all_slots.resize(slots_.size());
-        for (std::size_t i = 0; i < slots_.size(); ++i) all_slots[i] = i;
-      }
-      tgt = &all_slots;
-    }
-    if (tgt->empty()) {
+    RoutePlan& plan = plans_[s];
+    plan = RoutePlan{};
+    const std::size_t n = per_stream_[s].size();
+    if (n == 0) continue;
+    const bool fallback = owned_[s] == 0;
+    plan.width = fallback ? slots_.size() : owned_[s];
+    if (plan.width == 0) {
       // No VM anywhere to take the stream: the requests are lost.
-      dropped_ += reqs.size();
+      dropped_ += n;
       continue;
     }
-    const bool admitting = engine_.config().admission !=
-                           workload::engine::AdmissionPolicy::kNone;
-    const std::size_t n = reqs.size();
-    const std::size_t width = tgt->size();
-    // A wrapping position replaces a per-request modulo; the persistent
-    // cursor advances by one per arrival, shed ones included.
-    std::size_t pos = static_cast<std::size_t>(rr_[s] % width);
-    std::uint64_t accepted = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const VmSlot& slot = slots_[(*tgt)[pos]];
-      if (++pos == width) pos = 0;
-      VmEntry& e = vms_[slot.id.index()];
-      e.has_queue = true;
-      if (j < width && !admitting) {
-        // First arrival for this VM in the window: it will take every
-        // width-th request from here on, so size its queue once.
-        e.queue.reserve_more((n - j + width - 1) / width);
-      }
-      if (admitting && shed_decision(e.queue, slot)) {
-        ++shed_;
-        continue;
-      }
-      e.queue.push(reqs[j]);
-      ++accepted;
-    }
+    plan.n = n;
+    plan.pos0 = static_cast<std::size_t>(rr_[s] % plan.width);
     rr_[s] += n;
-    arrived_ += accepted;
+    if (fallback) fallbacks_.push_back(s);
   }
 
-  // 3. Serve every open queue over the window at its VM's granted share, in
-  //    VmId order; queues whose VM vanished (crash orphan retired, shadow
-  //    resolved) drop their requests and reset, so a VM that comes back
-  //    later starts from a fresh queue.
+  // 3. Queues whose VM vanished (crash orphan retired, shadow resolved)
+  //    drop their requests and reset, so a VM that comes back later starts
+  //    from a fresh queue.  If the VM's last-known host is down this is
+  //    stranded backlog killed by the fault, not a routing drop.  Residues
+  //    of vanished VMs drain on; an expiring one is a routing drop too.
   for (VmEntry& e : vms_) {
-    if (!e.has_queue) continue;
-    if (e.live_epoch != epoch_) {
-      // The VM is gone.  If its last-known host is down this is stranded
-      // backlog killed by the fault, not a routing drop.
-      const bool host_failed = e.seen &&
-                               e.last_seen.server < servers.size() &&
-                               servers[e.last_seen.server].failed();
-      if (host_failed) {
-        failed_by_fault_ += e.queue.drop_all();
-      } else {
-        dropped_ += e.queue.drop_all();
-      }
-      e.queue = workload::engine::RequestQueue{};
-      e.has_queue = false;
-      e.seen = false;
-      continue;
-    }
-    const VmSlot& slot = slots_[e.slot];
-    const workload::engine::QueueServeStats stats =
-        e.queue.serve(t0, t1, slot.rate, slot.sla_seconds, &hist_);
-    completed_ += stats.completed;
-    violations_ += stats.sla_violations;
+    if (!e.has_queue || e.live_epoch == epoch_) continue;
+    const bool host_failed = e.seen && e.last_seen.server < servers.size() &&
+                             servers[e.last_seen.server].failed();
+    (host_failed ? failed_by_fault_ : dropped_) += e.count;
+    e = VmEntry{};
   }
-
-  // 3b. Serve draining residues on their source hosts (VmId order).  A
-  //     crashed source fails its residue; an expired window hands whatever
-  //     is left back to the VM's current queue, ahead of newer arrivals.
   for (std::size_t id = 0; drain_count_ > 0 && id < draining_.size(); ++id) {
-    DrainState& st = draining_[id];
-    if (st.intervals_left == 0) continue;
-    if (st.source < servers.size() && servers[st.source].failed()) {
-      failed_by_fault_ += st.queue.drop_all();
-    } else {
-      const workload::engine::QueueServeStats stats =
-          st.queue.serve(t0, t1, st.rate, st.sla_seconds, &hist_);
-      completed_ += stats.completed;
-      violations_ += stats.sla_violations;
-      if (st.intervals_left > 1 && st.queue.depth() > 0) {
-        --st.intervals_left;
-        continue;
-      }
-      if (st.queue.depth() > 0) {
-        VmEntry& e = vms_[id];
-        if (e.live_epoch == epoch_) {
-          e.has_queue = true;
-          e.queue.prepend(st.queue.take_all());
-        } else {
-          // The VM vanished mid-drain with the source still up: the
-          // residue is a routing drop, same as a retired VM's queue.
-          dropped_ += st.queue.drop_all();
-        }
-      }
+    if (draining_[id].intervals_left > 0 && vms_[id].live_epoch != epoch_) {
+      advance_residue(id, /*live=*/false, 0, t0, t1, servers);
     }
-    st = DrainState{};
-    --drain_count_;
   }
 
-  // 4. Convert backlog into each VM's next demand.  Step 1 laid each
-  //    server's VMs out as one run of slots in roster order, so every host
-  //    takes its run's demands in one write-back.
+  // 4. One pass over the live VMs in slot order.  Each VM's queue is its
+  //    carried run followed by its arrivals, stream by stream; it is
+  //    served in place at the tail of next_ and its survivors stay there
+  //    as its run for the next window.  Its drain residue follows, and an
+  //    expiring one re-joins ahead of the survivors.  The backlog becomes
+  //    the VM's next demand; step 1 laid each server's VMs out as one run
+  //    of slots in roster order, so every host takes its run's demands in
+  //    one write-back.
+  next_.clear();
   const double util = engine_.config().target_utilization;
   double backlog_total = 0.0;
   std::size_t i = 0;
   for (server::Server& host : servers) {
     demands_.clear();
     for (const std::size_t end = i + host.vm_count(); i < end; ++i) {
-      const double backlog = vms_[slots_[i].id.index()].queue.backlog_work();
-      backlog_total += backlog;
-      demands_.push_back(std::clamp(backlog / (tau.value * util), 0.0, 1.0));
+      const VmSlot& slot = slots_[i];
+      const std::size_t id = slot.id.index();
+      VmEntry& e = vms_[id];
+      const std::size_t base = next_.size();
+      next_.insert(next_.end(), carry_.begin() + e.begin,
+                   carry_.begin() + e.begin + e.count);
+      if (nstreams > 0) {
+        // Stream order: the fallback streams and the owner, ascending.
+        std::size_t routed = 0;
+        bool owner_done = plans_[slot.owner].n == 0;
+        for (const std::size_t s : fallbacks_) {
+          if (!owner_done && slot.owner < s) {
+            routed += gather(slot.owner, slot.owner_pos, slot, e, base);
+            owner_done = true;
+          }
+          routed += gather(s, i, slot, e, base);
+        }
+        if (!owner_done) {
+          routed += gather(slot.owner, slot.owner_pos, slot, e, base);
+        }
+        if (routed > 0) e.has_queue = true;
+      }
+      e.begin = base;
+      e.count = next_.size() - base;
+      if (e.has_queue) {
+        const workload::engine::QueueServeStats stats = workload::engine::serve(
+            std::span<Pending>(next_.data() + base, e.count), e.fifo, t0, t1,
+            slot.rate, slot.sla_seconds, &hist_);
+        completed_ += stats.completed;
+        violations_ += stats.sla_violations;
+        if (stats.completed > 0) {
+          const auto head = next_.begin() + static_cast<std::ptrdiff_t>(base);
+          next_.erase(head,
+                      head + static_cast<std::ptrdiff_t>(stats.completed));
+          e.count -= stats.completed;
+        }
+      }
+      if (drain_count_ > 0 && id < draining_.size() &&
+          draining_[id].intervals_left > 0) {
+        advance_residue(id, /*live=*/true, base, t0, t1, servers);
+      }
+      backlog_total += e.fifo.backlog;
+      demands_.push_back(
+          std::clamp(e.fifo.backlog / (tau.value * util), 0.0, 1.0));
     }
     host.force_demands(demands_);
   }
+  carry_.swap(next_);
   for (std::size_t id = 0; drain_count_ > 0 && id < draining_.size(); ++id) {
     if (draining_[id].intervals_left > 0) {
-      backlog_total += draining_[id].queue.backlog_work();
+      backlog_total += draining_[id].fifo.backlog;
     }
   }
   backlog_ = backlog_total;
@@ -289,7 +246,97 @@ void RequestDriver::advance_interval() {
   last_failed_ = failed_by_fault_;
 }
 
-bool RequestDriver::shed_decision(const workload::engine::RequestQueue& queue,
+void RequestDriver::start_drain(std::size_t id, const VmSlot& slot,
+                                std::uint32_t window) {
+  using workload::engine::Pending;
+  VmEntry& e = vms_[id];
+  if (draining_.size() < vms_.size()) draining_.resize(vms_.size());
+  DrainState& old = draining_[id];
+  DrainState st;
+  workload::engine::prepend(
+      st.pending, 0, std::span<const Pending>(carry_.data() + e.begin, e.count),
+      st.fifo);
+  if (old.intervals_left > 0) {
+    // Second hop while still draining: the older residue re-joins at the
+    // front so overall arrival order survives.
+    workload::engine::prepend(st.pending, 0, old.pending, st.fifo);
+  } else {
+    ++drain_count_;
+  }
+  st.source = e.last_seen.server;
+  st.rate = e.last_seen.rate;
+  st.sla_seconds = slot.sla_seconds;
+  st.intervals_left = window;
+  old = std::move(st);
+  // The queue is handed over whole; its server-free time stays.
+  e.count = 0;
+  e.fifo.backlog = 0.0;
+}
+
+std::size_t RequestDriver::gather(std::size_t s, std::size_t pos,
+                                  const VmSlot& slot, VmEntry& e,
+                                  std::size_t base) {
+  const RoutePlan& plan = plans_[s];
+  std::size_t j = pos >= plan.pos0 ? pos - plan.pos0
+                                   : pos + plan.width - plan.pos0;
+  if (j >= plan.n) return 0;
+  const std::size_t routed = (plan.n - j + plan.width - 1) / plan.width;
+  const workload::engine::Request* reqs = per_stream_[s].data();
+  if (engine_.config().admission == workload::engine::AdmissionPolicy::kNone) {
+    for (; j < plan.n; j += plan.width) {
+      workload::engine::push(next_, e.fifo, reqs[j]);
+    }
+    arrived_ += routed;
+    return routed;
+  }
+  for (; j < plan.n; j += plan.width) {
+    if (shed_decision(next_.size() - base, e.fifo.backlog, slot)) {
+      ++shed_;
+      continue;
+    }
+    workload::engine::push(next_, e.fifo, reqs[j]);
+    ++arrived_;
+  }
+  return routed;
+}
+
+void RequestDriver::advance_residue(std::size_t id, bool live,
+                                    std::size_t base, common::Seconds t0,
+                                    common::Seconds t1,
+                                    std::span<const server::Server> servers) {
+  DrainState& st = draining_[id];
+  if (st.source < servers.size() && servers[st.source].failed()) {
+    failed_by_fault_ += st.pending.size();
+  } else {
+    const workload::engine::QueueServeStats stats = workload::engine::serve(
+        st.pending, st.fifo, t0, t1, st.rate, st.sla_seconds, &hist_);
+    completed_ += stats.completed;
+    violations_ += stats.sla_violations;
+    st.pending.erase(
+        st.pending.begin(),
+        st.pending.begin() + static_cast<std::ptrdiff_t>(stats.completed));
+    if (st.intervals_left > 1 && !st.pending.empty()) {
+      --st.intervals_left;
+      return;
+    }
+    if (live) {
+      if (!st.pending.empty()) {
+        VmEntry& e = vms_[id];
+        e.has_queue = true;
+        workload::engine::prepend(next_, base, st.pending, e.fifo);
+        e.count += st.pending.size();
+      }
+    } else {
+      // The VM vanished mid-drain with the source still up: the residue is
+      // a routing drop, same as a retired VM's queue.
+      dropped_ += st.pending.size();
+    }
+  }
+  st = DrainState{};
+  --drain_count_;
+}
+
+bool RequestDriver::shed_decision(std::size_t depth, double backlog,
                                   const VmSlot& slot) const {
   using workload::engine::AdmissionPolicy;
   const workload::engine::RequestWorkloadConfig& cfg = engine_.config();
@@ -297,15 +344,14 @@ bool RequestDriver::shed_decision(const workload::engine::RequestQueue& queue,
     case AdmissionPolicy::kNone:
       return false;
     case AdmissionPolicy::kTailDrop:
-      return queue.depth() >= cfg.admission_cap;
+      return depth >= cfg.admission_cap;
     case AdmissionPolicy::kDeadlineShed: {
-      const double work = queue.backlog_work();
-      if (work <= 0.0) return false;  // An empty queue admits anything.
+      if (backlog <= 0.0) return false;  // An empty queue admits anything.
       if (!(slot.rate > 0.0)) return true;  // Backlog with no grant: shed.
       const double budget = cfg.admission_budget_seconds > 0.0
                                 ? cfg.admission_budget_seconds
                                 : slot.sla_seconds;
-      return work / slot.rate > budget;
+      return backlog / slot.rate > budget;
     }
   }
   return false;
@@ -313,8 +359,8 @@ bool RequestDriver::shed_decision(const workload::engine::RequestQueue& queue,
 
 std::uint64_t RequestDriver::queued() const {
   std::uint64_t total = 0;
-  for (const VmEntry& e : vms_) total += e.queue.depth();
-  for (const DrainState& st : draining_) total += st.queue.depth();
+  for (const VmEntry& e : vms_) total += e.count;
+  for (const DrainState& st : draining_) total += st.pending.size();
   return total;
 }
 

@@ -15,23 +15,29 @@
 // cluster must be built with demand_evolution_enabled = false (the driver
 // replaces the EvolveAndScale bernoulli pass).
 //
-// Storage: per-VM state (the FIFO queue, the last-seen placement, any
-// drain residue) lives in dense vectors indexed by VmId::value.  A cluster
-// allocates VM ids in sequence, so walking the indices in ascending order
-// visits VMs in VmId order.  Each interval's snapshot stamps the live VMs'
-// entries with an epoch and their slot index, so routing and serving reach
-// a VM's queue and its granted rate without a lookup.  When a VM with an
-// open queue vanishes, its entry resets to a fresh default, so an id that
-// comes back later starts from an empty queue.
+// Storage: per-VM state (the queue's header, the last-seen placement)
+// lives in dense vectors indexed by VmId::value; a cluster allocates VM
+// ids in sequence.  The queues themselves share one contiguous carry
+// buffer: each VM's unserved requests are one run in it, in slot order,
+// and its entry keeps {begin, count} plus the queue's backlog and
+// server-free time.  Each interval's snapshot stamps the live VMs' entries
+// with an epoch; one pass over the slots then rebuilds every run into a
+// second buffer -- carried requests, then the VM's arrivals gathered by
+// stride from the window, admitted as they are appended -- serves it in
+// place, splices in an expiring drain residue (a small vector of its own)
+// and writes the demand back, and the two buffers swap.  When a VM with
+// an open queue vanishes, its entry resets to a fresh default, so an id
+// that comes back later starts from an empty queue.
 //
 // Determinism: arrivals are a pure function of (workload config, seed);
-// routing walks servers in index order and VM rosters in position order;
-// serving, draining and the backlog sum walk VM ids in ascending order.
-// Two runs with the same cluster seed and workload config are
-// bit-identical.  FabricRequestSession advances the per-shard drivers in
-// parallel on the fabric's workers; each driver touches only its own
-// cluster, engine and histogram, so a fabric run stays bit-identical at any
-// thread count.
+// routing, serving and the write-back walk servers in index order and VM
+// rosters in position order, and each VM sees the same operations in the
+// same order wherever it is visited; the backlog sum adds VMs in that
+// order and residues in ascending VmId order.  Two runs with the same
+// cluster seed and workload config are bit-identical.
+// FabricRequestSession advances the per-shard drivers in parallel on the
+// fabric's workers; each driver touches only its own cluster, engine and
+// histogram, so a fabric run stays bit-identical at any thread count.
 //
 // Overload resilience (flag-gated; defaults reproduce PR 8 byte-for-byte):
 // admission control sheds arrivals whose target queue is past the policy's
@@ -45,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -123,14 +130,26 @@ class RequestDriver {
   /// One live VM as seen at the head of an interval.
   struct VmSlot {
     common::VmId id{};
-    std::size_t server{0};     ///< Host index in the server array.
-    double rate{0.0};          ///< Granted capacity share this interval.
-    double sla_seconds{0.0};   ///< Owning stream's sojourn budget.
+    double rate{0.0};            ///< Granted capacity share this interval.
+    double sla_seconds{0.0};     ///< Owning stream's sojourn budget.
+    std::uint32_t owner{0};      ///< Owning stream.
+    std::uint32_t owner_pos{0};  ///< Index among the owning stream's VMs.
+  };
+
+  /// How one stream's window of arrivals spreads over its VMs: arrival j
+  /// goes to the VM at position (pos0 + j) mod width of the stream's
+  /// targets -- the VMs it owns in slot order, or every slot when it owns
+  /// none (then a VM's position is its slot index).
+  struct RoutePlan {
+    std::size_t n{0};      ///< Arrivals to route (0: none, or no VM at all).
+    std::size_t width{0};  ///< Target count.
+    std::size_t pos0{0};   ///< Position of the window's first arrival.
   };
 
   /// Residual backlog left behind on a migration source while it drains.
   struct DrainState {
-    workload::engine::RequestQueue queue;
+    std::vector<workload::engine::Pending> pending;  ///< Oldest first.
+    workload::engine::FifoState fifo;
     std::size_t source{0};         ///< Source host index in the server array.
     double rate{0.0};              ///< Frozen serve rate (pre-move share).
     double sla_seconds{0.0};       ///< Owning stream's sojourn budget.
@@ -147,29 +166,58 @@ class RequestDriver {
   /// Everything the driver keeps for one VM id.  A default-constructed
   /// entry is an id the driver holds nothing for.
   struct VmEntry {
-    workload::engine::RequestQueue queue;
+    std::size_t begin{0};  ///< The queue's run in carry_: [begin, +count).
+    std::size_t count{0};
+    workload::engine::FifoState fifo;
     LastSeen last_seen;
     std::uint32_t live_epoch{0};  ///< == epoch_ while the VM is live.
-    std::uint32_t slot{0};        ///< Its slots_ index while live.
     bool has_queue{false};  ///< Opened by routing or a drain handback.
     bool seen{false};       ///< last_seen is set.
   };
 
-  /// True when admission refuses an arrival given the target queue's state
-  /// -- a pure function of (policy, queue, rate), so no RNG stream moves.
-  [[nodiscard]] bool shed_decision(
-      const workload::engine::RequestQueue& queue, const VmSlot& slot) const;
+  /// Moves VM `id`'s carried queue into a drain residue on its last host,
+  /// served at its last rate for `window` intervals; a residue still
+  /// draining from an earlier hop re-joins at the front.
+  void start_drain(std::size_t id, const VmSlot& slot, std::uint32_t window);
+
+  /// Appends VM `slot`'s share of stream `s`'s window -- the arrivals at
+  /// its position `pos` of the stream's route plan -- to next_, admitting
+  /// each against the queue as it stands.  Returns the arrivals routed to
+  /// the VM, shed ones included.
+  std::size_t gather(std::size_t s, std::size_t pos, const VmSlot& slot,
+                     VmEntry& e, std::size_t base);
+
+  /// Advances VM `id`'s drain residue by one window.  A down source host
+  /// fails it; otherwise it is served at its frozen rate, and when its
+  /// window runs out whatever is left re-joins the VM -- spliced into
+  /// next_ at `base`, ahead of the VM's survivors -- or, when `live` is
+  /// false (the VM vanished), is dropped.
+  void advance_residue(std::size_t id, bool live, std::size_t base,
+                       common::Seconds t0, common::Seconds t1,
+                       std::span<const server::Server> servers);
+
+  /// True when admission refuses an arrival given the target queue's
+  /// depth and backlog -- a pure function of (policy, queue, rate), so no
+  /// RNG stream moves.
+  [[nodiscard]] bool shed_decision(std::size_t depth, double backlog,
+                                   const VmSlot& slot) const;
 
   cluster::Cluster& cluster_;
   workload::engine::RequestEngine engine_;
   std::vector<std::vector<workload::engine::Request>> per_stream_;
   std::vector<VmSlot> slots_;
-  std::vector<double> demands_;  ///< One host's next demands (step 4, reused).
-  std::vector<std::vector<std::size_t>> targets_;  ///< Slot indices per stream.
-  std::vector<std::uint64_t> rr_;                  ///< Round-robin cursors.
+  std::vector<double> demands_;  ///< One host's next demands (reused).
+  std::vector<RoutePlan> plans_;           ///< One per stream, per window.
+  std::vector<std::size_t> fallbacks_;     ///< Streams owning no VM, in order.
+  std::vector<std::uint32_t> owned_;       ///< Live VMs per stream.
+  std::vector<std::uint64_t> rr_;          ///< Round-robin cursors.
   /// Per-VM state indexed by VmId::value.  A cluster allocates VM ids in
   /// sequence, so ascending index order is VmId order.
   std::vector<VmEntry> vms_;
+  /// The carry buffer: every VM's unserved requests, one run per VM in
+  /// slot order.  Each window rebuilds it into next_, then the two swap.
+  std::vector<workload::engine::Pending> carry_;
+  std::vector<workload::engine::Pending> next_;
   /// Drain residues indexed by VmId::value; intervals_left == 0 marks an id
   /// with no residue.  Sized on the first migration under a drain window.
   std::vector<DrainState> draining_;

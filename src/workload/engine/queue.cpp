@@ -1,43 +1,19 @@
 #include "workload/engine/queue.h"
 
 #include <algorithm>
-
-#include "common/assert.h"
+#include <cstddef>
 
 namespace eclb::workload::engine {
 
-namespace {
-
-/// Spare capacity, in requests, a queue may keep beyond twice its window
-/// peak before serve gives it back.
-constexpr std::size_t kSlack = 16;
-
-}  // namespace
-
-void RequestQueue::push(const Request& r) {
-  ECLB_ASSERT(r.service > 0.0, "request queue: service work must be > 0");
-  pending_.push_back(Pending{r.arrival, r.service});
-  backlog_work_ += r.service;
-}
-
-void RequestQueue::reserve_more(std::size_t n) {
-  const std::size_t need = pending_.size() + n;
-  if (need > pending_.capacity()) {
-    pending_.reserve(std::max(need, pending_.capacity() * 3 / 2));
-  }
-}
-
-QueueServeStats RequestQueue::serve(common::Seconds t0, common::Seconds t1,
-                                    double rate, double sla_seconds,
-                                    LatencyHistogram* hist) {
+QueueServeStats serve(std::span<Pending> pending, FifoState& state,
+                      common::Seconds t0, common::Seconds t1, double rate,
+                      double sla_seconds, LatencyHistogram* hist) {
   QueueServeStats stats;
   if (!(rate > 0.0) || t1 <= t0) return stats;
 
-  const std::size_t window_peak = pending_.size();
-  double cursor = std::max(ready_at_.value, t0.value);
-  std::size_t head = 0;  // First request not yet completed this window.
-  while (head < pending_.size()) {
-    Pending& req = pending_[head];
+  double backlog = state.backlog;
+  double cursor = std::max(state.ready_at.value, t0.value);
+  for (Pending& req : pending) {
     const double start = std::max(req.arrival.value, cursor);
     if (start >= t1.value) break;
     const double finish = start + req.remaining / rate;
@@ -45,7 +21,7 @@ QueueServeStats RequestQueue::serve(common::Seconds t0, common::Seconds t1,
       // The window closes mid-request: bank the work done, keep the head.
       const double done = rate * (t1.value - start);
       req.remaining -= done;
-      backlog_work_ = std::max(0.0, backlog_work_ - done);
+      backlog = std::max(0.0, backlog - done);
       cursor = t1.value;
       break;
     }
@@ -53,42 +29,19 @@ QueueServeStats RequestQueue::serve(common::Seconds t0, common::Seconds t1,
     if (hist != nullptr) hist->record(sojourn);
     ++stats.completed;
     if (sojourn > sla_seconds) ++stats.sla_violations;
-    backlog_work_ = std::max(0.0, backlog_work_ - req.remaining);
-    ++head;
+    backlog = std::max(0.0, backlog - req.remaining);
     cursor = finish;
   }
-  const auto served = pending_.begin() + static_cast<std::ptrdiff_t>(head);
-  if (pending_.capacity() > 2 * window_peak + kSlack) {
-    // A past burst left far more room than this window needed: keep room
-    // for this window's peak only, so capacity tracks the load.
-    std::vector<Pending> kept;
-    kept.reserve(window_peak);
-    kept.assign(served, pending_.end());
-    pending_.swap(kept);
-  } else {
-    pending_.erase(pending_.begin(), served);
-  }
-  ready_at_ = common::Seconds{std::min(cursor, t1.value)};
+  state.backlog = backlog;
+  state.ready_at = common::Seconds{std::min(cursor, t1.value)};
   return stats;
 }
 
-std::size_t RequestQueue::drop_all() {
-  const std::size_t n = pending_.size();
-  pending_.clear();
-  backlog_work_ = 0.0;
-  return n;
-}
-
-std::vector<RequestQueue::Pending> RequestQueue::take_all() {
-  std::vector<Pending> out;
-  out.swap(pending_);
-  backlog_work_ = 0.0;
-  return out;
-}
-
-void RequestQueue::prepend(std::vector<Pending> batch) {
-  for (const Pending& p : batch) backlog_work_ += p.remaining;
-  pending_.insert(pending_.begin(), batch.begin(), batch.end());
+void prepend(std::vector<Pending>& buf, std::size_t at,
+             std::span<const Pending> batch, FifoState& state) {
+  for (const Pending& p : batch) state.backlog += p.remaining;
+  buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), batch.begin(),
+             batch.end());
 }
 
 }  // namespace eclb::workload::engine

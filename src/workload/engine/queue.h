@@ -8,21 +8,37 @@
 // log-scale histogram; the remaining backlog is what the request driver
 // converts into the VM's next demand.
 //
-// Storage is a plain vector: serve walks a head cursor over the requests it
-// completes and erases them once at the end of the window.  A queue costs
-// one heap block (none until it first holds work), which serve trims back
-// when a past burst left it far larger than the current window needed, and
-// a vector of queues moves them, rather than copying, when it grows.
+// Storage belongs to the caller.  A queue is a run of Pending entries,
+// oldest first, plus a FifoState: its remaining work and the time its
+// server frees.  The request driver keeps every VM's run in one contiguous
+// carry buffer, rebuilt in VM visit order each window, and each migration
+// drain residue in a small vector of its own.  Both go through the one
+// serve kernel below, and an expiring residue re-joins its VM through
+// prepend().
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/units.h"
 #include "workload/engine/arrivals.h"
 #include "workload/engine/latency.h"
 
 namespace eclb::workload::engine {
+
+/// One queued request.
+struct Pending {
+  common::Seconds arrival{};
+  double remaining{0.0};  ///< Capacity-seconds of work left.
+};
+
+/// The per-queue state that lives beside its run of requests.
+struct FifoState {
+  double backlog{0.0};  ///< Remaining work in the queue, capacity-seconds.
+  common::Seconds ready_at{common::Seconds{0.0}};  ///< Server-free time.
+};
 
 /// What one serve window completed.
 struct QueueServeStats {
@@ -30,53 +46,30 @@ struct QueueServeStats {
   std::size_t sla_violations{0};  ///< Finished with sojourn > the SLA.
 };
 
-/// FIFO queue of requests pending on one VM.
-class RequestQueue {
- public:
-  /// One queued request (public so migration draining can hand residual
-  /// contents between queues without re-synthesizing Request objects).
-  struct Pending {
-    common::Seconds arrival{};
-    double remaining{0.0};  ///< Capacity-seconds of work left.
-  };
+/// Enqueues `r` at the back of the queue whose run ends `run`'s contents
+/// (callers push in arrival order).
+inline void push(std::vector<Pending>& run, FifoState& state,
+                 const Request& r) {
+  ECLB_ASSERT(r.service > 0.0, "request queue: service work must be > 0");
+  run.push_back(Pending{r.arrival, r.service});
+  state.backlog += r.service;
+}
 
-  /// Enqueues a request (callers push in arrival order).
-  void push(const Request& r);
+/// Serves the queue `pending` (oldest first) over the window [t0, t1) at
+/// `rate` capacity-seconds per second (the VM's granted share; 0 while the
+/// host is overloaded away or gone).  Completed sojourns are recorded into
+/// `hist` and checked against `sla_seconds`.  The first `completed` entries
+/// are done and the caller removes them; partial work on the next one is
+/// banked in place and carries over.
+QueueServeStats serve(std::span<Pending> pending, FifoState& state,
+                      common::Seconds t0, common::Seconds t1, double rate,
+                      double sla_seconds, LatencyHistogram* hist);
 
-  /// Makes room for `n` more requests without a reallocation per push
-  /// (grows by at least half the current capacity, so repeated calls stay
-  /// amortized).
-  void reserve_more(std::size_t n);
-
-  /// Serves the window [t0, t1) at `rate` capacity-seconds per second (the
-  /// VM's granted share; 0 while the host is overloaded away or gone).
-  /// Completed sojourns are recorded into `hist` and checked against
-  /// `sla_seconds`.  Partial work on the head request carries over.
-  QueueServeStats serve(common::Seconds t0, common::Seconds t1, double rate,
-                        double sla_seconds, LatencyHistogram* hist);
-
-  /// Requests waiting (including the partially served head).
-  [[nodiscard]] std::size_t depth() const { return pending_.size(); }
-  /// Remaining work in the queue, capacity-seconds.
-  [[nodiscard]] double backlog_work() const { return backlog_work_; }
-
-  /// Drops everything (the VM vanished); returns the number dropped.
-  std::size_t drop_all();
-
-  /// Removes and returns every pending request, FIFO order preserved; the
-  /// queue is left empty.  The migration-drain handoff uses this to freeze
-  /// the source-side backlog.
-  [[nodiscard]] std::vector<Pending> take_all();
-
-  /// Splices `batch` in front of the current contents, preserving the
-  /// batch's internal order, so a drain residue re-joins ahead of the
-  /// requests that arrived after the migration.
-  void prepend(std::vector<Pending> batch);
-
- private:
-  std::vector<Pending> pending_;  ///< Oldest first.
-  double backlog_work_{0.0};
-  common::Seconds ready_at_{common::Seconds{0.0}};  ///< Server-free time.
-};
+/// Splices `batch` into `buf` at `at`, in front of the queue whose run
+/// starts there, preserving the batch's internal order and adding its work
+/// to `state` -- so a drain residue re-joins ahead of the requests that
+/// arrived after the migration.  `batch` must not alias `buf`.
+void prepend(std::vector<Pending>& buf, std::size_t at,
+             std::span<const Pending> batch, FifoState& state);
 
 }  // namespace eclb::workload::engine

@@ -1,23 +1,29 @@
 // Request-plane runs pinned end to end.
 //
-// Six request workloads on a 4-shard fabric -- a flash crowd with migration
-// draining, tail-drop admission, deadline-shed admission, a crash +
-// partition plan under which VMs vanish with queued work, a multi-stream
-// mix on a fleet with fewer live VMs than streams, and 1000-server shards
-// that consolidate onto hosts of many equal-demand VMs -- each run at 1, 3 and 4
-// fabric threads (3 workers claim 4 shards unevenly).  Every interval records
-// the fabric report digest and the merged SlaSummary digest (the report
-// digest carries no request counters); the trail ends with the fabric state
-// digest and the final SlaSummary digest.  The request conservation audit
-// must hold after every interval.  The first four scenarios' constants were
-// captured while the driver still kept its queues in VmId-ordered maps of
-// deque-backed FIFOs and advanced the shards serially, so they prove that
-// dense per-VM storage, vector-backed queues and the parallel advance change
-// nothing.  The sparse multi-stream scenario was captured while the pool
-// still gave each worker a fixed block of shards, sojourns were binned by
-// log10 and routing took a modulo per request.  The consolidated-fleet
-// scenario was captured while ShedOverloaded still sorted the donor's roster
-// before every migration and the driver wrote demands back one VM at a time.
+// Seven request workloads on a 4-shard fabric -- a flash crowd with
+// migration draining, tail-drop admission, deadline-shed admission, a
+// crash + partition plan under which VMs vanish with queued work, a
+// multi-stream mix on a fleet with fewer live VMs than streams, 1000-server
+// shards that consolidate onto hosts of many equal-demand VMs, and one run
+// that combines deadline-shed, a drain window, crashes and streams with no
+// owned VM -- each run at 1, 3 and 4 fabric threads (3 workers claim 4
+// shards unevenly).  Every interval records the fabric report digest and
+// the merged SlaSummary digest (the report digest carries no request
+// counters); the trail ends with the fabric state digest and the final
+// SlaSummary digest.  The request conservation audit must hold after every
+// interval.  The first four scenarios' constants were captured while the
+// driver still kept its queues in VmId-ordered maps of deque-backed FIFOs
+// and advanced the shards serially, so they prove that dense per-VM
+// storage, vector-backed queues and the parallel advance change nothing.
+// The sparse multi-stream scenario was captured while the pool still gave
+// each worker a fixed block of shards, sojourns were binned by log10 and
+// routing took a modulo per request.  The consolidated-fleet scenario was
+// captured while ShedOverloaded still sorted the donor's roster before
+// every migration and the driver wrote demands back one VM at a time.  The
+// combined scenario was captured while every VM still had a queue vector of
+// its own, routed to in one loop and served in another, so with the others
+// it proves that the carry buffer and the one slot-order pass change
+// nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -304,6 +310,48 @@ TEST(RequestPlanePinned, ConsolidatedFleetDigestsPinned) {
   };
   const Coverage cov = expect_pinned(sc, pinned);
   EXPECT_GT(cov.migrations, 0U);
+  EXPECT_GT(cov.summary.completed, 0U);
+}
+
+TEST(RequestPlanePinned, ShedDrainCrashFallbackDigestsPinned) {
+  // Every request-plane path in one run: deadline-shed admission against
+  // queues that carry work across windows, a two-interval drain window
+  // under consolidation, crashes that strand queues and residues, VMs that
+  // vanish with queued work, and more streams than a three-server shard has
+  // applications, so some streams route over the whole shard.  The crash
+  // of server 0 leaves low-numbered applications unplaced for a while, so
+  // a stream that lost its VMs routes over VMs owned by higher-numbered
+  // streams, and each such VM must take the arrivals in stream order.
+  const Scenario sc{
+      "poisson:rate=16,mean=0.25,sla=3;poisson:rate=8,mean=0.1,sla=1;"
+      "flash:rate=4,burst=6,on=60,off=180;"
+      "diurnal:rate=4,amp=0.5,period=600,mean=0.3;poisson:rate=2;"
+      "poisson:rate=2,mean=0.4;poisson:rate=1;poisson:rate=1,sla=0.5;"
+      "poisson:rate=1,mean=0.2;poisson:rate=1,sla=2;poisson:rate=0.5;"
+      "poisson:rate=0.5,mean=0.6;"
+      "seed=51;admit=deadline-shed;budget=60;drain=2",
+      3, 19, "crash@180:s=0;crash@300:s=2;recover@600:s=0;seed=7", 18};
+  const std::vector<std::uint64_t> pinned = {
+      0x0a2ca9124fa437a9ULL, 0x2a59570289b66d23ULL, 0xe662dc160e3103f1ULL,
+      0x3de1e24bcb20b656ULL, 0x7df95a111e64e387ULL, 0x06ac32a390ea737bULL,
+      0x022a6cf8740c0027ULL, 0xae53a9fb615971fbULL, 0xd12e38c7a3f0c6ecULL,
+      0xceffe378a73d7028ULL, 0xb7f84a938ed67eaaULL, 0xf6c5c503a63c0e8eULL,
+      0xb374d6a9813213c8ULL, 0xcd90b303ee3f1719ULL, 0x3aeb6501714e373cULL,
+      0x1d890b1da7ea2ec7ULL, 0x949b6fde2e8a4680ULL, 0x3268ce84dc7e004bULL,
+      0x8b296f19a4660d2dULL, 0x64df8f74bd47d7aaULL, 0x4bb90801c23432dfULL,
+      0xaf1da57d3ecc6477ULL, 0xfe77ab4e5f63eeffULL, 0x4755ffaf6967f18dULL,
+      0xbba2fc8c74bfa05eULL, 0xfb0ff122b0661334ULL, 0xa69425a0dde71518ULL,
+      0xe104eae45f1b6bf1ULL, 0xf4a845ade7743d00ULL, 0x542d0bd299388351ULL,
+      0xd1030cf7a6b7681aULL, 0x65c026ac77c4c9f4ULL, 0xe9c0843e7a723e89ULL,
+      0xf26cc9f7267ee861ULL, 0xb8b5869a135ccbc6ULL, 0xade926039f331a67ULL,
+      0x10e8e842bb27e93dULL, 0xade926039f331a67ULL,
+  };
+  const Coverage cov = expect_pinned(sc, pinned);
+  EXPECT_GT(cov.summary.shed, 0U);
+  EXPECT_GT(cov.summary.failed_by_fault, 0U);
+  EXPECT_GT(cov.summary.dropped, 0U);
+  EXPECT_GT(cov.migrations, 0U);
+  EXPECT_GT(cov.fleet_fallbacks, 0U);
   EXPECT_GT(cov.summary.completed, 0U);
 }
 

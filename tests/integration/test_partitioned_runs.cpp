@@ -18,6 +18,11 @@
 // wake, drop, retry, lost retry and fence -- is held to its pricing and
 // bookkeeping.
 //
+// MigratedShadowResolvesAsDuplicate runs one long split of one shard in
+// which shadows migrate before the heal: reconciliation must find each on
+// its current host and retire it.  Its constants were captured while the
+// reconciliation still scanned the fleet for every ledger entry.
+//
 // A 1-shard fabric is a plain cluster, so the 1-shard run is one Cluster
 // under one FaultInjector.  It passes the derived seeds shard 0 of a larger
 // fabric would get (mix_seed(2024, 0), mix_seed(5, 0)); its constants were
@@ -26,13 +31,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/fabric.h"
 #include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "server/server.h"
+#include "vm/vm.h"
 
 namespace eclb::cluster {
 namespace {
@@ -57,9 +66,11 @@ struct PinnedRun {
 
 /// Runs `spec` on a `shards`-shard fabric of 60 servers per shard.  The
 /// cluster template and the plan are seeded with `cluster_seed` and
-/// `plan_seed`.
-PinnedRun run_plan(const char* spec, std::size_t shards,
-                   std::uint64_t cluster_seed, std::uint64_t plan_seed) {
+/// `plan_seed`.  `observe`, when set, sees the fabric after every interval.
+PinnedRun run_plan(
+    const char* spec, std::size_t shards, std::uint64_t cluster_seed,
+    std::uint64_t plan_seed,
+    const std::function<void(std::size_t, const Fabric&)>& observe = {}) {
   FabricConfig fcfg;
   fcfg.shard_count = shards;
   // A low start with fast demand growth keeps every query busy while split:
@@ -85,6 +96,7 @@ PinnedRun run_plan(const char* spec, std::size_t shards,
   PinnedRun run;
   for (std::size_t i = 0; i < kIntervals; ++i) {
     run.digests.push_back(fabric_report_digest(fabric.step()));
+    if (observe) observe(i, fabric);
     for (std::size_t s = 0; s < fabric.size(); ++s) {
       const auto audit = fabric.cluster(s).self_audit();
       EXPECT_FALSE(audit.has_value())
@@ -273,6 +285,75 @@ TEST(PartitionedRun, CommandPathsPinned) {
         0x37f547693b01c57aULL, 0x7d5b702a9debe7d5ULL,
       },
       {12, 4, 4, 3126, 693, 91, 290, 8, 8, 18, 340, 336, 0, 40});
+}
+
+// One long split of a single shard: the quorum starts shadows of the
+// minority's applications when the split begins, the protocol keeps
+// migrating the quorum's VMs while the sides stay apart, and at the heal
+// the originals are still alive, so reconciliation retires every shadow
+// as a duplicate from whichever host holds it by then.
+constexpr const char* kShadowPlan = "part@90:g=0-19|20-59,heal=1470;seed=5";
+
+TEST(PartitionedRun, MigratedShadowResolvesAsDuplicate) {
+  // Interval i's step covers [60 i, 60 (i + 1)): the split lands in step 1
+  // and the reconciliation runs in the first round after the heal.
+  constexpr std::size_t kSplitStep = 1;
+  constexpr std::size_t kReconcileStep = 24;
+  std::unordered_map<common::VmId, common::ServerId> host_of;
+  std::unordered_map<common::VmId, common::ServerId> shadow_start;
+  std::unordered_map<common::VmId, common::ServerId> before_heal;
+  std::size_t migrated_then_retired = 0;
+  const auto observe = [&](std::size_t i, const Fabric& fabric) {
+    std::unordered_map<common::VmId, common::ServerId> now;
+    for (const server::Server& s : fabric.cluster(0).servers()) {
+      for (const vm::Vm& v : s.vms()) now.emplace(v.id(), s.id());
+    }
+    if (i == kSplitStep) {
+      for (const auto& [vm, host] : now) {
+        if (!host_of.contains(vm)) shadow_start.emplace(vm, host);
+      }
+    }
+    if (i + 1 == kReconcileStep) before_heal = now;
+    if (i == kReconcileStep) {
+      for (const auto& [vm, start] : shadow_start) {
+        const auto moved = before_heal.find(vm);
+        if (moved != before_heal.end() && moved->second != start &&
+            !now.contains(vm)) {
+          ++migrated_then_retired;
+        }
+      }
+    }
+    host_of = std::move(now);
+  };
+  const PinnedRun run = run_plan(kShadowPlan, 1, common::mix_seed(2024, 0),
+                                 common::mix_seed(5, 0), observe);
+  EXPECT_EQ(run.stats.partitions, 1U);
+  EXPECT_EQ(run.stats.heals, 1U);
+  EXPECT_GT(shadow_start.size(), 0U);
+  EXPECT_GT(migrated_then_retired, 0U);
+  const std::vector<std::uint64_t> pinned = {
+      0x169d6928962734e1ULL, 0x3bbd41f9ce507d1eULL, 0xaf3ab35db3fe632dULL,
+      0x1f59b27572e1ed07ULL, 0x455c47abdb802fcaULL, 0xce9bb50cacefc25dULL,
+      0x8b46270ee0c484a6ULL, 0xbad0ba0c8c2dec79ULL, 0x063def923ca86340ULL,
+      0x5f8b34a920b55911ULL, 0xef352284c3a4904dULL, 0x66e588273ddb058bULL,
+      0xa8a9bda9e28b5719ULL, 0x58650f2febe80296ULL, 0x47725313a569c013ULL,
+      0x8584d64e7c2bed3dULL, 0x620bf78f36406b2dULL, 0x9811f86e7430380aULL,
+      0x52f4ac490849286dULL, 0xf3d0ab07e4e3f6e9ULL, 0xfa818ba145a8d094ULL,
+      0x98ee2ea6a94d116fULL, 0xf82bf9eacf229bc5ULL, 0xf6b6048bff19d716ULL,
+      0x7f0e6c319570b67bULL, 0x030377f761007eb1ULL, 0x474a7fb47bd4645dULL,
+      0xb550f9c71af1bfcbULL, 0xd0485c78ea53ae9eULL, 0x9f4b541b087bd5ecULL,
+      0xfc4f9a6190c30d2fULL, 0xfd6c20438fe09e9fULL, 0x7ff8421ece7139b5ULL,
+      0x0316afeff10f1b0aULL, 0xbdb3172181d615c0ULL, 0x01e0cc215cffcdadULL,
+      0x517edadec4d5b148ULL, 0xca18c1d77df097f7ULL, 0x21c7265faa1ec7a1ULL,
+      0xf26a2a7b1a88129fULL, 0x9a139024358f2302ULL,
+  };
+  EXPECT_EQ(run.digests, pinned) << "digests " << as_initializer(run.digests);
+  // Trailer figures, in CommandPathsPinned's order: 56 shadows started and
+  // 56 duplicates resolved.
+  const std::vector<double> pinned_figures = {0, 0, 0, 0,  0,  0, 0,
+                                              1, 1, 0, 56, 56, 0, 30};
+  const std::vector<double> figures = trailer_figures(run.stats);
+  EXPECT_EQ(figures, pinned_figures) << "figures " << as_doubles(figures);
 }
 
 }  // namespace

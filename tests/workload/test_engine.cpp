@@ -1,6 +1,6 @@
 // Property tests for the request engine: arrival-rate laws, seed
 // determinism, heavy-tail service moments, the spec grammar, the exact
-// fluid queue, and the log-scale sojourn histogram.
+// fluid serve kernel, and the log-scale sojourn histogram.
 #include "workload/engine/engine.h"
 
 #include <gtest/gtest.h>
@@ -477,77 +477,109 @@ TEST(RequestEngine, MissingTraceFileIsAnError) {
 
 // --- request queue ----------------------------------------------------------
 
+/// Serves the whole of `q` as one queue.
+QueueServeStats serve_all(std::vector<Pending>& q, FifoState& st,
+                          Seconds t0, Seconds t1, double rate,
+                          double sla_seconds, LatencyHistogram* hist) {
+  const QueueServeStats stats =
+      serve(q, st, t0, t1, rate, sla_seconds, hist);
+  q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(stats.completed));
+  return stats;
+}
+
 TEST(RequestQueue, ExactFifoSojourns) {
-  RequestQueue q;
-  q.push({Seconds{0.0}, 2.0});
-  q.push({Seconds{1.0}, 1.0});
+  std::vector<Pending> q;
+  FifoState st;
+  push(q, st, {Seconds{0.0}, 2.0});
+  push(q, st, {Seconds{1.0}, 1.0});
   LatencyHistogram hist;
   // Rate 1.0: first completes at 2.0 (sojourn 2), second starts when the
   // server frees at 2.0 and completes at 3.0 (sojourn 2).
-  const auto stats = q.serve(Seconds{0.0}, Seconds{10.0}, 1.0, 1.5, &hist);
+  const auto stats =
+      serve_all(q, st, Seconds{0.0}, Seconds{10.0}, 1.0, 1.5, &hist);
   EXPECT_EQ(stats.completed, 2U);
   EXPECT_EQ(stats.sla_violations, 2U);  // Both sojourns exceed 1.5 s.
-  EXPECT_EQ(q.depth(), 0U);
-  EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
+  EXPECT_EQ(q.size(), 0U);
+  EXPECT_DOUBLE_EQ(st.backlog, 0.0);
+  EXPECT_DOUBLE_EQ(st.ready_at.value, 3.0);
   EXPECT_EQ(hist.count(), 2U);
 }
 
 TEST(RequestQueue, PartialWorkCarriesAcrossWindows) {
-  RequestQueue q;
-  q.push({Seconds{0.0}, 5.0});
+  std::vector<Pending> q;
+  FifoState st;
+  push(q, st, {Seconds{0.0}, 5.0});
   LatencyHistogram hist;
-  auto stats = q.serve(Seconds{0.0}, Seconds{2.0}, 1.0, 100.0, &hist);
+  auto stats = serve_all(q, st, Seconds{0.0}, Seconds{2.0}, 1.0, 100.0, &hist);
   EXPECT_EQ(stats.completed, 0U);
-  EXPECT_EQ(q.depth(), 1U);
-  EXPECT_DOUBLE_EQ(q.backlog_work(), 3.0);  // 2 of 5 cap-s served.
+  ASSERT_EQ(q.size(), 1U);
+  EXPECT_DOUBLE_EQ(q[0].remaining, 3.0);  // The head banked its work.
+  EXPECT_DOUBLE_EQ(st.backlog, 3.0);      // 2 of 5 cap-s served.
   // Double the rate: the remaining 3 cap-s take 1.5 s, completing at 3.5.
-  stats = q.serve(Seconds{2.0}, Seconds{4.0}, 2.0, 100.0, &hist);
+  stats = serve_all(q, st, Seconds{2.0}, Seconds{4.0}, 2.0, 100.0, &hist);
   EXPECT_EQ(stats.completed, 1U);
-  EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
+  EXPECT_DOUBLE_EQ(st.backlog, 0.0);
   EXPECT_NEAR(hist.quantile(0.5), 3.5, 0.2);  // Sojourn 3.5 s from t = 0.
 }
 
 TEST(RequestQueue, ZeroRateHoldsEverything) {
-  RequestQueue q;
-  q.push({Seconds{0.0}, 1.0});
+  std::vector<Pending> q;
+  FifoState st;
+  st.ready_at = Seconds{5.0};
+  push(q, st, {Seconds{0.0}, 1.0});
   LatencyHistogram hist;
-  const auto stats = q.serve(Seconds{0.0}, Seconds{60.0}, 0.0, 1.0, &hist);
+  const auto stats =
+      serve_all(q, st, Seconds{0.0}, Seconds{60.0}, 0.0, 1.0, &hist);
   EXPECT_EQ(stats.completed, 0U);
-  EXPECT_EQ(q.depth(), 1U);
-  EXPECT_DOUBLE_EQ(q.backlog_work(), 1.0);
+  EXPECT_EQ(q.size(), 1U);
+  EXPECT_DOUBLE_EQ(st.backlog, 1.0);
+  EXPECT_DOUBLE_EQ(st.ready_at.value, 5.0);  // No grant, no clock move.
 }
 
-TEST(RequestQueue, DropAllEmptiesTheQueue) {
-  RequestQueue q;
-  q.push({Seconds{0.0}, 1.0});
-  q.push({Seconds{1.0}, 1.0});
-  EXPECT_EQ(q.drop_all(), 2U);
-  EXPECT_EQ(q.depth(), 0U);
-  EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
-}
-
-TEST(RequestQueue, TakeAllAndPrependKeepFifoOrder) {
-  // The migration-drain handoff: a residue taken from one queue re-joins
-  // another ahead of that queue's own requests, oldest first.
-  RequestQueue residue;
-  residue.push({Seconds{0.0}, 1.0});
-  residue.push({Seconds{1.0}, 2.0});
-  RequestQueue current;
-  current.push({Seconds{5.0}, 4.0});
-  current.prepend(residue.take_all());
-  EXPECT_EQ(residue.depth(), 0U);
-  EXPECT_DOUBLE_EQ(residue.backlog_work(), 0.0);
-  EXPECT_EQ(current.depth(), 3U);
-  EXPECT_DOUBLE_EQ(current.backlog_work(), 7.0);
-  // Rate 1 from t = 0: completions at 1, 3 and 9 -- FIFO across the splice.
+TEST(RequestQueue, EmptyQueueServeMovesOnlyTheServerFreeTime) {
+  // A queue the driver opened serves every window, empty or not: the serve
+  // completes nothing and leaves the backlog (even a rounding residue) as
+  // it was, but the server-free time moves to the window's start.
+  std::vector<Pending> q;
+  FifoState st;
+  st.backlog = 1e-17;
+  st.ready_at = Seconds{3.0};
   LatencyHistogram hist;
-  auto stats = current.serve(Seconds{0.0}, Seconds{4.0}, 1.0, 100.0, &hist);
+  const auto stats =
+      serve_all(q, st, Seconds{60.0}, Seconds{120.0}, 0.5, 1.0, &hist);
+  EXPECT_EQ(stats.completed, 0U);
+  EXPECT_EQ(st.backlog, 1e-17);
+  EXPECT_DOUBLE_EQ(st.ready_at.value, 60.0);
+  EXPECT_EQ(hist.count(), 0U);
+}
+
+TEST(RequestQueue, PrependKeepsFifoOrderAcrossTheSplice) {
+  // The migration-drain handoff: a residue re-joins its VM's queue ahead of
+  // that queue's own requests, oldest first, inside a buffer that holds
+  // other queues' runs in front of it.
+  std::vector<Pending> residue;
+  FifoState residue_st;
+  push(residue, residue_st, {Seconds{0.0}, 1.0});
+  push(residue, residue_st, {Seconds{1.0}, 2.0});
+  std::vector<Pending> buf = {{Seconds{-9.0}, 9.0}};  // Another VM's run.
+  const std::size_t base = buf.size();
+  FifoState st;
+  push(buf, st, {Seconds{5.0}, 4.0});
+  prepend(buf, base, residue, st);
+  ASSERT_EQ(buf.size(), 4U);
+  EXPECT_DOUBLE_EQ(buf[0].remaining, 9.0);  // The run in front is untouched.
+  EXPECT_DOUBLE_EQ(st.backlog, 7.0);
+  // Rate 1 from t = 0: completions at 1, 3 and 9 -- FIFO across the splice.
+  std::vector<Pending> q(buf.begin() + static_cast<std::ptrdiff_t>(base),
+                         buf.end());
+  LatencyHistogram hist;
+  auto stats = serve_all(q, st, Seconds{0.0}, Seconds{4.0}, 1.0, 100.0, &hist);
   EXPECT_EQ(stats.completed, 2U);
-  EXPECT_EQ(current.depth(), 1U);
-  EXPECT_DOUBLE_EQ(current.backlog_work(), 4.0);
-  stats = current.serve(Seconds{4.0}, Seconds{10.0}, 1.0, 100.0, &hist);
+  EXPECT_EQ(q.size(), 1U);
+  EXPECT_DOUBLE_EQ(st.backlog, 4.0);
+  stats = serve_all(q, st, Seconds{4.0}, Seconds{10.0}, 1.0, 100.0, &hist);
   EXPECT_EQ(stats.completed, 1U);
-  EXPECT_EQ(current.depth(), 0U);
+  EXPECT_EQ(q.size(), 0U);
   EXPECT_EQ(hist.count(), 3U);
 }
 
