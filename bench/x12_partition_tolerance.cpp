@@ -71,7 +71,7 @@ CellResult run_cell(const fault::FaultPlan& plan, std::size_t intervals,
   fp << c.total_energy().value << ';' << c.membership().highest_epoch();
 
   CellResult out;
-  out.stats = faults.injector(0).stats();
+  out.stats = faults.combined_stats();
   out.energy_kwh = c.total_energy().kwh();
   out.fingerprint = fp.str();
 

@@ -181,10 +181,6 @@ bool Cluster::accept_external(common::AppId app, double demand) {
   const auto target_id = pick_placement(demand, common::ServerId{});
   if (!target_id.has_value()) return false;
   (void)start_vm(*target_id, app, demand);
-  // Unlike the other starts, an accepted sibling VM also prices its
-  // negotiation messages as network traffic.
-  traffic_energy_ += config_.costs.energy_per_message *
-                     static_cast<double>(config_.costs.messages_per_negotiation);
   return true;
 }
 
@@ -197,7 +193,8 @@ common::VmId Cluster::start_vm(common::ServerId target_id, common::AppId app,
   in_cluster_cost_ += cost;
   target.charge_energy(cost.energy);
   // A fresh start moves no VM image: the negotiation messages are counted,
-  // but no traffic energy is charged for them.
+  // and their j_k energy is already in the start cost above, so no traffic
+  // energy is charged for them.
   charge_message(MessageKind::kTransferRequest,
                  config_.costs.messages_per_negotiation,
                  /*network_energy=*/false);
@@ -354,10 +351,8 @@ void Cluster::elect_side_leader(std::int32_t group, bool provisional) {
     if (membership_.group_of(s.id()) == group && !s.failed()) ++live;
   }
   charge_message(MessageKind::kElection, live, /*network_energy=*/true);
-  recorder_.failover(side.leader);
-  if (was_down && faults_ != nullptr) {
-    faults_->note_failover(when - down_since);
-  }
+  recorder_.failover(side.leader, was_down ? std::optional(when - down_since)
+                                           : std::nullopt);
 }
 
 bool Cluster::do_migrate(server::Server& source, common::VmId vm_id,
@@ -408,16 +403,13 @@ void Cluster::send_wake(common::ServerId id, std::size_t attempt,
   // The command crosses the leader link: it can be lost (the retry protocol
   // takes over off-round) or delayed (the wake starts late on the kernel).
   if (faults_ != nullptr && !faults_->deliver(MessageKind::kWakeCommand, id)) {
-    faults_->note_dropped(MessageKind::kWakeCommand, 1);
     recorder_.message_dropped(MessageKind::kWakeCommand, id);
     schedule_wake_retry(id, attempt + 1, issued);
     return;
   }
-  // Only a first send pays the link's propagation delay; a retried command
-  // starts the wake on delivery.
-  const common::Seconds delay = attempt == 0 && faults_ != nullptr
-                                    ? faults_->link_delay(id)
-                                    : common::Seconds{0.0};
+  // Every send, first or retried, pays the link's propagation delay.
+  const common::Seconds delay =
+      faults_ != nullptr ? faults_->link_delay(id) : common::Seconds{0.0};
   if (delay.value <= 0.0) {
     begin_wake_now(id);
     return;
@@ -433,7 +425,6 @@ bool Cluster::wake_still_due(common::ServerId id, Epoch issued) {
   // stale command is dropped and counted.
   if (membership_.is_stale(issued, id)) {
     recorder_.command_fenced(MessageKind::kWakeCommand, id);
-    if (faults_ != nullptr) faults_->note_fenced(MessageKind::kWakeCommand);
     return false;
   }
   auto& s = server_ref(id);
@@ -451,7 +442,6 @@ void Cluster::schedule_wake_retry(common::ServerId id, std::size_t attempt,
       [this, id, attempt, issued](sim::Simulation&) {
         if (faults_ == nullptr || !wake_still_due(id, issued)) return;
         recorder_.message_retried(MessageKind::kWakeCommand, id);
-        faults_->note_retried(MessageKind::kWakeCommand);
         send_wake(id, attempt, issued);
       });
 }
@@ -466,8 +456,6 @@ bool Cluster::send_transfer(common::ServerId source, common::VmId vm,
       charge_message(MessageKind::kTransferRequest,
                      config_.costs.messages_per_negotiation,
                      /*network_energy=*/true);
-      faults_->note_dropped(MessageKind::kTransferRequest,
-                            config_.costs.messages_per_negotiation);
       recorder_.message_dropped(MessageKind::kTransferRequest, target);
       schedule_transfer_retry(source, vm, target, cause, attempt + 1, issued);
       return false;
@@ -502,7 +490,6 @@ void Cluster::schedule_transfer_retry(common::ServerId source, common::VmId vm,
             (membership_.partitioned() &&
              membership_.group_of(source) != membership_.group_of(target))) {
           recorder_.command_fenced(MessageKind::kTransferRequest, target);
-          faults_->note_fenced(MessageKind::kTransferRequest);
           return;
         }
         auto& src = server_ref(source);
@@ -512,7 +499,6 @@ void Cluster::schedule_transfer_retry(common::ServerId source, common::VmId vm,
         if (v == nullptr || src.failed() || !tgt.awake(sm.now())) return;
         if (tgt.load() + v->demand() > tgt.capacity() + kEps) return;
         recorder_.message_retried(MessageKind::kTransferRequest, target);
-        faults_->note_retried(MessageKind::kTransferRequest);
         (void)send_transfer(source, vm, target, cause, attempt, issued);
       });
 }
@@ -527,9 +513,7 @@ void Cluster::close_crash_outstanding(common::ServerId origin) {
   const auto it = crash_episodes_.find(origin);
   if (it != crash_episodes_.end() && --it->second.outstanding == 0) {
     // Last displaced VM running again: service restored, MTTR sample closed.
-    if (faults_ != nullptr) {
-      faults_->note_repair(sim_.now() - it->second.crashed_at);
-    }
+    recorder_.crash_repaired(sim_.now() - it->second.crashed_at);
     crash_episodes_.erase(it);
   }
 }
@@ -610,7 +594,6 @@ void Cluster::shadow_restart_minority() {
       const common::VmId shadow = start_vm(*target, v.app(), v.demand());
       shadow_ledger_.push_back({v.app(), s.id(), v.id(), shadow});
       recorder_.shadow_started(*target);
-      if (faults_ != nullptr) faults_->note_shadow_started();
     }
   }
 }

@@ -168,6 +168,7 @@ class Cluster {
 
   /// The interval recorder (install an event sink for tracing/metrics).
   [[nodiscard]] IntervalRecorder& recorder() { return recorder_; }
+  [[nodiscard]] const IntervalRecorder& recorder() const { return recorder_; }
 
   // --- observability --------------------------------------------------------
 
@@ -329,8 +330,9 @@ class Cluster {
   /// `network_energy`.  The only place a control message is counted.
   void charge_message(MessageKind kind, std::size_t n, bool network_energy);
   /// A horizontal VM start on pre-checked `target`: spawn, start cost (in-
-  /// cluster cost, host energy) and negotiation messages.  Callers record
-  /// their own event.
+  /// cluster cost, host energy, which includes the j_k negotiation energy)
+  /// and negotiation messages.  The only pricing of all four starts;
+  /// callers record their own event.
   common::VmId start_vm(common::ServerId target, common::AppId app,
                         double demand);
   /// Executes a pre-checked migration: moves the VM, charges energies,
@@ -348,7 +350,7 @@ class Cluster {
   // guard).  The schedule_*_retry timers keep only the fence, the moot
   // checks and the retry booking.
 
-  /// Sends a wake command to `id`.  Only a first send pays the link delay.
+  /// Sends a wake command to `id`.  Every send pays the link delay.
   void send_wake(common::ServerId id, std::size_t attempt, Epoch issued);
   /// Fence and moot checks of a retried or delayed wake at fire time: false
   /// when the command is fenced (and booked so) or the wake is moot.

@@ -20,8 +20,8 @@ namespace eclb::cluster {
 /// Installed via Cluster::install_faults by the fault layer (one per
 /// cluster).  Implementations must draw randomness from their OWN stream,
 /// never the cluster's, so an installed-but-quiet runtime (empty plan)
-/// perturbs nothing.  The note_* callbacks are bookkeeping only and must not
-/// mutate the cluster.
+/// perturbs nothing.  The runtime keeps no tally: every fault event is
+/// booked once, by the cluster's IntervalRecorder.
 class FaultRuntime {
  public:
   virtual ~FaultRuntime() = default;
@@ -61,37 +61,6 @@ class FaultRuntime {
   /// Consecutive missed heartbeats after which the survivors elect a new
   /// leader.
   [[nodiscard]] virtual std::size_t failover_after_missed() const = 0;
-
-  // --- resilience bookkeeping ----------------------------------------------
-
-  /// `n` messages of `kind` were dropped.
-  virtual void note_dropped(MessageKind kind, std::size_t n) = 0;
-  /// A dropped message of `kind` was re-sent.
-  virtual void note_retried(MessageKind kind) = 0;
-  /// Leadership failed over after `outage` seconds without a leader.
-  virtual void note_failover(common::Seconds outage) = 0;
-  /// Service displaced by a crash was fully restored `repair_time` seconds
-  /// after the crash (the MTTR sample).
-  virtual void note_repair(common::Seconds repair_time) = 0;
-
-  // --- partition bookkeeping (default no-ops so pre-partition runtimes and
-  // --- test stubs keep compiling unchanged) --------------------------------
-
-  /// A stale-epoch command of `kind` was fenced by its receiver.
-  virtual void note_fenced(MessageKind kind) { (void)kind; }
-  /// The quorum side shadow-restarted an application stranded on a
-  /// minority side (split-brain divergence the reconciliation resolves).
-  virtual void note_shadow_started() {}
-  /// Post-heal reconciliation converged `convergence` seconds after the
-  /// heal, retiring `duplicates_resolved` duplicate placements and
-  /// re-adopting `orphans_adopted` shadow VMs whose originals were lost.
-  virtual void note_reconciled(common::Seconds convergence,
-                               std::size_t duplicates_resolved,
-                               std::size_t orphans_adopted) {
-    (void)convergence;
-    (void)duplicates_resolved;
-    (void)orphans_adopted;
-  }
 };
 
 }  // namespace eclb::cluster

@@ -89,8 +89,6 @@ void Cluster::reconcile_partitions() {
       if (it != shadow_host.end()) it->second = &servers_[i];
     }
   }
-  std::size_t duplicates = 0;
-  std::size_t adopted = 0;
   for (const auto& entry : shadow_ledger_) {
     server::Server* const host = shadow_host.at(entry.shadow);
     if (host == nullptr) continue;  // shadow died with its host
@@ -104,14 +102,13 @@ void Cluster::reconcile_partitions() {
       ECLB_ASSERT(removed.has_value(), "reconcile: ledger shadow vanished");
       retire_growth(entry.shadow);
       recorder_.duplicate_resolved(host->id());
-      ++duplicates;
       continue;
     }
     // The original was lost (its host crashed during the split): the shadow
     // is adopted as the surviving instance, and the orphan the crash queued
     // for that application is already covered -- drop it and close the
     // crash episode's outstanding count.
-    ++adopted;
+    recorder_.shadow_adopted(host->id());
     const auto it = std::find_if(
         orphans_.begin(), orphans_.end(), [&entry](const OrphanVm& o) {
           return o.app == entry.app && o.origin == entry.origin;
@@ -139,9 +136,6 @@ void Cluster::reconcile_partitions() {
 
   const common::Seconds convergence = when - heal_time_;
   recorder_.reconciled(convergence, new_leader);
-  if (faults_ != nullptr) {
-    faults_->note_reconciled(convergence, duplicates, adopted);
-  }
 }
 
 }  // namespace eclb::cluster

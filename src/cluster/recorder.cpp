@@ -1,5 +1,7 @@
 #include "cluster/recorder.h"
 
+#include "obs/counters.h"
+
 namespace eclb::cluster {
 
 std::string_view to_string(DecisionKind k) {
@@ -46,6 +48,7 @@ std::string_view to_string(ProtocolEvent::Kind k) {
     case ProtocolEvent::Kind::kReconcile: return "reconcile";
     case ProtocolEvent::Kind::kRequestBatch: return "request_batch";
     case ProtocolEvent::Kind::kWakeSleepFlap: return "wake_sleep_flap";
+    case ProtocolEvent::Kind::kShadowAdopted: return "shadow_adopted";
   }
   return "?";
 }
@@ -144,8 +147,10 @@ void IntervalRecorder::server_recovered(common::ServerId server) {
   emit({.kind = ProtocolEvent::Kind::kServerRecover, .server = server});
 }
 
-void IntervalRecorder::failover(common::ServerId winner) {
+void IntervalRecorder::failover(common::ServerId winner,
+                                std::optional<common::Seconds> outage) {
   ++report_.failovers;
+  if (outage.has_value()) samples_.failover_outage.add(outage->value);
   emit({.kind = ProtocolEvent::Kind::kLeaderFailover, .server = winner});
 }
 
@@ -166,6 +171,10 @@ void IntervalRecorder::message_retried(MessageKind kind, common::ServerId server
 void IntervalRecorder::orphan_replaced(common::ServerId target) {
   ++report_.orphans_replaced;
   emit({.kind = ProtocolEvent::Kind::kOrphanReplaced, .server = target});
+}
+
+void IntervalRecorder::crash_repaired(common::Seconds repair_time) {
+  samples_.repair_time.add(repair_time.value);
 }
 
 void IntervalRecorder::migration_failed(common::ServerId source) {
@@ -206,9 +215,15 @@ void IntervalRecorder::duplicate_resolved(common::ServerId server) {
   emit({.kind = ProtocolEvent::Kind::kDuplicateResolved, .server = server});
 }
 
+void IntervalRecorder::shadow_adopted(common::ServerId server) {
+  ++report_.orphans_adopted;
+  emit({.kind = ProtocolEvent::Kind::kShadowAdopted, .server = server});
+}
+
 void IntervalRecorder::reconciled(common::Seconds convergence,
                                   common::ServerId leader) {
   ++report_.heals;
+  samples_.heal_convergence.add(convergence.value);
   emit({.kind = ProtocolEvent::Kind::kReconcile,
         .server = leader,
         .value = convergence.value});
@@ -248,6 +263,9 @@ IntervalReport IntervalRecorder::finish(const FleetSnapshot& snapshot) {
   report_.regimes = snapshot.regimes;
   report_.interval_energy = snapshot.interval_energy;
   const IntervalReport done = report_;
+  for (const obs::ReportCounter& row : obs::kReportCounters) {
+    if (!row.metric.empty()) totals_.*row.field += done.*row.field;
+  }
   // Reset for the next window, pre-stamped with the next index so events
   // firing between rounds carry the interval they will be counted in.
   report_ = IntervalReport{};

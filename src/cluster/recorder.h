@@ -11,9 +11,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string_view>
 
 #include "cluster/messages.h"
+#include "common/stats.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "energy/regimes.h"
@@ -67,6 +69,7 @@ struct ProtocolEvent {
     kRequestBatch = 23,    ///< Request-engine interval totals (request fields).
     kWakeSleepFlap = 24,   ///< `server` re-woke (or re-slept) within the
                            ///< hysteresis flap window of its last transition.
+    kShadowAdopted = 25,   ///< Reconciliation kept the shadow on `server`.
   };
 
   Kind kind{Kind::kDecision};
@@ -88,7 +91,7 @@ struct ProtocolEvent {
 
 /// Number of event kinds.
 inline constexpr std::size_t kProtocolEventKindCount =
-    static_cast<std::size_t>(ProtocolEvent::Kind::kWakeSleepFlap) + 1;
+    static_cast<std::size_t>(ProtocolEvent::Kind::kShadowAdopted) + 1;
 
 /// Display name of an event kind (stable; part of the trace schema).
 [[nodiscard]] std::string_view to_string(ProtocolEvent::Kind k);
@@ -122,6 +125,7 @@ struct IntervalReport {
   std::size_t fenced_commands{0};      ///< Stale-epoch commands fenced by receivers.
   std::size_t shadow_starts{0};        ///< Minority-hosted VMs shadow-restarted by quorum.
   std::size_t duplicates_resolved{0};  ///< Duplicate placements retired at reconcile.
+  std::size_t orphans_adopted{0};      ///< Shadows kept at reconcile (original lost).
   std::size_t requests_arrived{0};     ///< Requests routed this interval (request engine).
   std::size_t requests_completed{0};   ///< Requests finished this interval.
   std::size_t request_sla_violations{0}; ///< Completions beyond their SLA budget.
@@ -143,6 +147,14 @@ struct IntervalReport {
     return static_cast<double>(in_cluster_decisions) /
            static_cast<double>(local_decisions == 0 ? 1 : local_decisions);
   }
+};
+
+/// The run's resilience samples, one per closed episode.  Unlike the
+/// counters they are not split by interval: an episode can span many.
+struct ResilienceSamples {
+  common::RunningStats repair_time;       ///< Crash -> last displaced VM running (s).
+  common::RunningStats failover_outage;   ///< Leaderless window an election closed (s).
+  common::RunningStats heal_convergence;  ///< Heal -> reconciled (s).
 };
 
 /// End-of-interval fleet observation the recorder folds into the report.
@@ -177,7 +189,9 @@ class ClusterObserver {
 };
 
 /// Aggregates one interval's protocol events into an IntervalReport and
-/// forwards every event to the optional sink.
+/// forwards every event to the optional sink.  It also keeps the run's
+/// totals (every closed report's counters) and resilience samples, the one
+/// fault tally the resilience trailer and the metrics both read.
 class IntervalRecorder {
  public:
   using EventSink = std::function<void(const ProtocolEvent&)>;
@@ -216,14 +230,19 @@ class IntervalRecorder {
   void server_crashed(common::ServerId server);
   /// `server` returned to service after a failure.
   void server_recovered(common::ServerId server);
-  /// Leadership was re-elected onto `winner`.
-  void failover(common::ServerId winner);
+  /// Leadership was re-elected onto `winner`; `outage` is the leaderless
+  /// window the election closed, when the old leader was down.
+  void failover(common::ServerId winner,
+                std::optional<common::Seconds> outage = std::nullopt);
   /// A control message of `kind` bound for `server` was lost.
   void message_dropped(MessageKind kind, common::ServerId server);
   /// A previously dropped message of `kind` was re-sent to `server`.
   void message_retried(MessageKind kind, common::ServerId server);
   /// A crash-orphaned VM was restarted on `target`.
   void orphan_replaced(common::ServerId target);
+  /// The last VM a crash displaced runs again, `repair_time` seconds after
+  /// the crash (the MTTR sample).
+  void crash_repaired(common::Seconds repair_time);
   /// A live migration off `source` aborted mid-copy.
   void migration_failed(common::ServerId source);
   /// `server` was derated to `capacity` of nominal.
@@ -238,6 +257,8 @@ class IntervalRecorder {
   void shadow_started(common::ServerId target);
   /// Reconciliation retired a duplicate placement on `server`.
   void duplicate_resolved(common::ServerId server);
+  /// Reconciliation kept the shadow on `server`: its original was lost.
+  void shadow_adopted(common::ServerId server);
   /// Reconciliation converged `convergence` seconds after the heal.
   void reconciled(common::Seconds convergence, common::ServerId leader);
   /// The request engine's interval totals: `arrived` requests routed,
@@ -251,17 +272,26 @@ class IntervalRecorder {
   /// the oscillation hysteresis exists to kill.
   void wake_sleep_flap(common::ServerId server);
 
-  /// Folds the end-of-interval fleet observation in, resets the counters for
-  /// the next window and returns the completed report.
+  /// Folds the end-of-interval fleet observation in, adds the report's
+  /// counters to the run totals, resets the counters for the next window
+  /// and returns the completed report.
   [[nodiscard]] IntervalReport finish(const FleetSnapshot& snapshot);
 
   /// The report being assembled (tests / mid-interval inspection).
   [[nodiscard]] const IntervalReport& current() const { return report_; }
 
+  /// Every closed report's counters summed (the obs::kReportCounters rows
+  /// with a metric; the other fields stay zero).
+  [[nodiscard]] const IntervalReport& totals() const { return totals_; }
+  /// The run's resilience samples so far.
+  [[nodiscard]] const ResilienceSamples& samples() const { return samples_; }
+
  private:
   void emit(ProtocolEvent event);
 
   IntervalReport report_{};
+  IntervalReport totals_{};
+  ResilienceSamples samples_;
   EventSink sink_;
 };
 

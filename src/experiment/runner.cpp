@@ -60,7 +60,7 @@ ReplicationOutcome replicate(const cluster::ClusterConfig& config,
   out.ratio_stddev = ratio_stats.stddev();
   out.average_deep_sleepers = deep_stats.mean();
   out.total_energy = cluster.total_energy();
-  if (faults.has_value()) out.mttr = faults->injector(0).stats().mttr();
+  if (faults.has_value()) out.mttr = faults->combined_stats().mttr();
   return out;
 }
 

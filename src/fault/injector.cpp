@@ -23,17 +23,14 @@ FaultInjector::~FaultInjector() { cluster_.install_faults(nullptr); }
 void FaultInjector::apply(const FaultEvent& event) {
   switch (event.kind) {
     case FaultKind::kServerCrash:
-      ++stats_.crashes;
       cluster_.crash_server(event.server);
       break;
     case FaultKind::kServerRecover:
-      ++stats_.recoveries;
       cluster_.recover_server(event.server);
       break;
     case FaultKind::kLeaderCrash:
       // Resolved at fire time so stacked leader crashes chase the failover
       // chain instead of hitting the original leader twice.
-      ++stats_.crashes;
       cluster_.crash_server(cluster_.leader_server());
       break;
     case FaultKind::kLinkLoss:
@@ -65,7 +62,6 @@ void FaultInjector::apply(const FaultEvent& event) {
       const std::int32_t quorum = cluster_.begin_partition(group_of);
       if (quorum >= 0) {
         links_.set_partition(group_of, quorum);
-        ++stats_.partitions;
       }
       break;
     }
@@ -73,7 +69,6 @@ void FaultInjector::apply(const FaultEvent& event) {
       if (cluster_.membership().partitioned() && !cluster_.reconcile_pending()) {
         links_.clear_partition();
         cluster_.heal_partition();
-        ++stats_.heals;
       }
       break;
   }
@@ -91,9 +86,7 @@ common::Seconds FaultInjector::link_delay(common::ServerId server) const {
 
 bool FaultInjector::migration_fails(common::ServerId, common::ServerId) {
   if (migration_failure_rate_ <= 0.0) return false;
-  if (!rng_.bernoulli(migration_failure_rate_)) return false;
-  ++stats_.migration_failures;
-  return true;
+  return rng_.bernoulli(migration_failure_rate_);
 }
 
 common::Seconds FaultInjector::retry_backoff(std::size_t attempt) const {
@@ -125,39 +118,9 @@ std::size_t FaultInjector::failover_after_missed() const {
   return plan_.params().failover_after_missed;
 }
 
-void FaultInjector::note_dropped(cluster::MessageKind, std::size_t n) {
-  stats_.dropped_messages += n;
-}
-
-void FaultInjector::note_retried(cluster::MessageKind) {
-  ++stats_.retried_messages;
-}
-
-void FaultInjector::note_failover(common::Seconds outage) {
-  ++stats_.failovers;
-  stats_.failover_outage.add(outage.value);
-}
-
-void FaultInjector::note_repair(common::Seconds repair_time) {
-  stats_.repair_time.add(repair_time.value);
-}
-
-void FaultInjector::note_fenced(cluster::MessageKind) {
-  ++stats_.fenced_commands;
-}
-
-void FaultInjector::note_shadow_started() { ++stats_.shadow_restarts; }
-
-void FaultInjector::note_reconciled(common::Seconds convergence,
-                                    std::size_t duplicates_resolved,
-                                    std::size_t orphans_adopted) {
-  stats_.duplicates_resolved += duplicates_resolved;
-  stats_.orphans_adopted += orphans_adopted;
-  stats_.heal_convergence.add(convergence.value);
-}
-
 FabricFaultSession::FabricFaultSession(cluster::Fabric& fabric,
-                                       const FaultPlan& plan) {
+                                       const FaultPlan& plan)
+    : fabric_(fabric) {
   injectors_.reserve(fabric.size());
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     FaultPlan shard_plan = plan;
@@ -173,23 +136,24 @@ FabricFaultSession::FabricFaultSession(cluster::Fabric& fabric,
 
 ResilienceStats FabricFaultSession::combined_stats() const {
   ResilienceStats total;
-  for (const auto& inj : injectors_) {
-    const ResilienceStats& s = inj->stats();
-    total.crashes += s.crashes;
-    total.recoveries += s.recoveries;
-    total.failovers += s.failovers;
-    total.dropped_messages += s.dropped_messages;
-    total.retried_messages += s.retried_messages;
-    total.migration_failures += s.migration_failures;
-    total.partitions += s.partitions;
-    total.heals += s.heals;
-    total.fenced_commands += s.fenced_commands;
-    total.shadow_restarts += s.shadow_restarts;
-    total.duplicates_resolved += s.duplicates_resolved;
-    total.orphans_adopted += s.orphans_adopted;
-    total.repair_time.merge(s.repair_time);
-    total.failover_outage.merge(s.failover_outage);
-    total.heal_convergence.merge(s.heal_convergence);
+  for (std::size_t i = 0; i < fabric_.size(); ++i) {
+    const cluster::IntervalRecorder& rec = fabric_.cluster(i).recorder();
+    const cluster::IntervalReport& t = rec.totals();
+    total.crashes += t.crashes;
+    total.recoveries += t.recoveries;
+    total.failovers += t.failovers;
+    total.dropped_messages += t.dropped_messages;
+    total.retried_messages += t.retried_messages;
+    total.migration_failures += t.failed_migrations;
+    total.partitions += t.partitions;
+    total.heals += t.heals;
+    total.fenced_commands += t.fenced_commands;
+    total.shadow_restarts += t.shadow_starts;
+    total.duplicates_resolved += t.duplicates_resolved;
+    total.orphans_adopted += t.orphans_adopted;
+    total.repair_time.merge(rec.samples().repair_time);
+    total.failover_outage.merge(rec.samples().failover_outage);
+    total.heal_convergence.merge(rec.samples().heal_convergence);
   }
   return total;
 }

@@ -25,33 +25,33 @@
 
 namespace eclb::fault {
 
-/// Resilience accounting the injector collects across a run (MTTR, message
-/// loss, failover outages) -- the fault-side complement of the per-interval
-/// counters in cluster::IntervalReport.
+/// A run's resilience figures across a fabric's shards: a read-out of the
+/// clusters' recorder totals (obs/counters.h defines each count) and
+/// resilience samples, filled only by FabricFaultSession::combined_stats.
 struct ResilienceStats {
-  std::size_t crashes{0};             ///< Plan-injected server crashes.
-  std::size_t recoveries{0};          ///< Plan-injected repairs.
-  std::size_t failovers{0};           ///< Leader re-elections.
-  std::size_t dropped_messages{0};    ///< Control messages lost on faulty links.
-  std::size_t retried_messages{0};    ///< Dropped messages re-sent with backoff.
-  std::size_t migration_failures{0};  ///< Live migrations aborted mid-copy.
-  std::size_t partitions{0};          ///< Plan-injected fabric splits.
-  std::size_t heals{0};               ///< Plan-injected fabric heals.
-  std::size_t fenced_commands{0};     ///< Stale-epoch commands dropped.
-  std::size_t shadow_restarts{0};     ///< Quorum-side shadow VM restarts.
-  std::size_t duplicates_resolved{0};  ///< Shadows retired at reconciliation.
-  std::size_t orphans_adopted{0};     ///< Shadows adopted (original lost).
-  common::RunningStats repair_time;   ///< Crash -> service-restored samples.
-  common::RunningStats failover_outage;  ///< Leaderless windows, in seconds.
-  common::RunningStats heal_convergence;  ///< Heal -> reconciled, in seconds.
+  std::size_t crashes{0};
+  std::size_t recoveries{0};
+  std::size_t failovers{0};
+  std::size_t dropped_messages{0};
+  std::size_t retried_messages{0};
+  std::size_t migration_failures{0};
+  std::size_t partitions{0};
+  std::size_t heals{0};
+  std::size_t fenced_commands{0};
+  std::size_t shadow_restarts{0};
+  std::size_t duplicates_resolved{0};
+  std::size_t orphans_adopted{0};
+  common::RunningStats repair_time;       ///< Crash -> service-restored (s).
+  common::RunningStats failover_outage;   ///< Leaderless windows (s).
+  common::RunningStats heal_convergence;  ///< Heal -> reconciled (s).
 
   /// Mean time to repair: average seconds from a crash until its last
   /// displaced VM is running again; 0 when no episode completed.
   [[nodiscard]] double mttr() const { return repair_time.mean(); }
 };
 
-/// Owns the link table, the fault RNG stream and the resilience statistics
-/// for one cluster + plan pairing.
+/// Owns the link table and the fault RNG stream for one cluster + plan
+/// pairing.  It counts nothing: the cluster's recorder books every fault.
 class FaultInjector final : public cluster::FaultRuntime {
  public:
   /// Schedules `plan` onto `cluster`'s kernel and installs itself as the
@@ -63,8 +63,6 @@ class FaultInjector final : public cluster::FaultRuntime {
 
   /// The plan this injector executes.
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-  /// Accumulated resilience statistics.
-  [[nodiscard]] const ResilienceStats& stats() const { return stats_; }
   /// The star fabric's per-host link state (tests poke individual links).
   [[nodiscard]] network::LinkTable& links() { return links_; }
   /// Current mid-copy migration failure probability.
@@ -85,15 +83,6 @@ class FaultInjector final : public cluster::FaultRuntime {
   [[nodiscard]] std::size_t max_retries() const override;
   [[nodiscard]] common::Seconds heartbeat_period() const override;
   [[nodiscard]] std::size_t failover_after_missed() const override;
-  void note_dropped(cluster::MessageKind kind, std::size_t n) override;
-  void note_retried(cluster::MessageKind kind) override;
-  void note_failover(common::Seconds outage) override;
-  void note_repair(common::Seconds repair_time) override;
-  void note_fenced(cluster::MessageKind kind) override;
-  void note_shadow_started() override;
-  void note_reconciled(common::Seconds convergence,
-                       std::size_t duplicates_resolved,
-                       std::size_t orphans_adopted) override;
 
  private:
   void apply(const FaultEvent& event);
@@ -103,7 +92,6 @@ class FaultInjector final : public cluster::FaultRuntime {
   common::Rng rng_;            ///< The fault stream -- never the cluster's.
   network::LinkTable links_;
   double migration_failure_rate_{0.0};
-  ResilienceStats stats_;
 };
 
 /// Fault injection across a sharded fabric: one FaultInjector per shard,
@@ -126,11 +114,12 @@ class FabricFaultSession {
   /// Number of per-shard injectors (== the fabric's shard count).
   [[nodiscard]] std::size_t size() const { return injectors_.size(); }
 
-  /// Resilience statistics summed across all shards (RunningStats merged
-  /// sample-set over sample-set).
+  /// The resilience figures: every shard's recorder totals summed and its
+  /// samples merged, in shard order.
   [[nodiscard]] ResilienceStats combined_stats() const;
 
  private:
+  const cluster::Fabric& fabric_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
 };
 

@@ -2,8 +2,8 @@
 //
 // Each row binds one cluster::IntervalReport counter to its JSONL
 // `interval_end` key and its registry metric.  The metrics (ClusterProbe),
-// the trace writer and the trace parser all walk this table, so a new
-// counter is one new row.  Rows are in `interval_end` key order.
+// the trace writer, the trace parser and the recorder's run totals all walk
+// this table, so a new counter is one new row.  Rows are in `interval_end` key order.
 #pragma once
 
 #include <array>
@@ -41,20 +41,37 @@ inline constexpr auto kReportCounters = [] {
       {&R::sla_violations, "sla_violations", "protocol.sla_violations", false},
       {&R::qos_violations, "qos_violations", "protocol.qos_violations", false},
       // Fault and request counters are omitted when zero, so a fault-free,
-      // engine-off trace keeps the layout it had before those layers.
+      // engine-off trace keeps the layout it had before those layers.  The
+      // fault rows are the run's only fault tally (the resilience trailer
+      // reads their sums); each counts:
+      // a live server failing (a crash of a dead one counts nothing),
       {&R::crashes, "crashes", "fault.crashes", true},
+      // a failed server returning to service,
       {&R::recoveries, "recoveries", "fault.recoveries", true},
+      // every leader election: on heartbeat loss and on each side at a split,
       {&R::failovers, "failovers", "fault.failovers", true},
+      // a lost command send (one event, however many messages it carried),
       {&R::dropped_messages, "dropped", "fault.dropped_messages", true},
+      // a re-send of a lost command that was still due,
       {&R::retried_messages, "retried", "fault.retried_messages", true},
+      // a crash-displaced VM restarted on a live server,
       {&R::orphans_replaced, "orphans_replaced", "fault.orphans_replaced", true},
+      // a negotiated live migration that aborted mid-copy,
       {&R::failed_migrations, "failed_migrations", "fault.failed_migrations", true},
+      // (a snapshot, not a count: servers down at the interval's end),
       {&R::failed_servers, "failed", "", true},
+      // a split of two or more sides that took effect,
       {&R::partitions, "partitions", "fault.partitions", true},
+      // a completed post-heal reconciliation,
       {&R::heals, "heals", "fault.heals", true},
+      // a stale-epoch command dropped by its receiver,
       {&R::fenced_commands, "fenced", "fault.fenced_commands", true},
+      // a minority-hosted VM the quorum restarted during a split,
       {&R::shadow_starts, "shadow_starts", "fault.shadow_starts", true},
+      // a shadow retired at reconciliation because its original survived,
       {&R::duplicates_resolved, "duplicates_resolved", "fault.duplicates_resolved", true},
+      // a shadow kept at reconciliation because its original was lost.
+      {&R::orphans_adopted, "orphans_adopted", "fault.orphans_adopted", true},
       {&R::requests_arrived, "requests_arrived", "requests.arrived", true},
       {&R::requests_completed, "requests_completed", "requests.completed", true},
       {&R::request_sla_violations, "requests_violated", "requests.sla_violations", true},

@@ -22,7 +22,7 @@ ClusterConfig small_config(std::uint64_t seed = 1) {
 }
 
 /// Minimal fault runtime: fault-free links, deterministic protocol
-/// parameters, counters for the note_* callbacks.
+/// parameters.  The cluster's recorder books what the tests check.
 class StubRuntime final : public FaultRuntime {
  public:
   bool deliver(MessageKind, common::ServerId) override { return true; }
@@ -38,23 +38,6 @@ class StubRuntime final : public FaultRuntime {
   std::size_t max_retries() const override { return 2; }
   common::Seconds heartbeat_period() const override { return Seconds{5.0}; }
   std::size_t failover_after_missed() const override { return 3; }
-  void note_dropped(MessageKind, std::size_t n) override { dropped += n; }
-  void note_retried(MessageKind) override { ++retried; }
-  void note_failover(common::Seconds outage) override {
-    ++failovers;
-    last_outage = outage;
-  }
-  void note_repair(common::Seconds t) override {
-    ++repairs;
-    last_repair = t;
-  }
-
-  std::size_t dropped{0};
-  std::size_t retried{0};
-  std::size_t failovers{0};
-  std::size_t repairs{0};
-  Seconds last_outage{};
-  Seconds last_repair{};
 };
 
 TEST(ClusterFaults, CrashOrphansVmsAndStopsPower) {
@@ -138,13 +121,18 @@ TEST(ClusterFaults, HeartbeatFailoverElectsLowestLiveSurvivor) {
 
   c.crash_server(c.leader_server());  // at t = 0
   ASSERT_FALSE(c.leader_available());
-  c.step();  // heartbeat fires at 5, 10, 15 -> third miss triggers election
+  // Heartbeat fires at 5, 10, 15 -> third miss triggers election.
+  const auto report = c.step();
 
   EXPECT_TRUE(c.leader_available());
   EXPECT_NE(c.leader_server(), ServerId{0});
   EXPECT_TRUE(!c.servers()[c.leader_server().index()].failed());
-  EXPECT_EQ(faults.failovers, 1U);
-  EXPECT_DOUBLE_EQ(faults.last_outage.value, 15.0);
+  EXPECT_EQ(report.failovers, 1U);
+  EXPECT_EQ(c.recorder().totals().failovers, 1U);
+  const common::RunningStats& outage =
+      c.recorder().samples().failover_outage;
+  EXPECT_EQ(outage.count(), 1U);
+  EXPECT_DOUBLE_EQ(outage.mean(), 15.0);
   EXPECT_GE(c.message_stats().count(MessageKind::kHeartbeat), 3U);
   // Election broadcast reaches every live server.
   EXPECT_EQ(c.message_stats().count(MessageKind::kElection), c.size() - 1);
@@ -171,8 +159,9 @@ TEST(ClusterFaults, OrphansAreReplacedByTheProtocol) {
   // Every displaced VM is running again, so no demand was lost...
   EXPECT_NEAR(c.total_demand(), demand_before, 1e-9);
   // ...and the crash episode closed with one MTTR sample.
-  EXPECT_EQ(faults.repairs, 1U);
-  EXPECT_GT(faults.last_repair.value, 0.0);
+  const common::RunningStats& repair = c.recorder().samples().repair_time;
+  EXPECT_EQ(repair.count(), 1U);
+  EXPECT_GT(repair.mean(), 0.0);
 
   c.install_faults(nullptr);
 }

@@ -8,6 +8,7 @@ namespace eclb::cluster {
 namespace {
 
 using common::Joules;
+using common::Seconds;
 using common::ServerId;
 
 TEST(Recorder, MigrationBooksInClusterDecisionAndCause) {
@@ -138,6 +139,39 @@ TEST(Recorder, FaultEventsRollUpIntoReport) {
   EXPECT_EQ(seen[6].kind, ProtocolEvent::Kind::kCapacityDerate);
   EXPECT_DOUBLE_EQ(seen[6].value, 0.5);
   EXPECT_EQ(seen[6].interval, 2U);
+}
+
+TEST(Recorder, RunTotalsSumClosedReportsAndKeepSamples) {
+  IntervalRecorder rec;
+  rec.begin_interval(0);
+  rec.server_crashed(ServerId{1});
+  rec.failover(ServerId{0}, Seconds{15.0});
+  rec.crash_repaired(Seconds{30.0});
+  FleetSnapshot snap;
+  snap.failed_servers = 1;
+  (void)rec.finish(snap);
+  rec.begin_interval(1);
+  rec.server_crashed(ServerId{2});
+  rec.failover(ServerId{3});  // an election with no outage to close
+  rec.shadow_adopted(ServerId{5});
+  rec.shadow_adopted(ServerId{6});
+  rec.reconciled(Seconds{20.0}, ServerId{3});
+  const IntervalReport second = rec.finish(snap);
+  EXPECT_EQ(second.orphans_adopted, 2U);
+  rec.message_dropped(MessageKind::kWakeCommand, ServerId{4});  // still open
+
+  const IntervalReport& t = rec.totals();
+  EXPECT_EQ(t.crashes, 2U);
+  EXPECT_EQ(t.failovers, 2U);
+  EXPECT_EQ(t.heals, 1U);
+  EXPECT_EQ(t.orphans_adopted, 2U);
+  EXPECT_EQ(t.dropped_messages, 0U);  // only closed windows count
+  EXPECT_EQ(t.failed_servers, 0U);    // a snapshot, never summed
+  const ResilienceSamples& s = rec.samples();
+  EXPECT_EQ(s.failover_outage.count(), 1U);
+  EXPECT_DOUBLE_EQ(s.failover_outage.mean(), 15.0);
+  EXPECT_DOUBLE_EQ(s.repair_time.mean(), 30.0);
+  EXPECT_DOUBLE_EQ(s.heal_convergence.mean(), 20.0);
 }
 
 TEST(Recorder, FinishFoldsFleetSnapshot) {

@@ -178,7 +178,8 @@ TEST(Runner, RegistryAggregatesAcrossReplications) {
   const std::vector<std::string> expected = {
       "fault.crashes", "fault.dropped_messages", "fault.duplicates_resolved",
       "fault.failed_migrations", "fault.failovers", "fault.fenced_commands",
-      "fault.heals", "fault.orphans_replaced", "fault.partitions",
+      "fault.heals", "fault.orphans_adopted", "fault.orphans_replaced",
+      "fault.partitions",
       "fault.recoveries", "fault.retried_messages", "fault.shadow_starts",
       "protocol.decisions.in_cluster", "protocol.decisions.local",
       "protocol.drains", "protocol.horizontal_starts", "protocol.migrations",

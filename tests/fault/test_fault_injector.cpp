@@ -63,7 +63,7 @@ TEST(FaultInjector, EmptyPlanPerturbsNothing) {
   }
   EXPECT_EQ(plain.total_energy().value, faulted.total_energy().value);
   EXPECT_EQ(plain.message_stats().total(), faulted.message_stats().total());
-  const auto& st = injector.stats();
+  const auto& st = faulted.recorder().totals();
   EXPECT_EQ(st.crashes + st.dropped_messages + st.failovers, 0U);
 }
 
@@ -74,10 +74,10 @@ TEST(FaultInjector, CrashEventFiresAtItsScheduledTime) {
   FaultInjector injector(c, plan);
   c.step();  // t = 60: nothing yet
   EXPECT_FALSE(c.servers()[5].failed());
-  EXPECT_EQ(injector.stats().crashes, 0U);
+  EXPECT_EQ(c.recorder().totals().crashes, 0U);
   c.step();  // t = 120: the crash fired at 90
   EXPECT_TRUE(c.servers()[5].failed());
-  EXPECT_EQ(injector.stats().crashes, 1U);
+  EXPECT_EQ(c.recorder().totals().crashes, 1U);
   EXPECT_EQ(c.failed_count(), 1U);
 }
 
@@ -99,14 +99,15 @@ TEST(FaultInjector, MidRunLeaderCrashFailsOverAndRestoresService) {
   EXPECT_TRUE(c.leader_available());
   EXPECT_TRUE(c.orphans().empty());
 
-  const auto& st = injector.stats();
+  const auto& st = c.recorder().totals();
   EXPECT_EQ(st.crashes, 1U);
   EXPECT_EQ(st.failovers, 1U);
   // Crash at 90 fires before that instant's heartbeat (earlier sequence
   // number), so the beats at 90/95/100 miss -> election at t = 100.
-  EXPECT_DOUBLE_EQ(st.failover_outage.mean(), 10.0);
+  const auto& samples = c.recorder().samples();
+  EXPECT_DOUBLE_EQ(samples.failover_outage.mean(), 10.0);
   // Orphans re-placed at the first led round (t = 120) -> MTTR = 30 s.
-  EXPECT_DOUBLE_EQ(st.mttr(), 30.0);
+  EXPECT_DOUBLE_EQ(samples.repair_time.mean(), 30.0);
 
   std::size_t failovers = 0;
   std::size_t replaced = 0;
@@ -124,7 +125,7 @@ TEST(FaultInjector, TotalLossDropsAndRetriesUpToTheCap) {
   plan.link_loss(Seconds{0.0}, 1.0);
   FaultInjector injector(c, plan);
   for (int i = 0; i < 10; ++i) c.step();
-  const auto& st = injector.stats();
+  const auto& st = c.recorder().totals();
   EXPECT_GT(st.dropped_messages, 0U);
   EXPECT_GT(st.retried_messages, 0U);
   // With p = 1 every retry drops too, so drops strictly dominate retries.
@@ -147,7 +148,7 @@ TEST(FaultInjector, CertainMigrationFailureAbortsEveryCopy) {
   EXPECT_DOUBLE_EQ(injector.migration_failure_rate(), 1.0);
   EXPECT_EQ(migrations, 0U);
   EXPECT_GT(failed, 0U);
-  EXPECT_EQ(injector.stats().migration_failures, failed);
+  EXPECT_EQ(c.recorder().totals().failed_migrations, failed);
 }
 
 TEST(FaultInjector, DerateAndRecoverEventsApply) {
@@ -162,7 +163,7 @@ TEST(FaultInjector, DerateAndRecoverEventsApply) {
   EXPECT_TRUE(c.servers()[9].failed());
   c.step();
   EXPECT_FALSE(c.servers()[9].failed());
-  EXPECT_EQ(injector.stats().recoveries, 1U);
+  EXPECT_EQ(c.recorder().totals().recoveries, 1U);
 }
 
 TEST(FaultInjector, RetryBackoffDoublesPerAttempt) {
@@ -225,11 +226,11 @@ TEST(FaultInjector, IdenticalSeedAndPlanReproduceBitIdentically) {
       std::size_t migration_failures;
       double mttr;
     };
+    const auto& totals = c.recorder().totals();
     return Result{std::move(reports), c.total_energy().value,
-                  injector.stats().dropped_messages,
-                  injector.stats().retried_messages,
-                  injector.stats().migration_failures,
-                  injector.stats().mttr()};
+                  totals.dropped_messages, totals.retried_messages,
+                  totals.failed_migrations,
+                  c.recorder().samples().repair_time.mean()};
   };
   const auto a = run();
   const auto b = run();
@@ -256,7 +257,7 @@ TEST(FaultInjector, DifferentFaultSeedsDiverge) {
     plan.link_loss(Seconds{0.0}, 0.5).set_seed(fault_seed);
     FaultInjector injector(c, plan);
     for (int i = 0; i < 10; ++i) c.step();
-    return injector.stats().dropped_messages;
+    return c.recorder().totals().dropped_messages;
   };
   // Not guaranteed for arbitrary seeds, but these diverge -- and the test
   // pins that the plan seed actually feeds the loss draws.
@@ -285,7 +286,7 @@ TEST(FaultInjector, PartitionEventSplitsFabricAndMembership) {
                                 ServerId{45}));
   EXPECT_TRUE(c.degraded(ServerId{45}));
   EXPECT_FALSE(c.degraded(ServerId{5}));
-  EXPECT_EQ(injector.stats().partitions, 1U);
+  EXPECT_EQ(c.recorder().totals().partitions, 1U);
 
   // The minority side elected a provisional sub-leader at a bumped epoch.
   const auto& minority = c.membership().side(1);
@@ -296,10 +297,10 @@ TEST(FaultInjector, PartitionEventSplitsFabricAndMembership) {
   EXPECT_FALSE(c.membership().partitioned());
   EXPECT_FALSE(c.reconcile_pending());
   EXPECT_FALSE(injector.links().partitioned());
-  EXPECT_EQ(injector.stats().heals, 1U);
-  EXPECT_EQ(injector.stats().heal_convergence.count(), 1U);
+  EXPECT_EQ(c.recorder().totals().heals, 1U);
+  EXPECT_EQ(c.recorder().samples().heal_convergence.count(), 1U);
   // Heal fires at 330, the reconciliation pass runs at the next round (360).
-  EXPECT_DOUBLE_EQ(injector.stats().heal_convergence.mean(), 30.0);
+  EXPECT_DOUBLE_EQ(c.recorder().samples().heal_convergence.mean(), 30.0);
   EXPECT_EQ(c.self_audit(), std::nullopt);
 }
 
@@ -317,7 +318,7 @@ TEST(FaultInjector, PartitionRunsStopAtTheClusterSize) {
   EXPECT_EQ(c.membership().quorum(), 0);  // 40 live vs 10
   EXPECT_TRUE(c.degraded(ServerId{45}));
   EXPECT_FALSE(c.degraded(ServerId{5}));
-  EXPECT_EQ(injector.stats().partitions, 1U);
+  EXPECT_EQ(c.recorder().totals().partitions, 1U);
 }
 
 TEST(FaultInjector, PartitionRunIsBitReproducible) {
@@ -349,8 +350,8 @@ TEST(FaultInjector, PartitionRunIsBitReproducible) {
       std::size_t fenced;
     };
     return Result{c.total_energy().value, energy_trace, events,
-                  injector.stats().shadow_restarts,
-                  injector.stats().fenced_commands};
+                  c.recorder().totals().shadow_starts,
+                  c.recorder().totals().fenced_commands};
   };
   const auto a = run();
   const auto b = run();

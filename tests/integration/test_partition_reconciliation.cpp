@@ -63,15 +63,15 @@ TEST(PartitionReconciliation, ShadowDuplicatesAreRetiredOnHeal) {
   const std::size_t before = c.total_vms();
   c.step();  // t = 120: split at 90, quorum shadow-restarted side 1's VMs
   ASSERT_TRUE(c.membership().partitioned());
-  const std::size_t shadows = injector.stats().shadow_restarts;
+  const std::size_t shadows = c.recorder().totals().shadow_starts;
   EXPECT_GT(shadows, 0U);
   EXPECT_EQ(c.total_vms(), before + shadows);
 
   for (int i = 0; i < 4; ++i) c.step();  // heal at 270, reconcile at 300
   EXPECT_FALSE(c.membership().partitioned());
   // Every original survived, so every shadow is a duplicate to retire.
-  EXPECT_EQ(injector.stats().duplicates_resolved, shadows);
-  EXPECT_EQ(injector.stats().orphans_adopted, 0U);
+  EXPECT_EQ(c.recorder().totals().duplicates_resolved, shadows);
+  EXPECT_EQ(c.recorder().totals().orphans_adopted, 0U);
   EXPECT_EQ(c.self_audit(), std::nullopt);
 }
 
@@ -86,7 +86,7 @@ TEST(PartitionReconciliation, LostOriginalsAreCoveredByAdoptedShadows) {
 
   for (int i = 0; i < 8; ++i) c.step();  // through heal (390) + reconcile (420)
   EXPECT_FALSE(c.membership().partitioned());
-  EXPECT_GT(injector.stats().orphans_adopted, 0U);
+  EXPECT_GT(c.recorder().totals().orphans_adopted, 0U);
   // An adopted shadow closes its crash orphan: nothing left queued for the
   // crashed host, and nothing restored twice.
   for (const auto& o : c.orphans()) EXPECT_NE(o.origin, ServerId{36});
@@ -133,9 +133,9 @@ TEST(PartitionReconciliation, ExactlyOneLeaderAtHighestEpochAfterEveryHeal) {
     EXPECT_EQ(c.membership().side(0).epoch, c.membership().highest_epoch());
     EXPECT_TRUE(c.leader_available());
   }
-  EXPECT_EQ(injector.stats().partitions, 2U);
-  EXPECT_EQ(injector.stats().heals, 2U);
-  EXPECT_EQ(injector.stats().heal_convergence.count(), 2U);
+  EXPECT_EQ(c.recorder().totals().partitions, 2U);
+  EXPECT_EQ(c.recorder().totals().heals, 2U);
+  EXPECT_EQ(c.recorder().samples().heal_convergence.count(), 2U);
   EXPECT_EQ(c.self_audit(), std::nullopt);
 }
 
@@ -173,8 +173,8 @@ TEST(PartitionReconciliation, RandomizedChurnKeepsInvariants) {
     EXPECT_EQ(c.membership().side(0).epoch, c.membership().highest_epoch())
         << seed;
     EXPECT_TRUE(c.leader_available()) << seed;
-    EXPECT_EQ(injector.stats().partitions, 3U) << seed;
-    EXPECT_EQ(injector.stats().heals, 3U) << seed;
+    EXPECT_EQ(c.recorder().totals().partitions, 3U) << seed;
+    EXPECT_EQ(c.recorder().totals().heals, 3U) << seed;
     const auto audit = c.self_audit();
     EXPECT_EQ(audit, std::nullopt) << seed << ": " << audit.value_or("");
   }
@@ -196,7 +196,7 @@ TEST(PartitionReconciliation, StaleWakeCommandsAreFencedAcrossTheSplit) {
   plan.params().retry_backoff_cap = Seconds{60.0};
   FaultInjector injector(c, plan);
   for (int i = 0; i < 12; ++i) c.step();
-  EXPECT_GT(injector.stats().fenced_commands, 0U);
+  EXPECT_GT(c.recorder().totals().fenced_commands, 0U);
   EXPECT_EQ(c.self_audit(), std::nullopt);
 }
 

@@ -204,18 +204,18 @@ TEST(PartitionedRun, FourShardDigestsPinned) {
   const std::vector<std::uint64_t> pinned = {
       0x10e36b037136bf33ULL, 0x225a2ecbca5ddc82ULL, 0xdd92637433c77b82ULL,
       0x6b99470b9732e5acULL, 0xbaada98c7b0e8e20ULL, 0x875e47e8a9415ee6ULL,
-      0x6ecf1068618d655bULL, 0x821a1b90680e3ff0ULL, 0xc762e95c70c76cd8ULL,
-      0x6347dd3c18e5b137ULL, 0x12b84b439477ddbaULL, 0x7b042ab663e5df52ULL,
-      0xe5b994db11162f23ULL, 0xaca6ddf895eb63e4ULL, 0x8bf0cf9049eb1c4cULL,
-      0xf3953c74a8d2673bULL, 0xa1b02c4df8324b64ULL, 0xd7eadda30fdae688ULL,
-      0x8198770a87f10bafULL, 0x0ad70ecbab0835f6ULL, 0x7aedac20334c3d9fULL,
-      0x7b1e10c5e9d35f8bULL, 0x4155254d6854cf15ULL, 0xfe073769570ef28bULL,
-      0x074f4cd78a3f43fdULL, 0x6caba94f83d0993dULL, 0x4b1ead0d5584fbc0ULL,
-      0xc3410e4421daab97ULL, 0xbe83a5bc8bbb9af0ULL, 0x0363427af945c3c0ULL,
-      0xab1eb388aa5448c2ULL, 0x9ec489994e863420ULL, 0xdc1b85bfc8e910afULL,
-      0x7a7b4df985462ceaULL, 0x4d45f2c62325099dULL, 0xead6c760d2b948f3ULL,
-      0xfa27dd183f577403ULL, 0x2874ef62a50ae9e3ULL, 0xd06a7f67871abd57ULL,
-      0x5b70e90df1b07909ULL, 0xedd383e9e36ca276ULL,
+      0xf0ff3266ff591671ULL, 0xd4f02c25010c5c26ULL, 0xf17ebd33630ffee6ULL,
+      0x5ea57bbc6b2e7f2bULL, 0xbcac4d8144ee753aULL, 0x4637c288cfdaa43aULL,
+      0xb760b2c8eea9487eULL, 0x4632582256087f1bULL, 0x785d5725f8750e10ULL,
+      0xab4ced976a75fc34ULL, 0x8e852f8d80fc2a21ULL, 0x158516f001b564bbULL,
+      0x731c2ce95bbe6315ULL, 0xfb2ff848976cb351ULL, 0x9d900fb443e5d94eULL,
+      0xceda110c4fae5aefULL, 0x3b004ef2a0c3d47aULL, 0x878ab6d09999b94bULL,
+      0xe2b5d480bd9e073aULL, 0x6ea71c7b67fd361aULL, 0x40429a16ece3c919ULL,
+      0xed016c10b1feef8dULL, 0xf79d25e45a89ac79ULL, 0x17f655698a3ffd0eULL,
+      0x2586f42d6e111dbfULL, 0xe2ed97a1e7631a2dULL, 0x2336a13460736de9ULL,
+      0xe690ab820092998fULL, 0x183e1190efcadf03ULL, 0x4f279b250cd4412eULL,
+      0xe838b78947c2c9b9ULL, 0x64b1f66470b82bd1ULL, 0x6b4dd6b30dc616f9ULL,
+      0x41b36ec0ddb0fa75ULL, 0x87503fe5d44e25e2ULL,
   };
   const auto got = partitioned_run(4, 2024, 5);
   EXPECT_EQ(got, pinned) << "digests " << as_initializer(got);
@@ -252,39 +252,39 @@ TEST(PartitionedRun, CommandPathsPinned) {
       {
         0x8669fee4ad5c6adcULL, 0xdd37a4808dbe7895ULL, 0x40e2fec7ad86d728ULL,
         0x3f5f271c8a1a132fULL, 0xe6e9d4b8da9a9278ULL, 0x1dcaea81be2edc43ULL,
-        0xc4c37a6cc74b38fcULL, 0x4153dc26f9110c85ULL, 0x28bda786a366b26dULL,
-        0xdb60a9ad241a441eULL, 0xd0e485b1a6fc21f1ULL, 0xe0966b8ddbc72514ULL,
-        0xd8be032a8bc45287ULL, 0xbb0971bbce5d70ddULL, 0x7bd7df908e3f1112ULL,
-        0xfcbc721d8a58ef54ULL, 0x009f5260efbd1d98ULL, 0xb36c8384ad2cc82fULL,
-        0x6b5412ac948f436cULL, 0xc68f077ef22620d7ULL, 0x363eae159dfb54e4ULL,
-        0x225ea45aff5e2bedULL, 0x446f72180fa6ea4bULL, 0x000d1f5652879095ULL,
-        0x4b6fbcc8c7df4dd6ULL, 0xfd545d52a427fcd4ULL, 0x3db06fbaa1837d68ULL,
-        0xdcd51c59d9c2b90eULL, 0x0bac0e9e46632f0fULL, 0x4e653b594ba4676eULL,
-        0xb7779d5cfe41a72cULL, 0x5bfbb9c23d797d4dULL, 0x3eb170327ca642ccULL,
-        0x465d1ca4514f14bfULL, 0x0484347d1d080050ULL, 0x7ae0aa7e6101abadULL,
-        0x89d9d0d151662b46ULL, 0x71e939ce9c378c8aULL, 0xeb3af141a8c8c791ULL,
-        0x5b1fe1a56098efc7ULL, 0x3280601e678f5cc2ULL,
+        0xc4c37a6cc74b38fcULL, 0x49cb741648edd4c4ULL, 0x0ed4e0336dc80fc9ULL,
+        0x70216b602105d403ULL, 0x96f6c3b03dfe7665ULL, 0x1e304ad124cdc646ULL,
+        0xdcad9c5efea9194bULL, 0x08c011f57abf5d16ULL, 0x1b167d5567d13a58ULL,
+        0x945a6178367cf72aULL, 0xb7922243677919e7ULL, 0xb368a566e7c608f9ULL,
+        0x863b3969d4661306ULL, 0xa62af560b8f67c7cULL, 0xdc36581acedd1c71ULL,
+        0x341dc615d5b71719ULL, 0xc14bee60cd117095ULL, 0xd509f6632d370073ULL,
+        0x06476cd94ffa5253ULL, 0x3dccdc3baa4591b5ULL, 0xed58bd09bd11facfULL,
+        0xb9cf0eaef06b99bdULL, 0x65a6b95adaee59d7ULL, 0x3413c9f5036bb6b4ULL,
+        0x92c116b25bc85efaULL, 0x28713f1f3350740eULL, 0x76b88b5e666b84d0ULL,
+        0x8e2b7ae31eabdd72ULL, 0xc39a3a59b4af016aULL, 0x6c4bffa4b9e91731ULL,
+        0x94fba3c2671f00f0ULL, 0xba666294ac152454ULL, 0xea72f06d72981412ULL,
+        0xbdf476ace852390bULL, 0xa25f942429945a84ULL,
       },
-      {3, 1, 1, 1015, 221, 27, 130, 2, 2, 11, 98, 97, 0, 40});
+      {3, 1, 4, 262, 225, 24, 160, 2, 2, 3, 105, 100, 0, 40});
   expect_command_paths(
       4, 2024, 5,
       {
         0x10e36b037136bf33ULL, 0x225a2ecbca5ddc82ULL, 0x750544b502fd9052ULL,
-        0x8885321f71c558c0ULL, 0xf4d714776e641cc1ULL, 0x14a572eace7f226eULL,
-        0x1185db5e7de82667ULL, 0xebe8f536c35e9a2fULL, 0xbd22fbe718ce1a28ULL,
-        0x09c5cc14881a0bd8ULL, 0x36840a77650e13e7ULL, 0x46de90dcaf0abe55ULL,
-        0x71afb6228470aa0aULL, 0x52ebf837f234869cULL, 0xe0979dd4fd640ac8ULL,
-        0xd07d64d177dc1987ULL, 0x8b742043b29e1950ULL, 0xdcd350db7462433aULL,
-        0x9ee045debf8d2052ULL, 0x5bf5de7152a94bf9ULL, 0x3c06fb1331d5ba77ULL,
-        0xf05aa2d7e1bedf18ULL, 0x67410671d7f7f0a1ULL, 0xcd07ac9f7f355cf9ULL,
-        0xdd11e32f52c46118ULL, 0x7f1649404f21c3f9ULL, 0xe1311b9fc2f8db13ULL,
-        0xe9816af5427c94f1ULL, 0x455194091b59852cULL, 0x110cea3a44b406cbULL,
-        0x1ff10fb0d606e1e3ULL, 0x0a6ec6cbba0d7f1fULL, 0xb120ed67c2d39e6aULL,
-        0xe323ef35f9c2ea9bULL, 0xfe633751ce80e25aULL, 0x9fe28698bf1dd5c6ULL,
-        0x431c954f25c0d8aeULL, 0xc4a9d4c07015f28cULL, 0x9357818be640c883ULL,
-        0x37f547693b01c57aULL, 0x7d5b702a9debe7d5ULL,
+        0x8885321f71c558c0ULL, 0x492303badea10addULL, 0x784acf8c9c74e48cULL,
+        0x4e899811b140b96eULL, 0xfd8a72fa65ad73fbULL, 0x8e44cc7b6d40f4e5ULL,
+        0xaa2fddac1db3302fULL, 0x2d35119102d6e0c9ULL, 0x3841c569a6b0bcf1ULL,
+        0x024f8ca8400e2510ULL, 0xc6ed9050f3cb1b81ULL, 0x9a4420fab115ee86ULL,
+        0xa7dd29f1fc06cb48ULL, 0x690c970353b8c8cdULL, 0x3fa25ed3579f7b2dULL,
+        0x6cd252882cd91ce6ULL, 0x3c35c7495f308bbbULL, 0x5c1ee0e93e46bd1dULL,
+        0x17180923978a8ec9ULL, 0xf37b325f97ddd9daULL, 0xc9ff474010e074c3ULL,
+        0x8236c17feb380a30ULL, 0x275bd30b6354b78aULL, 0x898aa5fe110124c3ULL,
+        0x5eb6903b9c036a69ULL, 0xd1f8271e529b677fULL, 0xc2adaf5af0ed33d1ULL,
+        0xdf3bb36b8aa66208ULL, 0x6161c29a72a13826ULL, 0x97c239cc1e023838ULL,
+        0xf7f5ddc9811d723fULL, 0x7271bf2603ca88a7ULL, 0xac0d3ba7a78bbbabULL,
+        0x65a00c91b6c000a3ULL, 0x22d4d4262bf91b91ULL, 0xd927e636d64d9f75ULL,
+        0x1e84f9dfa86936c9ULL, 0xdb4aeb546f14c437ULL,
       },
-      {12, 4, 4, 3126, 693, 91, 290, 8, 8, 18, 340, 336, 0, 40});
+      {12, 4, 16, 805, 690, 88, 164, 8, 8, 23, 289, 284, 0, 40});
 }
 
 // One long split of a single shard: the quorum starts shadows of the
@@ -348,9 +348,10 @@ TEST(PartitionedRun, MigratedShadowResolvesAsDuplicate) {
       0xf26a2a7b1a88129fULL, 0x9a139024358f2302ULL,
   };
   EXPECT_EQ(run.digests, pinned) << "digests " << as_initializer(run.digests);
-  // Trailer figures, in CommandPathsPinned's order: 56 shadows started and
-  // 56 duplicates resolved.
-  const std::vector<double> pinned_figures = {0, 0, 0, 0,  0,  0, 0,
+  // Trailer figures, in CommandPathsPinned's order: two elections (the
+  // split leaves the old leader on the minority, so both sides elect), 56
+  // shadows started and 56 duplicates resolved.
+  const std::vector<double> pinned_figures = {0, 0, 2, 0,  0,  0, 0,
                                               1, 1, 0, 56, 56, 0, 30};
   const std::vector<double> figures = trailer_figures(run.stats);
   EXPECT_EQ(figures, pinned_figures) << "figures " << as_doubles(figures);

@@ -198,6 +198,7 @@ void count_event(const cluster::ProtocolEvent& event,
       counted.request_backlog = event.value;
       break;
     case Kind::kWakeSleepFlap: ++counted.wake_sleep_flaps; break;
+    case Kind::kShadowAdopted: ++counted.orphans_adopted; break;
   }
 }
 
@@ -288,11 +289,14 @@ TEST(Trace, EventStreamReconstructsIntervalReports) {
 
 // The same round trip on a run that reaches the omit-when-zero rows: a
 // faulted, partitioned 1-shard fabric serving requests under admission
-// control.  Its registry must hold each request row's sum over the reports.
+// control.  A minority host crashing mid-split makes the reconciliation
+// adopt shadows.  Its registry must hold each request row's sum over the
+// reports.
 TEST(Trace, FaultAndRequestRowsRoundTrip) {
   std::string error;
   const auto plan = fault::FaultPlan::parse(
       "leader@600;loss@0:p=0.6;crash@300:s=3;crash@300:s=4;recover@900:s=3;"
+      "crash@300:s=50;"
       "migfail@0:p=0.2;part@130:g=0-44|45-59,heal=450;part@900:g=0-19|20-59,"
       "heal=1200;retries=5;backoff=15;cap=60;seed=5",
       &error);
