@@ -23,7 +23,7 @@
 //              path, for the CI perf-smoke job.
 //     --full   adds the 1e6-server fabric (minutes, local only).
 //     --phases breaks the coalesced notification pipeline's interval down
-//              into classify / diff / refile / protocol wall-clock at the
+//              into diff / refile / protocol wall-clock at the
 //              largest flat size of the run (emitted as pipeline_phases).
 #include <algorithm>
 #include <atomic>
@@ -187,7 +187,6 @@ FabricSample time_fabric_step(std::size_t shards, std::size_t servers_per_shard,
 struct PhaseSample {
   std::size_t servers{0};
   std::size_t intervals{0};
-  double classify_ms{0.0};  ///< Batch gather-classification, per interval.
   double diff_ms{0.0};      ///< Slot diff + bitset/aggregate apply.
   double refile_ms{0.0};    ///< Grouped-run apply to the key axes.
   double protocol_ms{0.0};  ///< Interval wall-clock minus the flush phases.
@@ -197,7 +196,7 @@ struct PhaseSample {
 };
 
 /// Times the interval with pipeline phase timing switched on and splits the
-/// wall clock into the three flush phases plus the protocol remainder.  Runs
+/// wall clock into the two flush phases plus the protocol remainder.  Runs
 /// on a separate cluster instance so the headline ms_per_interval figures
 /// never pay for the clock reads.
 PhaseSample time_pipeline_phases(std::size_t servers) {
@@ -217,11 +216,9 @@ PhaseSample time_pipeline_phases(std::size_t servers) {
   PhaseSample p;
   p.servers = servers;
   p.intervals = k;
-  p.classify_ms = 1e3 * (after.classify_seconds - before.classify_seconds) / n;
   p.diff_ms = 1e3 * (after.diff_seconds - before.diff_seconds) / n;
   p.refile_ms = 1e3 * (after.refile_seconds - before.refile_seconds) / n;
-  p.protocol_ms =
-      wall_ms / n - (p.classify_ms + p.diff_ms + p.refile_ms);
+  p.protocol_ms = wall_ms / n - (p.diff_ms + p.refile_ms);
   p.dirty_per_interval =
       static_cast<double>(after.dirty_slots - before.dirty_slots) / n;
   p.refiles_per_interval =
@@ -474,8 +471,8 @@ std::string json_report(const std::vector<StepSample>& steps,
     for (std::size_t i = 0; i < phases.size(); ++i) {
       const auto& p = phases[i];
       out << "    {\"servers\": " << p.servers << ", \"intervals\": "
-          << p.intervals << ", \"classify_ms\": " << p.classify_ms
-          << ", \"diff_ms\": " << p.diff_ms << ", \"refile_ms\": "
+          << p.intervals << ", \"diff_ms\": " << p.diff_ms
+          << ", \"refile_ms\": "
           << p.refile_ms << ", \"protocol_ms\": " << p.protocol_ms
           << ", \"dirty_per_interval\": " << p.dirty_per_interval
           << ", \"refiles_per_interval\": " << p.refiles_per_interval
@@ -716,7 +713,7 @@ int main(int argc, char** argv) {
   std::printf("  %s\n", determinism_ok ? "bit-identical" : "DIVERGED");
 
   // Phase breakdown at the largest flat size of the run: where the split
-  // between classification, diff, refile and protocol work is most honest.
+  // between diff, refile and protocol work is most honest.
   std::vector<PhaseSample> phases;
   if (phases_on) {
     const std::size_t n = ci ? sizes.back() : 100000;
@@ -725,9 +722,9 @@ int main(int argc, char** argv) {
     phases.push_back(time_pipeline_phases(n));
     const auto& p = phases.back();
     std::printf(
-        "  classify %.3f + diff %.3f + refile %.3f + protocol %.3f "
+        "  diff %.3f + refile %.3f + protocol %.3f "
         "ms/interval (%.0f dirty, %.0f refiles in %.0f runs)\n",
-        p.classify_ms, p.diff_ms, p.refile_ms, p.protocol_ms,
+        p.diff_ms, p.refile_ms, p.protocol_ms,
         p.dirty_per_interval, p.refiles_per_interval, p.runs_per_interval);
   }
 

@@ -149,8 +149,8 @@ class Cluster {
   /// facts, and the report digests pin protocol facts only.
   [[nodiscard]] index::PipelineStats pipeline_stats() const;
 
-  /// Enables wall-clock timing of the index's flush phases (classify /
-  /// diff / refile buckets of pipeline_stats()).
+  /// Enables wall-clock timing of the index's flush phases (diff / refile
+  /// buckets of pipeline_stats()).
   void set_pipeline_phase_timing(bool on);
 
   // --- driving -------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Epoch-stamped dirty-slot accumulator for the coalesced notification
 // pipeline.
 //
-// Between two phase barriers the regime index no longer reclassifies and
+// Between two phase barriers the regime index no longer re-derives and
 // refiles a server per notification; it just records "slot i changed".
 // That record has to be duplicate-free (a VM demand sweep notifies the same
 // server many times per phase) and O(1) per mark, so the set is a dense

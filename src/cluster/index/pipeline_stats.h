@@ -18,8 +18,10 @@ struct PipelineStats {
   std::uint64_t dirty_slots{0};    ///< Slot marks processed across flushes.
   std::uint64_t batch_refiles{0};  ///< Key-axis erase+insert ops applied batched.
   std::uint64_t refile_runs{0};    ///< Grouped bucket runs those ops collapsed to.
-  double classify_seconds{0.0};    ///< Batch gather-classification kernel.
-  double diff_seconds{0.0};        ///< Old/new slot diff + bitset/aggregate apply.
+  /// Always 0: the flush has no classification phase (the IndexRow comes
+  /// classified).  Kept because perfbench reports it as index.classify_ms.
+  double classify_seconds{0.0};
+  double diff_seconds{0.0};        ///< Old/new slot diff + in-place apply.
   double refile_seconds{0.0};      ///< Sorted grouped-run apply to KeyBucketSet.
 
   PipelineStats& operator+=(const PipelineStats& o) {
@@ -27,7 +29,6 @@ struct PipelineStats {
     dirty_slots += o.dirty_slots;
     batch_refiles += o.batch_refiles;
     refile_runs += o.refile_runs;
-    classify_seconds += o.classify_seconds;
     diff_seconds += o.diff_seconds;
     refile_seconds += o.refile_seconds;
     return *this;

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/assert.h"
-#include "energy/regime_batch.h"
 
 namespace eclb::cluster::index {
 
@@ -64,7 +63,7 @@ void RegimeIndex::rebuild() {
         std::max(max_sopt_halfwidth_, t.alpha_sopt_high - center);
     rows_[i] = servers_[i].state_table().index_row(servers_[i].slot());
     slots_[i] = slot_from_row(rows_[i]);
-    file_slot(static_cast<std::uint32_t>(i), slots_[i]);
+    file_slot(static_cast<std::uint32_t>(i), slots_[i], KeyEdits::kInPlace);
   }
 }
 
@@ -77,16 +76,6 @@ void RegimeIndex::server_state_changed(const server::Server& s) {
   // other fact-free notifications cost one 32-byte compare.
   if (s.state_table().index_row(s.slot()) == rows_[i]) return;
   dirty_.mark(static_cast<std::uint32_t>(i));
-}
-
-RegimeIndex::Slot RegimeIndex::classify(const server::Server& s) const {
-  // Read the server's packed state-table record: sync_derived rewrites it
-  // from the scalar columns at every notification point, so between
-  // mutations it matches what the per-accessor classification
-  // computes -- awake in particular is time-independent (see
-  // Server::transition_pending and ServerStateTable::awake).  One aligned
-  // 32-byte load replaces ten scattered column reads on the refile path.
-  return slot_from_row(s.state_table().index_row(s.slot()));
 }
 
 RegimeIndex::Slot RegimeIndex::slot_from_row(
@@ -107,7 +96,7 @@ RegimeIndex::Slot RegimeIndex::slot_from_row(
   // Server::regime() is defined (and reported to the leader) whenever the
   // server is unfailed with settled state C0 -- including one still easing
   // into sleep -- so the report fan-in uses that wider condition via the
-  // always-valid classified column.
+  // row's always-valid classified field.
   slot.reporter =
       alive &&
       row.cstate_src == static_cast<std::uint8_t>(energy::CState::kC0) &&
@@ -116,9 +105,14 @@ RegimeIndex::Slot RegimeIndex::slot_from_row(
   return slot;
 }
 
-void RegimeIndex::file_slot(std::uint32_t id, const Slot& slot) {
+void RegimeIndex::file_slot(std::uint32_t id, const Slot& slot,
+                            KeyEdits edits) {
   if (slot.regime >= 0) {
-    by_key_[slot.regime].insert({slot.key, id});
+    if (edits == KeyEdits::kBatched) {
+      insert_runs_[slot.regime].push_back({slot.key, id});
+    } else {
+      by_key_[slot.regime].insert({slot.key, id});
+    }
     by_id_[slot.regime].insert(id);
   }
   if (slot.sleeper >= 0) sleepers_[slot.sleeper].insert(id);
@@ -130,9 +124,14 @@ void RegimeIndex::file_slot(std::uint32_t id, const Slot& slot) {
   ++cnt_effective_[static_cast<std::size_t>(slot.effective)];
 }
 
-void RegimeIndex::unfile_slot(std::uint32_t id, const Slot& slot) {
+void RegimeIndex::unfile_slot(std::uint32_t id, const Slot& slot,
+                              KeyEdits edits) {
   if (slot.regime >= 0) {
-    by_key_[slot.regime].erase({slot.key, id});
+    if (edits == KeyEdits::kBatched) {
+      erase_runs_[slot.regime].push_back({slot.key, id});
+    } else {
+      by_key_[slot.regime].erase({slot.key, id});
+    }
     by_id_[slot.regime].erase(id);
   }
   if (slot.sleeper >= 0) sleepers_[slot.sleeper].erase(id);
@@ -144,69 +143,43 @@ void RegimeIndex::unfile_slot(std::uint32_t id, const Slot& slot) {
   --cnt_effective_[static_cast<std::size_t>(slot.effective)];
 }
 
-void RegimeIndex::update_slot(std::size_t i) {
-  ECLB_ASSERT(i < slots_.size(), "RegimeIndex: server index out of range");
-  const server::Server& s = servers_[i];
+void RegimeIndex::apply_row(std::uint32_t id, KeyEdits edits) {
+  const server::Server& s = servers_[id];
   const server::ServerStateTable::IndexRow& row =
       s.state_table().index_row(s.slot());
-  // Row-mirror gate: see server_state_changed.
-  if (row == rows_[i]) return;
-  rows_[i] = row;
-  const std::uint32_t id = static_cast<std::uint32_t>(i);
+  // Row-mirror gate: a slot can be marked dirty and then mutate back to
+  // exactly the state the index last applied (an ABA within the phase);
+  // the record compare drops it before any slot derivation.
+  if (row == rows_[id]) return;
+  rows_[id] = row;
   const Slot fresh = slot_from_row(row);
-  Slot& cur = slots_[i];
-  // Notifications frequently fire without moving any indexed fact (settle
-  // sweeps, energy accounting): skip those outright.  The next most common
-  // case is a demand nudge that keeps the server in its regime with every
-  // membership flag unchanged -- then only the key-ordered axis and the VM
-  // aggregate move, and the five bitsets plus the scalar tallies can stay
-  // untouched.  Both paths leave every structure bit-identical to the full
-  // unfile+file below.
+  Slot& cur = slots_[id];
   if (fresh == cur) return;
+  // The most common change is a demand nudge that keeps the server in its
+  // regime with every membership flag unchanged: then only the key-ordered
+  // axis and the VM aggregate move, and the five bitsets plus the scalar
+  // tallies stay untouched.  Both paths leave every structure bit-identical
+  // to the full unfile+file below.
   Slot masked = fresh;
   masked.key = cur.key;
   masked.load = cur.load;
   masked.vm_count = cur.vm_count;
   if (masked == cur) {
     if (fresh.regime >= 0 && fresh.key != cur.key) {
-      by_key_[fresh.regime].refile({cur.key, id}, {fresh.key, id});
+      if (edits == KeyEdits::kBatched) {
+        erase_runs_[fresh.regime].push_back({cur.key, id});
+        insert_runs_[fresh.regime].push_back({fresh.key, id});
+      } else {
+        by_key_[fresh.regime].refile({cur.key, id}, {fresh.key, id});
+      }
     }
     total_vms_ += fresh.vm_count;
     total_vms_ -= cur.vm_count;
-    cur = fresh;
-    return;
+  } else {
+    unfile_slot(id, cur, edits);
+    file_slot(id, fresh, edits);
   }
-  unfile_slot(id, cur);
-  file_slot(id, fresh);
   cur = fresh;
-}
-
-void RegimeIndex::file_slot_deferred(std::uint32_t id, const Slot& slot) {
-  if (slot.regime >= 0) {
-    insert_runs_[slot.regime].push_back({slot.key, id});
-    by_id_[slot.regime].insert(id);
-  }
-  if (slot.sleeper >= 0) sleepers_[slot.sleeper].insert(id);
-  if (slot.above_center) above_center_.insert(id);
-  if (slot.awake_empty) awake_empty_.insert(id);
-  total_vms_ += slot.vm_count;
-  if (slot.sleeping) ++sleeping_;
-  if (slot.reporter) ++reporters_;
-  ++cnt_effective_[static_cast<std::size_t>(slot.effective)];
-}
-
-void RegimeIndex::unfile_slot_deferred(std::uint32_t id, const Slot& slot) {
-  if (slot.regime >= 0) {
-    erase_runs_[slot.regime].push_back({slot.key, id});
-    by_id_[slot.regime].erase(id);
-  }
-  if (slot.sleeper >= 0) sleepers_[slot.sleeper].erase(id);
-  if (slot.above_center) above_center_.erase(id);
-  if (slot.awake_empty) awake_empty_.erase(id);
-  total_vms_ -= slot.vm_count;
-  if (slot.sleeping) --sleeping_;
-  if (slot.reporter) --reporters_;
-  --cnt_effective_[static_cast<std::size_t>(slot.effective)];
 }
 
 void RegimeIndex::flush_impl() {
@@ -221,88 +194,25 @@ void RegimeIndex::flush_impl() {
   ++stats_.flushes;
   stats_.dirty_slots += dirty.size();
 
-  // Small-batch fast path: the cursor-walk actions (shed, rebalance, drain)
-  // interleave queries with a handful of mutations each, so most flushes
-  // carry only a few dirty slots.  For those the batch machinery (gather
-  // kernel, run lists, grouped bucket rebuilds) costs more than it saves;
-  // per-slot updates in ascending slot order produce the identical end
-  // state (every structure is canonical: sorted buckets, bitsets, integer
-  // aggregates), so the path choice -- a pure function of the dirty count --
-  // can never leak into query answers.
+  // The dirty count selects only where key-axis edits go.  The cursor-walk
+  // actions (shed, rebalance, drain) interleave queries with a handful of
+  // mutations each, so most flushes carry a few dirty slots; for those an
+  // in-place refile/insert/erase is cheapest.  Larger flushes (demand
+  // evolution, request write-back) collect the edits into per-regime runs
+  // and apply them sorted and grouped, one touch per bucket.  Sending every
+  // flush through the runs measured 5-15% slower end to end.  Every
+  // structure is canonical (sorted buckets, bitsets, integer aggregates),
+  // so both routes reach the identical end state and the choice never
+  // leaks into query answers.
   constexpr std::size_t kSmallFlushMax = 32;
-  if (dirty.size() <= kSmallFlushMax) {
-    for (const std::uint32_t s : dirty) update_slot(s);
-    dirty_.clear();
-    if (phase_timing_) {
-      stats_.diff_seconds +=
-          std::chrono::duration<double>(Clock::now() - t0).count();
-    }
-    return;
-  }
-
-  // Phase 1 -- classify: one batch kernel over the dirty lanes.  Cluster
-  // fleets share one state table with slot == id; a mixed fleet of
-  // standalone servers (unit tests) skips the gather, and classify() below
-  // reads the per-row classified column, which holds the identical value.
-  const server::ServerStateTable& table = servers_.front().state_table();
-  const bool shared = table.size() == servers_.size();
-  if (shared) {
-    gather_out_.resize(dirty.size());
-    energy::classify_regimes_gather(
-        dirty, table.loads(), table.capacities(), table.alpha_sopt_lows(),
-        table.alpha_opt_lows(), table.alpha_opt_highs(),
-        table.alpha_sopt_highs(), gather_out_);
-  }
+  const KeyEdits edits = dirty.size() <= kSmallFlushMax ? KeyEdits::kInPlace
+                                                         : KeyEdits::kBatched;
+  for (const std::uint32_t id : dirty) apply_row(id, edits);
   const auto t1 = phase_timing_ ? Clock::now() : Clock::time_point{};
 
-  // Phase 2 -- diff: per dirty slot, compare the fresh classification to the
-  // cached one.  The fast paths mirror update_slot exactly; the only
-  // difference is that key-axis mutations land in the per-regime run lists
-  // instead of hitting the buckets immediately.
-  for (std::size_t j = 0; j < dirty.size(); ++j) {
-    const std::size_t i = dirty[j];
-    const server::Server& srv = servers_[i];
-    const server::ServerStateTable::IndexRow& row =
-        srv.state_table().index_row(srv.slot());
-    // Row-mirror gate: a slot can be marked dirty and then mutate back to
-    // exactly the state the index last applied (an ABA within the phase);
-    // the record compare drops it before any slot derivation.
-    if (row == rows_[i]) continue;
-    rows_[i] = row;
-    Slot fresh = slot_from_row(row);
-    if (shared) {
-      const server::ServerSlot slot = srv.slot();
-      ECLB_ASSERT(gather_out_[j] == table.classified(slot),
-                  "flush: gather kernel disagrees with classified column");
-      fresh.regime =
-          fresh.awake ? gather_out_[j] : server::ServerStateTable::kNone;
-    }
-    Slot& cur = slots_[i];
-    if (fresh == cur) continue;
-    const auto id = static_cast<std::uint32_t>(i);
-    Slot masked = fresh;
-    masked.key = cur.key;
-    masked.load = cur.load;
-    masked.vm_count = cur.vm_count;
-    if (masked == cur) {
-      if (fresh.regime >= 0 && fresh.key != cur.key) {
-        erase_runs_[fresh.regime].push_back({cur.key, id});
-        insert_runs_[fresh.regime].push_back({fresh.key, id});
-      }
-      total_vms_ += fresh.vm_count;
-      total_vms_ -= cur.vm_count;
-    } else {
-      unfile_slot_deferred(id, cur);
-      file_slot_deferred(id, fresh);
-    }
-    cur = fresh;
-  }
-  const auto t2 = phase_timing_ ? Clock::now() : Clock::time_point{};
-
-  // Phase 3 -- refile: apply the collected key-axis mutations as sorted
-  // grouped runs, one touch per affected bucket.  Sorting by (key, id)
-  // groups same-bucket ops contiguously (bucket_of is monotone in the key)
-  // and fixes a deterministic order regardless of diff order.
+  // Apply the collected key-axis runs (empty after an in-place flush).
+  // Sorting by (key, id) groups same-bucket ops contiguously (bucket_of is
+  // monotone in the key) and fixes a deterministic order.
   for (std::size_t r = 0; r < energy::kRegimeCount; ++r) {
     auto& del = erase_runs_[r];
     auto& add = insert_runs_[r];
@@ -317,10 +227,9 @@ void RegimeIndex::flush_impl() {
   dirty_.clear();
 
   if (phase_timing_) {
-    const auto t3 = Clock::now();
-    stats_.classify_seconds += std::chrono::duration<double>(t1 - t0).count();
-    stats_.diff_seconds += std::chrono::duration<double>(t2 - t1).count();
-    stats_.refile_seconds += std::chrono::duration<double>(t3 - t2).count();
+    const auto t2 = Clock::now();
+    stats_.diff_seconds += std::chrono::duration<double>(t1 - t0).count();
+    stats_.refile_seconds += std::chrono::duration<double>(t2 - t1).count();
   }
 }
 
@@ -333,7 +242,7 @@ std::size_t RegimeIndex::memory_bytes() const {
   bytes += above_center_.memory_bytes() + awake_empty_.memory_bytes();
   bytes += slots_.capacity() * sizeof(Slot);
   bytes += rows_.capacity() * sizeof(server::ServerStateTable::IndexRow);
-  bytes += dirty_.memory_bytes() + gather_out_.capacity();
+  bytes += dirty_.memory_bytes();
   for (const auto& r : erase_runs_) bytes += r.capacity() * sizeof(LoadKey);
   for (const auto& r : insert_runs_) bytes += r.capacity() * sizeof(LoadKey);
   return bytes;

@@ -78,15 +78,16 @@ class RegimeIndex final : public server::ServerStateListener {
   explicit RegimeIndex(std::span<const server::Server> servers);
 
   /// ServerStateListener: records the change as a slot-level dirty mark in
-  /// the per-phase DirtySet; the deferred reclassify + refile happens in one
-  /// batch at the next flush().
+  /// the per-phase DirtySet; the deferred refile happens in one batch at
+  /// the next flush().
   void server_state_changed(const server::Server& s) override;
 
   // --- phase-coalesced pipeline -------------------------------------------
 
-  /// Applies every pending dirty mark: one batch gather-classification over
-  /// the dirty lanes, an old/new slot diff, and sorted grouped refile runs
-  /// into the key axes (each bucket touched once).  Every public query calls
+  /// Applies every pending dirty mark: an old/new slot diff of each dirty
+  /// server's IndexRow (the row Server::sync_derived already classified),
+  /// then -- for large flushes -- sorted grouped refile runs into the key
+  /// axes (each bucket touched once).  Every public query calls
   /// this first, so an index answer is always computed on exactly the state
   /// applying each notification at its instant would have shown (the state
   /// self_check's fresh rebuild reproduces).  No-op when nothing is dirty;
@@ -98,7 +99,7 @@ class RegimeIndex final : public server::ServerStateListener {
     const_cast<RegimeIndex*>(this)->flush_impl();
   }
 
-  /// Enables wall-clock timing of the flush phases (classify/diff/refile in
+  /// Enables wall-clock timing of the flush phases (diff/refile in
   /// pipeline_stats()).  Off by default so the hot path never reads a clock.
   void set_phase_timing(bool on) { phase_timing_ = on; }
 
@@ -233,26 +234,27 @@ class RegimeIndex final : public server::ServerStateListener {
     double hi_cutoff;
   };
 
-  [[nodiscard]] Slot classify(const server::Server& s) const;
   /// Derives a Slot from a packed state-table record.  Slot is a pure
   /// function of the row -- the invariant the notification gate relies on:
   /// when a server's current row equals the mirrored row the index last
   /// applied (rows_), no index structure can need updating.
   [[nodiscard]] static Slot slot_from_row(
       const server::ServerStateTable::IndexRow& row);
-  void update_slot(std::size_t i);
-  void file_slot(std::uint32_t id, const Slot& slot);
-  void unfile_slot(std::uint32_t id, const Slot& slot);
 
-  /// The deferred phase barrier behind flush(): batch-classifies the dirty
-  /// lanes, diffs old vs new slots (bitsets and scalar aggregates applied
-  /// inline; they are one-word writes), and applies the collected key-axis
-  /// mutations as sorted grouped runs via KeyBucketSet::apply_batch.
+  /// Where a flush sends key-axis edits: straight into the buckets, or
+  /// into the per-regime runs KeyBucketSet::apply_batch folds in at the end
+  /// of the flush.  Bitsets and scalar aggregates are always written in
+  /// place (one word each).
+  enum class KeyEdits : bool { kInPlace, kBatched };
+  /// Re-derives server `id`'s Slot from its current IndexRow and moves it
+  /// between the index's structures.
+  void apply_row(std::uint32_t id, KeyEdits edits);
+  void file_slot(std::uint32_t id, const Slot& slot, KeyEdits edits);
+  void unfile_slot(std::uint32_t id, const Slot& slot, KeyEdits edits);
+
+  /// The phase barrier behind flush(): applies every dirty row in ascending
+  /// slot order, then the collected key-axis runs.
   void flush_impl();
-  /// file_slot/unfile_slot with the by_key_ mutation deferred into the
-  /// per-regime run lists instead of applied immediately.
-  void file_slot_deferred(std::uint32_t id, const Slot& slot);
-  void unfile_slot_deferred(std::uint32_t id, const Slot& slot);
 
   /// Bidirectional best-score search over `buckets` around the ideal key
   /// -demand.  `admit(server, regime_idx)` returns the *exact scan score*
@@ -280,9 +282,6 @@ class RegimeIndex final : public server::ServerStateListener {
   bool phase_timing_{false};
   DirtySet dirty_;
   PipelineStats stats_;
-  /// Classification output for the dirty lanes, parallel to the sorted
-  /// dirty-slot list (gather kernel scratch).
-  std::vector<std::int8_t> gather_out_;
   /// Per-regime key-axis mutations collected during one flush's diff pass,
   /// applied as sorted grouped runs at the end of the phase.
   std::array<std::vector<LoadKey>, energy::kRegimeCount> erase_runs_;

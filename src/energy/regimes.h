@@ -80,6 +80,23 @@ struct RegimeThresholds {
                                  const RegimeThresholdRanges& ranges = {});
 };
 
+/// Branch-free classify of the served load min(load, capacity): the
+/// 0-based regime index, regime_index(t.classify(served)).  The decision
+/// ladder of classify counts how many of {a >= sopt_low, a >= opt_low,
+/// a > opt_high, a > sopt_high} hold (>= at the two lower bounds, > at the
+/// two upper ones, matching R3/R4 being closed on the right), so the sum
+/// equals classify at every boundary.  Server::sync_derived writes it into
+/// the state table's IndexRow, the regime index's only regime source.
+[[nodiscard]] inline std::int8_t classify_regime_branchless(
+    double load, double capacity, const RegimeThresholds& t) {
+  const double a = load < capacity ? load : capacity;
+  return static_cast<std::int8_t>(
+      static_cast<int>(a >= t.alpha_sopt_low) +
+      static_cast<int>(a >= t.alpha_opt_low) +
+      static_cast<int>(a > t.alpha_opt_high) +
+      static_cast<int>(a > t.alpha_sopt_high));
+}
+
 /// The beta (energy-space) boundaries corresponding to a server's alpha
 /// thresholds through its power model (Figure 1's abscissa values).
 struct EnergyRegimeBoundaries {

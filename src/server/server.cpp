@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "energy/regime_batch.h"
 
 namespace eclb::server {
 
@@ -32,10 +31,6 @@ Server::Server(common::ServerId id, ServerConfig config, ServerStateTable* table
   }
   table_ = table;
   slot_ = table_->add_slot();
-  table_->set_thresholds(slot_, thresholds_.alpha_sopt_low,
-                         thresholds_.alpha_opt_low, thresholds_.alpha_opt_high,
-                         thresholds_.alpha_sopt_high,
-                         thresholds_.optimal_center());
   sync_derived();
   meter_ = energy::EnergyMeter(common::Seconds{0.0}, power(common::Seconds{0.0}));
 }
@@ -276,28 +271,20 @@ void Server::sync_derived() {
   const bool is_awake = alive && src == energy::CState::kC0 && !pending;
   t.set_vm_count(slot_, static_cast<std::uint32_t>(vms_.size()));
   t.set_transition_pending(slot_, pending);
-  t.set_cstate_src(slot_, static_cast<std::uint8_t>(src));
-  t.set_effective_cstate(slot_, static_cast<std::uint8_t>(effective_cstate()));
   t.set_awake(slot_, is_awake);
-  const std::int8_t cls = energy::classify_regime_branchless(
-      t.load(slot_), t.capacity(slot_), t.alpha_sopt_low(slot_),
-      t.alpha_opt_low(slot_), t.alpha_opt_high(slot_), t.alpha_sopt_high(slot_));
-  t.set_classified(slot_, cls);
-  t.set_regime(slot_, is_awake ? cls : ServerStateTable::kNone);
-  std::int8_t depth = ServerStateTable::kNone;
-  if (alive && !pending && src != energy::CState::kC0) {
-    depth = static_cast<std::int8_t>(static_cast<int>(src) - 1);
-  }
-  t.set_sleep_depth(slot_, depth);
   t.set_static_power(slot_, compute_static_power());
 
+  const std::int8_t cls = energy::classify_regime_branchless(
+      t.load(slot_), t.capacity(slot_), thresholds_);
   ServerStateTable::IndexRow row;
   row.load = t.load(slot_);
-  row.center = t.center(slot_);
+  row.center = thresholds_.optimal_center();
   row.vm_count = static_cast<std::uint32_t>(vms_.size());
   row.regime = is_awake ? cls : ServerStateTable::kNone;
   row.classified = cls;
-  row.sleep_depth = depth;
+  if (alive && !pending && src != energy::CState::kC0) {
+    row.sleep_depth = static_cast<std::int8_t>(static_cast<int>(src) - 1);
+  }
   row.cstate_src = static_cast<std::uint8_t>(src);
   row.effective = static_cast<std::uint8_t>(effective_cstate());
   row.awake = is_awake ? 1 : 0;

@@ -306,6 +306,49 @@ TEST(DirtyPipeline, CoalescedMatchesEagerUnderRequestWorkload) {
   EXPECT_EQ(h, kPinned) << "digest 0x" << std::hex << h;
 }
 
+/// The dirty count selects where a flush's key-axis edits go: in place up
+/// to 32 dirty slots, into sorted batched runs from 33 on.  A flush of
+/// exactly 32 and of exactly 33 must each equal a fresh rebuild and the
+/// scans, with demand nudges that keep a server's regime (a key refile)
+/// and jumps that move it (unfile + file) in both.
+TEST(DirtyPipeline, FlushSizeBoundaryMatchesRebuild) {
+  for (const std::size_t n : {std::size_t{32}, std::size_t{33}}) {
+    const std::string where = std::to_string(n) + " dirty slots";
+    Cluster c(pipeline_config(19));
+    for (int i = 0; i < 5; ++i) c.step();
+    expect_coherent(c, where + ", before");
+    const index::PipelineStats before = c.pipeline_stats();
+
+    std::size_t touched = 0;
+    std::size_t regime_moves = 0;
+    for (server::Server& s : c.mutable_servers()) {
+      if (touched == n) break;
+      if (!s.awake(c.now()) || s.vm_count() == 0) continue;
+      const vm::Vm& v = s.vms().front();
+      const auto regime = s.regime();
+      const double demand = touched % 2 == 0 ? v.demand() * 0.999
+                                             : v.demand() + 0.45;
+      ASSERT_TRUE(s.force_demand(v.id(), demand));
+      if (s.regime() != regime) ++regime_moves;
+      ++touched;
+    }
+    ASSERT_EQ(touched, n);
+    EXPECT_GT(regime_moves, 0u) << where;
+    EXPECT_LT(regime_moves, n) << where;
+
+    c.regime_index()->flush();
+    const index::PipelineStats after = c.pipeline_stats();
+    EXPECT_EQ(after.flushes, before.flushes + 1) << where;
+    EXPECT_EQ(after.dirty_slots, before.dirty_slots + n) << where;
+    if (n <= 32) {
+      EXPECT_EQ(after.batch_refiles, before.batch_refiles) << where;
+    } else {
+      EXPECT_GT(after.batch_refiles, before.batch_refiles) << where;
+    }
+    expect_coherent(c, where + ", after");
+  }
+}
+
 // --- fabric digests ---------------------------------------------------------
 
 TEST(DirtyPipeline, FabricDigestsIdenticalAcrossModesAndThreadCounts) {
@@ -340,7 +383,7 @@ TEST(DirtyPipeline, PipelineCountersFlow) {
   EXPECT_GT(stats.flushes, 0u);
   EXPECT_GT(stats.dirty_slots, 0u);
   // Phase timers only tick when explicitly enabled.
-  EXPECT_EQ(stats.classify_seconds, 0.0);
+  EXPECT_EQ(stats.diff_seconds, 0.0);
   Cluster timed(pipeline_config(6));
   timed.set_pipeline_phase_timing(true);
   for (int i = 0; i < 10; ++i) timed.step();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "energy/power_model.h"
 
@@ -130,6 +133,81 @@ TEST_P(RegimeMonotoneSweep, ClassificationMonotoneInLoad) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegimeMonotoneSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// --- classify_regime_branchless ----------------------------------------------
+//
+// The branch-free form Server::sync_derived writes into the IndexRow must
+// equal regime_index(classify(min(load, capacity))) for every load,
+// capacity and threshold block -- including loads landing exactly on the
+// boundary values, where the closed/open interval edges decide the regime.
+
+RegimeThresholds make_thresholds(double sl, double ol, double oh, double sh) {
+  RegimeThresholds t;
+  t.alpha_sopt_low = sl;
+  t.alpha_opt_low = ol;
+  t.alpha_opt_high = oh;
+  t.alpha_sopt_high = sh;
+  return t;
+}
+
+std::int8_t ladder_regime(const RegimeThresholds& t, double load,
+                          double capacity) {
+  // Servers classify their *served* load (demand capped at capacity).
+  const double served = std::min(load, capacity);
+  return static_cast<std::int8_t>(regime_index(t.classify(served)));
+}
+
+TEST(RegimeBatch, ExactBoundaryValues) {
+  const RegimeThresholds t = make_thresholds(0.25, 0.4, 0.7, 0.85);
+  // Each boundary plus a value just inside/outside on either side: the
+  // classify() contract is R3 closed on both ends, R4 closed at sopt_high.
+  for (const double load : {0.0, 0.1, 0.25, 0.2500000001, 0.3, 0.4, 0.5, 0.7,
+                            0.7000000001, 0.8, 0.85, 0.8500000001, 0.9, 1.0,
+                            1.2}) {
+    EXPECT_EQ(classify_regime_branchless(load, 1.0, t),
+              ladder_regime(t, load, 1.0))
+        << "load " << load;
+  }
+}
+
+TEST(RegimeBatch, BranchlessScalarMatchesClassify) {
+  // A derated server classifies its capped load: capacities on and between
+  // the boundaries, with loads below, at and above them.
+  const RegimeThresholds t = make_thresholds(0.25, 0.4, 0.7, 0.85);
+  for (const double capacity : {0.4, 0.55, 0.7, 0.85, 1.0}) {
+    for (const double load :
+         {0.0, 0.25, 0.3, 0.4, 0.69, 0.7, 0.85, 0.86, 2.0}) {
+      EXPECT_EQ(classify_regime_branchless(load, capacity, t),
+                ladder_regime(t, load, capacity))
+          << "load " << load << " capacity " << capacity;
+    }
+  }
+}
+
+TEST(RegimeBatch, RandomizedLoadsThresholdsAndCapacities) {
+  common::Rng rng(4242);
+  for (int i = 0; i < 4096; ++i) {
+    // Random but ordered threshold blocks, random capacity (derated
+    // servers included), and loads that sometimes exceed capacity.
+    const double a = rng.uniform(0.05, 0.45);
+    const double b = a + rng.uniform(0.01, 0.3);
+    const double c = b + rng.uniform(0.01, 0.4);
+    const double d = c + rng.uniform(0.01, 0.2);
+    const RegimeThresholds t = make_thresholds(a, b, c, d);
+    const double capacity = rng.uniform(0.4, 1.0);
+    double load = rng.uniform(0.0, 1.4);
+    // Pin a fraction of loads to an exact boundary of their own block --
+    // the equality cases must agree too.
+    const double roll = rng.uniform01();
+    if (roll < 0.1) load = a;
+    else if (roll < 0.2) load = b;
+    else if (roll < 0.3) load = c;
+    else if (roll < 0.4) load = d;
+    EXPECT_EQ(classify_regime_branchless(load, capacity, t),
+              ladder_regime(t, load, capacity))
+        << "load=" << load << " cap=" << capacity;
+  }
+}
 
 }  // namespace
 }  // namespace eclb::energy

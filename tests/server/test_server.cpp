@@ -292,13 +292,15 @@ TEST(Server, ForceDemandsMatchesPerVmForceDemand) {
       EXPECT_EQ(ta.vm_count(sa), tb.vm_count(sb));
       EXPECT_EQ(ta.awake(sa), tb.awake(sb));
       EXPECT_EQ(ta.transition_pending(sa), tb.transition_pending(sb));
-      EXPECT_EQ(ta.cstate_src(sa), tb.cstate_src(sb));
-      EXPECT_EQ(ta.effective_cstate(sa), tb.effective_cstate(sb));
-      EXPECT_EQ(ta.regime(sa), tb.regime(sb));
-      EXPECT_EQ(ta.classified(sa), tb.classified(sb));
-      EXPECT_EQ(ta.sleep_depth(sa), tb.sleep_depth(sb));
-      EXPECT_TRUE(ta.index_row(sa) == tb.index_row(sb));
-      EXPECT_EQ(bits(ta.index_row(sa).load), bits(tb.index_row(sb).load));
+      const ServerStateTable::IndexRow& ra = ta.index_row(sa);
+      const ServerStateTable::IndexRow& rb = tb.index_row(sb);
+      EXPECT_EQ(ra.cstate_src, rb.cstate_src);
+      EXPECT_EQ(ra.effective, rb.effective);
+      EXPECT_EQ(ra.regime, rb.regime);
+      EXPECT_EQ(ra.classified, rb.classified);
+      EXPECT_EQ(ra.sleep_depth, rb.sleep_depth);
+      EXPECT_TRUE(ra == rb);
+      EXPECT_EQ(bits(ra.load), bits(rb.load));
     }
     EXPECT_GT(batched.servers[1].load(), 1.0);
 

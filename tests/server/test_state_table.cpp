@@ -33,8 +33,9 @@ using common::VmId;
 using common::Watts;
 
 /// The row must agree with the accessors exactly (bitwise for doubles): the
-/// regime index and the protocol's fleet sweeps read these columns in place
-/// of the accessors, and any divergence breaks the bit-identity contract.
+/// protocol's fleet sweeps read the columns, and the regime index reads the
+/// packed IndexRow, in place of the accessors; any divergence breaks the
+/// bit-identity contract.
 void expect_row_matches(const Server& s, Seconds now) {
   const ServerStateTable& t = s.state_table();
   const ServerSlot i = s.slot();
@@ -44,38 +45,37 @@ void expect_row_matches(const Server& s, Seconds now) {
   EXPECT_EQ(t.alive(i), !s.failed());
   EXPECT_EQ(t.awake(i), s.awake(now));
   EXPECT_EQ(t.transition_pending(i), s.transition_pending());
-  EXPECT_EQ(t.cstate_src(i), static_cast<std::uint8_t>(s.cstate()));
-  EXPECT_EQ(t.effective_cstate(i),
-            static_cast<std::uint8_t>(s.effective_cstate()));
 
-  const auto& th = s.thresholds();
-  EXPECT_EQ(t.alpha_sopt_low(i), th.alpha_sopt_low);
-  EXPECT_EQ(t.alpha_opt_low(i), th.alpha_opt_low);
-  EXPECT_EQ(t.alpha_opt_high(i), th.alpha_opt_high);
-  EXPECT_EQ(t.alpha_sopt_high(i), th.alpha_sopt_high);
-  EXPECT_EQ(t.center(i), th.optimal_center());
+  const ServerStateTable::IndexRow& row = t.index_row(i);
+  EXPECT_EQ(row.load, s.load());
+  EXPECT_EQ(row.vm_count, s.vm_count());
+  EXPECT_EQ(row.alive != 0, !s.failed());
+  EXPECT_EQ(row.awake != 0, s.awake(now));
+  EXPECT_EQ(row.cstate_src, static_cast<std::uint8_t>(s.cstate()));
+  EXPECT_EQ(row.effective, static_cast<std::uint8_t>(s.effective_cstate()));
+  EXPECT_EQ(row.center, s.thresholds().optimal_center());
 
   // classified: always-valid regime of the served load.
-  const auto cls = th.classify(s.served_load());
-  EXPECT_EQ(t.classified(i),
+  const auto cls = s.thresholds().classify(s.served_load());
+  EXPECT_EQ(row.classified,
             static_cast<std::int8_t>(energy::regime_index(cls)));
 
   // regime: defined only while fully awake.
   if (s.awake(now)) {
     ASSERT_TRUE(s.regime().has_value());
-    EXPECT_EQ(t.regime(i),
+    EXPECT_EQ(row.regime,
               static_cast<std::int8_t>(energy::regime_index(*s.regime())));
   } else {
-    EXPECT_EQ(t.regime(i), ServerStateTable::kNone);
+    EXPECT_EQ(row.regime, ServerStateTable::kNone);
   }
 
   // sleep depth: settled C1/C3/C6 on an alive server, else none.
   if (!s.failed() && !s.transition_pending() &&
       s.cstate() != energy::CState::kC0) {
-    EXPECT_EQ(t.sleep_depth(i),
+    EXPECT_EQ(row.sleep_depth,
               static_cast<std::int8_t>(static_cast<int>(s.cstate()) - 1));
   } else {
-    EXPECT_EQ(t.sleep_depth(i), ServerStateTable::kNone);
+    EXPECT_EQ(row.sleep_depth, ServerStateTable::kNone);
   }
 
   // static power: the time-independent power level while no transition is

@@ -151,9 +151,8 @@ void print_pipeline_stats(const cluster::index::PipelineStats& p, bool timed) {
                static_cast<unsigned long long>(p.refile_runs));
   if (timed) {
     std::fprintf(stderr,
-                 "pipeline: classify %.3f ms, diff %.3f ms, refile %.3f ms\n",
-                 1e3 * p.classify_seconds, 1e3 * p.diff_seconds,
-                 1e3 * p.refile_seconds);
+                 "pipeline: diff %.3f ms, refile %.3f ms\n",
+                 1e3 * p.diff_seconds, 1e3 * p.refile_seconds);
   }
 }
 
@@ -640,6 +639,12 @@ int main(int argc, char** argv) {
   auto flags = common::Flags::parse(argc - 1, argv + 1);
   if (const auto bad = flags.unknown(cmd->flags); !bad.empty()) {
     for (const auto& name : bad) std::cerr << "unknown flag --" << name << "\n";
+    return 2;
+  }
+  if (!flags.positional().empty()) {
+    for (const auto& word : flags.positional()) {
+      std::cerr << command << ": unexpected argument '" << word << "'\n";
+    }
     return 2;
   }
   try {
