@@ -657,7 +657,7 @@ int check_against_reference(const std::string& ref_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  auto flags = common::Flags::parse(argc, argv);
   const auto bad = flags.unknown({"ci", "tiny", "full", "out", "check", "phases"});
   if (!bad.empty()) {
     std::fprintf(stderr, "unknown flag --%s\n", bad.front().c_str());
@@ -667,6 +667,10 @@ int main(int argc, char** argv) {
   const bool ci = tiny || flags.get_bool("ci");
   const bool full = !tiny && flags.get_bool("full");
   const bool phases_on = flags.get_bool("phases");
+  if (!flags.errors().empty()) {
+    std::fprintf(stderr, "%s\n", flags.errors().front().c_str());
+    return 2;
+  }
   const std::string out_path = flags.get("out", "BENCH_perf.json");
 
   std::vector<std::size_t> sizes{100};

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "cluster/index/regime_index.h"
-#include "cluster/protocol/engine.h"
+#include "cluster/protocol/actions.h"
 #include "cluster/protocol/view.h"
 #include "common/assert.h"
 #include "energy/server_power_data.h"
@@ -25,8 +25,7 @@ double wall_seconds_since(WallClock::time_point start) {
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      placement_(policy::make_placement(config_.placement)),
-      engine_(std::make_unique<protocol::ProtocolEngine>()) {
+      placement_(policy::make_placement(config_.placement)) {
   ECLB_ASSERT(config_.server_count > 0, "Cluster: need at least one server");
   ECLB_ASSERT(config_.initial_load_min <= config_.initial_load_max,
               "Cluster: invalid initial load range");
@@ -716,8 +715,8 @@ IntervalReport Cluster::run_round() {
   sweep_settle_and_energy(round_now, /*settle=*/true);
   if (observed) notify_phase("cstate_settle", wall_seconds_since(settle_start));
 
-  protocol::ClusterView view(*this, engine_->wake_action());
-  engine_->run(view);
+  protocol::ClusterView view(*this);
+  protocol::run_round(view);
 
   sweep_settle_and_energy(round_now, /*settle=*/false);
 

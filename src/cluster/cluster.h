@@ -3,8 +3,9 @@
 // A Cluster owns N heterogeneous servers connected to a leader in a star
 // topology and executes the paper's reallocation protocol.  The cluster is a
 // thin shell over three layers:
-//   * the protocol engine (cluster/protocol/) -- the per-regime actions of
-//     one reallocation round, run against a narrow ClusterView facade,
+//   * the protocol (cluster/protocol/) -- the per-regime actions of one
+//     reallocation round, free functions over a narrow ClusterView facade
+//     that protocol::run_round calls in Section 4 order,
 //   * the regime index (cluster/index/) -- the leader's incremental view of
 //     every member's regime, answering the energy-aware placement, drain
 //     and wake queries (partition-side filtered while the fabric is split),
@@ -53,7 +54,6 @@ class RegimeIndex;
 
 namespace protocol {
 class ClusterView;
-class ProtocolEngine;
 }  // namespace protocol
 
 /// Heap footprint of one cluster's data plane, broken down by owner (see
@@ -72,7 +72,7 @@ struct ClusterMemoryStats {
 };
 
 /// A VM displaced by a server crash, held by the cluster until the protocol
-/// re-places it (the RecoverOrphans action).
+/// re-places it (the recover_orphans action).
 struct OrphanVm {
   common::AppId app{};            ///< Application the VM belonged to.
   double demand{0.0};             ///< CPU demand to restore.
@@ -423,7 +423,6 @@ class Cluster {
   sim::Simulation sim_;              ///< The one clock everything runs on.
   /// The scanning baseline policy; null for the energy-aware strategy.
   std::unique_ptr<policy::PlacementPolicy> placement_;
-  std::unique_ptr<protocol::ProtocolEngine> engine_;
   IntervalRecorder recorder_;
   std::vector<ClusterObserver*> observers_;
   std::size_t interval_index_{0};

@@ -84,7 +84,7 @@ struct ClusterConfig {
   double demand_change_probability{0.05};
 
   /// When false, the protocol's stochastic per-VM demand evolution (the
-  /// EvolveAndScale bernoulli pass) is skipped entirely.  The request-level
+  /// evolve_and_scale bernoulli pass) is skipped entirely.  The request-level
   /// workload engine runs in this mode: an external driver sets every VM's
   /// demand from its request backlog before each round, and the protocol
   /// only reacts (shed, rebalance, sleep, SLA accounting).  Default true --

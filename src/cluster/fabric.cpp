@@ -1,34 +1,15 @@
 #include "cluster/fabric.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/fnv.h"
 
 namespace eclb::cluster {
 
-namespace {
-
-/// FNV-1a, the digest primitive: cheap, order-sensitive, and stable across
-/// platforms for the fixed-width values we feed it.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_mix(std::uint64_t& h, double v) {
-  // Bit pattern, not value: the determinism contract is bit-identity, and
-  // +0.0 vs -0.0 or NaN payload differences must show up in the digest.
-  fnv_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
+using common::fnv_mix;
+using common::kFnvOffset;
 
 std::vector<OverflowRequest> merge_outboxes(
     const std::vector<std::vector<OverflowRequest>>& outboxes) {

@@ -10,11 +10,7 @@
 
 namespace eclb::cluster::protocol {
 
-bool DrainAndSleep::enabled(const ClusterConfig& config) const {
-  return config.regime_actions_enabled && config.allow_sleep;
-}
-
-void DrainAndSleep::run(ClusterView& view) {
+void drain_and_sleep(ClusterView& view) {
   const ClusterConfig& config = view.config();
   const common::Seconds now = view.now();
   const auto servers = view.servers();

@@ -12,7 +12,7 @@ namespace {
 constexpr double kEps = 1e-9;
 }  // namespace
 
-void EvolveAndScale::run(ClusterView& view) {
+void evolve_and_scale(ClusterView& view) {
   const ClusterConfig& config = view.config();
   // Externally driven demand (the request engine) replaces this pass
   // wholesale; skipping before any draw keeps the RNG stream untouched.

@@ -1,6 +1,5 @@
 #include <limits>
 
-#include "cluster/config.h"
 #include "cluster/protocol/actions.h"
 #include "cluster/protocol/view.h"
 
@@ -10,11 +9,7 @@ namespace {
 constexpr double kEps = 1e-9;
 }  // namespace
 
-bool RebalanceAboveCenter::enabled(const ClusterConfig& config) const {
-  return config.regime_actions_enabled && config.rebalance_enabled;
-}
-
-void RebalanceAboveCenter::run(ClusterView& view) {
+void rebalance_above_center(ClusterView& view) {
   const common::Seconds now = view.now();
 
   // Even-distribution pass: a server operating above the center of its

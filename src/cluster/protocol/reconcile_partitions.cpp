@@ -26,7 +26,7 @@
 
 namespace eclb::cluster::protocol {
 
-void ReconcilePartitions::run(ClusterView& view) {
+void reconcile_partitions(ClusterView& view) {
   if (!view.reconcile_pending()) return;
   view.reconcile_partitions();
 }

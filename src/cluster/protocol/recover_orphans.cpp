@@ -13,7 +13,7 @@
 
 namespace eclb::cluster::protocol {
 
-void RecoverOrphans::run(ClusterView& view) {
+void recover_orphans(ClusterView& view) {
   if (!view.has_orphans()) return;
   const auto pending = view.take_orphans();
   for (const auto& orphan : pending) {

@@ -4,7 +4,7 @@
 
 namespace eclb::cluster::protocol {
 
-void RequestWake::run(ClusterView& view) {
+void request_wake(ClusterView& view) {
   const auto candidate = view.pick_wake_candidate();
   if (!candidate.has_value()) return;
   const HysteresisConfig& hyst = view.config().hysteresis;

@@ -9,7 +9,7 @@ namespace {
 constexpr double kEps = 1e-9;
 }  // namespace
 
-void ServeAndAccount::run(ClusterView& view) {
+void serve_and_account(ClusterView& view) {
   const ClusterConfig& config = view.config();
   const common::Seconds now = view.now();
   const double qos_cap = config.qos.has_value()
@@ -30,7 +30,7 @@ void ServeAndAccount::run(ClusterView& view) {
   }
 }
 
-void RegimeReport::run(ClusterView& view) {
+void regime_report(ClusterView& view) {
   // Every server outside R3 reports its regime to the leader (j_k traffic).
   // The fan-in is a maintained aggregate; charging per report (rather than
   // once with n=reporters) keeps the message stats and traffic energy

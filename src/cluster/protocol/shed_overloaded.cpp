@@ -11,11 +11,7 @@ namespace {
 constexpr double kEps = 1e-9;
 }  // namespace
 
-bool ShedOverloaded::enabled(const ClusterConfig& config) const {
-  return config.regime_actions_enabled;
-}
-
-void ShedOverloaded::run(ClusterView& view) {
+void shed_overloaded(ClusterView& view) {
   const ClusterConfig& config = view.config();
   const common::Seconds now = view.now();
 

@@ -1,4 +1,4 @@
-// Which VM ShedOverloaded moves next (the R4/R5 rule of Section 4).
+// Which VM shed_overloaded moves next (the R4/R5 rule of Section 4).
 //
 // The rule walks the donor's roster by demand, largest first, and moves the
 // first VM whose demand is below the phase's negative-result bar and that

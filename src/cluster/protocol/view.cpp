@@ -5,7 +5,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/index/regime_index.h"
-#include "cluster/protocol/action.h"
+#include "cluster/protocol/actions.h"
 #include "common/assert.h"
 #include "vm/scaling.h"
 
@@ -177,7 +177,7 @@ bool ClusterView::try_offload(common::AppId app, double demand,
 
 void ClusterView::request_wake(common::ServerId requester) {
   if (cluster_.degraded(requester)) return;
-  wake_action_.run(*this);
+  protocol::request_wake(*this);
 }
 
 void ClusterView::send_wake(common::ServerId id) {

@@ -33,15 +33,12 @@ struct OrphanVm;
 
 namespace eclb::cluster::protocol {
 
-class ProtocolAction;
-
 /// Per-round facade over one Cluster.  Constructed by Cluster::run_round and
-/// handed to each enabled action in sequence; lives on the stack for exactly
-/// one reallocation interval.
+/// handed to protocol::run_round, which passes it to each action in turn;
+/// lives on the stack for exactly one reallocation interval.
 class ClusterView {
  public:
-  ClusterView(Cluster& cluster, ProtocolAction& wake_action)
-      : cluster_(cluster), wake_action_(wake_action) {}
+  explicit ClusterView(Cluster& cluster) : cluster_(cluster) {}
 
   // --- observation ---------------------------------------------------------
 
@@ -141,9 +138,9 @@ class ClusterView {
   bool try_offload(common::AppId app, double demand,
                    common::ServerId requester);
 
-  /// Asks the leader to wake a sleeping server (the R5 rule); delegates to
-  /// the engine's RequestWake action.  No-op while `requester` is on a
-  /// degraded partition side (no cross-side wake commands).
+  /// Asks the leader to wake a sleeping server (the R5 rule) through
+  /// protocol::request_wake.  No-op while `requester` is on a degraded
+  /// partition side (no cross-side wake commands).
   void request_wake(common::ServerId requester);
 
   /// Sends the leader's wake command to sleeping `id`: charged, then lost
@@ -178,7 +175,7 @@ class ClusterView {
   [[nodiscard]] bool leader_available() const;
   /// True when crash-orphaned VMs await re-placement.
   [[nodiscard]] bool has_orphans() const;
-  /// Takes the pending orphan queue (the RecoverOrphans action owns it for
+  /// Takes the pending orphan queue (the recover_orphans action owns it for
   /// the round; unplaceable ones come back via requeue_orphan).
   [[nodiscard]] std::vector<OrphanVm> take_orphans();
   /// Returns an unplaceable orphan to the cluster queue for the next round.
@@ -196,12 +193,11 @@ class ClusterView {
   [[nodiscard]] bool degraded(common::ServerId id) const;
   /// True between a heal and the reconciliation pass that follows it.
   [[nodiscard]] bool reconcile_pending() const;
-  /// Runs the anti-entropy reconciliation (the ReconcilePartitions action).
+  /// Runs the anti-entropy reconciliation (the reconcile_partitions action).
   void reconcile_partitions();
 
  private:
   Cluster& cluster_;
-  ProtocolAction& wake_action_;
 };
 
 }  // namespace eclb::cluster::protocol

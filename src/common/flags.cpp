@@ -74,13 +74,14 @@ double Flags::get_double(const std::string& name, double fallback) {
   return read(name, fallback, "a finite number");
 }
 
-bool Flags::get_bool(const std::string& name, bool fallback) const {
+bool Flags::get_bool(const std::string& name, bool fallback) {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   if (!it->second.has_value()) return true;  // bare --flag
   const std::string& v = *it->second;
   if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  errors_.push_back("--" + name + ": expected a boolean, got '" + v + "'");
   return fallback;
 }
 

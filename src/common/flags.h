@@ -40,8 +40,12 @@ class Flags {
   /// Floating-point value, read like get_int(); `inf` and `nan` are errors.
   [[nodiscard]] double get_double(const std::string& name, double fallback);
 
-  /// Boolean: present without value or with value in {1,true,yes,on}.
-  [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
+  /// Boolean: true when present without a value or with one in
+  /// {1,true,yes,on} (or empty), false for {0,false,no,off}; `fallback` when
+  /// absent.  Any other value -- often a word the flag swallowed, as in
+  /// `--no-sleep seed=7` -- returns `fallback` and is reported through
+  /// errors().
+  [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false);
 
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {

@@ -1,39 +1,23 @@
 #include "experiment/request_driver.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/fnv.h"
 
 namespace eclb::experiment {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
-
 std::uint64_t SlaSummary::digest() const {
-  std::uint64_t h = kFnvOffset;
+  using common::fnv_mix;
+  std::uint64_t h = common::kFnvShortOffset;
   fnv_mix(h, arrived);
   fnv_mix(h, completed);
   fnv_mix(h, dropped);
   fnv_mix(h, shed);
   fnv_mix(h, failed_by_fault);
   fnv_mix(h, sla_violations);
-  std::uint64_t backlog_bits = 0;
-  static_assert(sizeof backlog_bits == sizeof backlog);
-  std::memcpy(&backlog_bits, &backlog, sizeof backlog_bits);
-  fnv_mix(h, backlog_bits);
+  fnv_mix(h, backlog);
   fnv_mix(h, histogram.digest());
   return h;
 }
@@ -77,7 +61,7 @@ void RequestDriver::advance_interval() {
   //    epoch and recording its owning stream and its position among that
   //    stream's VMs.  The capacity share is the host's oversubscription
   //    discount: an overloaded server serves every hosted VM
-  //    proportionally, exactly how ServeAndAccount grants demand.
+  //    proportionally, exactly how serve_and_account grants demand.
   //
   //    The same loop detects migrations against the last-seen placements.
   //    With draining enabled a moved VM's backlog stays behind as a

@@ -13,7 +13,7 @@
 // it still sheds, rebalances, sleeps and accounts SLA violations off the
 // demand signal -- only the *source* of demand changes, which is why the
 // cluster must be built with demand_evolution_enabled = false (the driver
-// replaces the EvolveAndScale bernoulli pass).
+// replaces the evolve_and_scale bernoulli pass).
 //
 // Storage: per-VM state (the queue's header, the last-seen placement)
 // lives in dense vectors indexed by VmId::value; a cluster allocates VM

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "common/fnv.h"
+
 namespace eclb::workload::engine {
 
 namespace {
@@ -134,17 +136,11 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
 }
 
 std::uint64_t LatencyHistogram::digest() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis.
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(underflow_);
-  mix(overflow_);
-  mix(count_);
-  for (const std::uint64_t b : buckets_) mix(b);
+  std::uint64_t h = common::kFnvShortOffset;
+  common::fnv_mix(h, underflow_);
+  common::fnv_mix(h, overflow_);
+  common::fnv_mix(h, count_);
+  for (const std::uint64_t b : buckets_) common::fnv_mix(h, b);
   return h;
 }
 

@@ -359,6 +359,69 @@ TEST(Cluster, TraditionalModeNeverMigratesOrSleeps) {
   EXPECT_EQ(c.sleeping_count(), 0U);
 }
 
+/// Per-cause migration, drain and sleep totals of a 30-interval run.
+struct RoundTotals {
+  std::size_t shed{0};
+  std::size_t rebalance{0};
+  std::size_t consolidation{0};
+  std::size_t drains{0};
+  std::size_t sleeps{0};
+};
+
+RoundTotals run_round_totals(const ClusterConfig& cfg) {
+  Cluster c(cfg);
+  RoundTotals t;
+  for (int i = 0; i < 30; ++i) {
+    const auto r = c.step();
+    t.shed += r.shed_migrations;
+    t.rebalance += r.rebalance_migrations;
+    t.consolidation += r.consolidation_migrations;
+    t.drains += r.drains;
+    t.sleeps += r.sleeps;
+  }
+  return t;
+}
+
+TEST(ProtocolRound, GatesActOneSwitchAtATime) {
+  // A wide initial spread (loads 5-80 %) on 200 servers exercises every
+  // gated path: R4/R5 shedding, the above-center rebalance, R1 drains and
+  // deep sleeps (the sleep budget floors to zero below 125 servers).
+  ClusterConfig cfg = small_config(0.05, 0.8);
+  cfg.server_count = 200;
+
+  const RoundTotals all = run_round_totals(cfg);
+  EXPECT_GT(all.shed, 0U);
+  EXPECT_GT(all.rebalance, 0U);
+  EXPECT_GT(all.consolidation, 0U);
+  EXPECT_GT(all.drains, 0U);
+  EXPECT_GT(all.sleeps, 0U);
+
+  ClusterConfig no_rebalance = cfg;
+  no_rebalance.rebalance_enabled = false;
+  const RoundTotals nr = run_round_totals(no_rebalance);
+  EXPECT_EQ(nr.rebalance, 0U);
+  EXPECT_GT(nr.shed, 0U);
+  EXPECT_GT(nr.consolidation, 0U);
+  EXPECT_GT(nr.sleeps, 0U);
+
+  ClusterConfig no_sleep = cfg;
+  no_sleep.allow_sleep = false;
+  const RoundTotals ns = run_round_totals(no_sleep);
+  EXPECT_EQ(ns.sleeps, 0U);
+  EXPECT_EQ(ns.drains, 0U);
+  EXPECT_EQ(ns.consolidation, 0U);
+  EXPECT_GT(ns.rebalance, 0U);
+  EXPECT_GT(ns.shed, 0U);
+
+  ClusterConfig no_regime = cfg;
+  no_regime.regime_actions_enabled = false;
+  const RoundTotals nx = run_round_totals(no_regime);
+  EXPECT_EQ(nx.shed, 0U);
+  EXPECT_EQ(nx.rebalance, 0U);
+  EXPECT_EQ(nx.consolidation, 0U);
+  EXPECT_EQ(nx.sleeps, 0U);
+}
+
 TEST(Cluster, EnergyAwareBeatsTraditionalAtLowLoad) {
   // The Section 1 claim, end to end: consolidation + sleep saves energy at
   // low load against an always-on even spreader.

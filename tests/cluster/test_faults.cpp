@@ -1,6 +1,6 @@
 // Direct tests of the cluster's fault-tolerance surface: crash/recover,
 // derating, leadership failover via a stub FaultRuntime, and orphan
-// re-placement by the protocol's RecoverOrphans action.
+// re-placement by the protocol's recover_orphans action.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"

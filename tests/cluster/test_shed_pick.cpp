@@ -1,4 +1,4 @@
-// ShedOverloaded's VM pick against the sorted walk it replaced.
+// shed_overloaded's VM pick against the sorted walk it replaced.
 //
 // protocol::pick_shed_vm scans the roster for the largest demand below the
 // shed phase's bar instead of sorting it; on a tie it falls back to the
@@ -109,7 +109,7 @@ TEST(ShedPick, MatchesTheSortedWalkOnRandomRosters) {
                                 : kPalette[rng() % std::size(kPalette)];
     double oracle_bar = bar;
 
-    // Shed until nothing moves, as ShedOverloaded does on one host.
+    // Shed until nothing moves, as shed_overloaded does on one host.
     while (!roster.empty()) {
       const double limit =
           rng() % 8 == 0 ? -1.0 : kPalette[rng() % std::size(kPalette)];

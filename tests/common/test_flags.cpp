@@ -33,7 +33,7 @@ TEST(Flags, EqualsSeparatedValue) {
 }
 
 TEST(Flags, BooleanPresence) {
-  const auto f = parse({"--quick"});
+  auto f = parse({"--quick"});
   EXPECT_TRUE(f.has("quick"));
   EXPECT_TRUE(f.get_bool("quick"));
   EXPECT_FALSE(f.get_bool("missing"));
@@ -47,6 +47,20 @@ TEST(Flags, BooleanExplicitValues) {
   EXPECT_FALSE(parse({"--x=false"}).get_bool("x", true));
   EXPECT_FALSE(parse({"--x=0"}).get_bool("x", true));
   EXPECT_FALSE(parse({"--x=off"}).get_bool("x", true));
+}
+
+TEST(Flags, BooleanRejectsOtherValues) {
+  // A valueless boolean swallows the next plain word as its value
+  // (`--no-sleep seed=7`); that word must be an error, not the fallback.
+  auto f = parse({"--no-sleep", "seed=7", "--hysteresis=flash:rate=5", "--x="});
+  EXPECT_FALSE(f.get_bool("no-sleep"));
+  EXPECT_TRUE(f.get_bool("hysteresis", true));
+  EXPECT_TRUE(f.get_bool("x"));  // an explicit empty value reads as set
+  ASSERT_EQ(f.errors().size(), 2U);
+  EXPECT_EQ(f.errors()[0], "--no-sleep: expected a boolean, got 'seed=7'");
+  EXPECT_EQ(f.errors()[1],
+            "--hysteresis: expected a boolean, got 'flash:rate=5'");
+  EXPECT_TRUE(f.positional().empty());
 }
 
 TEST(Flags, DoubleValues) {
@@ -150,7 +164,7 @@ TEST(Flags, NegativeNumberIsAValueNotAFlag) {
 TEST(Flags, SingleDashTokenIsNotSwallowed) {
   // A non-numeric "-..." token is option-like, so the preceding flag stays
   // valueless and the token falls through as a positional argument.
-  const auto f = parse({"--quick", "-v"});
+  auto f = parse({"--quick", "-v"});
   EXPECT_TRUE(f.get_bool("quick"));
   ASSERT_EQ(f.positional().size(), 1U);
   EXPECT_EQ(f.positional()[0], "-v");

@@ -18,7 +18,7 @@
 // The sparse multi-stream scenario was captured while the pool still gave
 // each worker a fixed block of shards, sojourns were binned by log10 and
 // routing took a modulo per request.  The consolidated-fleet scenario was
-// captured while ShedOverloaded still sorted the donor's roster before
+// captured while shed_overloaded still sorted the donor's roster before
 // every migration and the driver wrote demands back one VM at a time.  The
 // combined scenario was captured while every VM still had a queue vector of
 // its own, routed to in one loop and served in another, so with the others

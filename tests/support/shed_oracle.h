@@ -1,4 +1,4 @@
-// Test-only reference for ShedOverloaded's VM pick: the sorted walk the
+// Test-only reference for shed_overloaded's VM pick: the sorted walk the
 // shed loop ran before every migration, kept verbatim.  It sorts the whole
 // roster by demand (largest first, std::sort, so equal demands land in
 // whatever order the unstable sort leaves them), then asks the leader for a

@@ -345,6 +345,8 @@ int cmd_cluster(common::Flags& flags) {
   if (const int rc = parse_request_flags(flags, &requests); rc != 0) return rc;
   if (flags.get_bool("hysteresis")) cfg.hysteresis.enabled = true;
   if (requests.has_value()) cfg.demand_evolution_enabled = false;
+  const bool profile = flags.get_bool("profile");
+  const bool mem_stats = flags.get_bool("mem-stats");
   if (!flags_parsed(flags)) return 2;
 
   obs::MetricsRegistry registry;
@@ -363,10 +365,10 @@ int cmd_cluster(common::Flags& flags) {
     }
     obs_cfg.metrics = &registry;
   }
-  if (flags.get_bool("profile")) obs_cfg.profiler = &profiler;
+  if (profile) obs_cfg.profiler = &profiler;
 
   cluster::Fabric fabric(fcfg);
-  if (flags.get_bool("profile")) fabric.set_pipeline_phase_timing(true);
+  if (profile) fabric.set_pipeline_phase_timing(true);
   std::optional<fault::FabricFaultSession> faults;
   if (plan.has_value()) faults.emplace(fabric, *plan);
   std::optional<experiment::FabricRequestSession> session;
@@ -460,7 +462,7 @@ int cmd_cluster(common::Flags& flags) {
   for (const obs::MetricsRegistry& m : shard_metrics) registry.merge(m);
   return finish_observability(fabric, registry,
                               metrics_file.empty() ? nullptr : &metrics_out,
-                              obs_cfg.profiler, flags.get_bool("mem-stats"));
+                              obs_cfg.profiler, mem_stats);
 }
 
 std::unique_ptr<policy::CapacityPolicy> make_policy(const std::string& name) {

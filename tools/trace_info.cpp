@@ -47,7 +47,11 @@ const char* status_name(workload::stream::StreamStatus s) {
 int main(int argc, char** argv) {
   auto flags = common::Flags::parse(argc, argv);
   const std::string file = flags.get("file");
-  if (file.empty()) {
+  const bool validate = flags.get_bool("validate");
+  for (const auto& err : flags.errors()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+  }
+  if (file.empty() || !flags.errors().empty()) {
     std::fprintf(stderr, "usage: trace-info --file FILE [--validate]\n");
     return 2;
   }
@@ -69,7 +73,6 @@ int main(int argc, char** argv) {
   std::printf("declared samples:  %llu\n",
               static_cast<unsigned long long>(h.total_samples));
 
-  const bool validate = flags.get_bool("validate");
   std::vector<double> chunk;
   double sum = 0.0;
   double peak = 0.0;
