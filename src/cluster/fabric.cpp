@@ -148,8 +148,11 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
         shard_seed(config_.cluster_template.seed, i, config_.shard_count);
     shards_.push_back(std::make_unique<Cluster>(std::move(member)));
   }
-  // A lone shard is a plain cluster: no sibling to route overflow to, and
-  // nothing to step in parallel.
+  // A phase never has more indices than shards, so more lanes would only
+  // sit idle.
+  pool_ = std::make_unique<common::ThreadPool>(
+      std::min(common::ThreadPool::resolve(config_.threads), shards_.size()));
+  // A lone shard is a plain cluster: no sibling to route overflow to.
   if (shards_.size() == 1) return;
   if (config_.inter_cluster_overflow) {
     outboxes_.resize(shards_.size());
@@ -171,11 +174,6 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
           });
     }
   }
-  // parallel_for never runs more tasks than shards, so more workers would
-  // only sit idle.
-  const std::size_t workers =
-      std::min(common::ThreadPool::resolve(config_.threads), shards_.size());
-  if (workers > 1) pool_ = std::make_unique<common::ThreadPool>(workers);
 }
 
 Fabric::~Fabric() {
@@ -274,11 +272,7 @@ FabricIntervalReport Fabric::step() {
 }
 
 void Fabric::for_each_shard(const std::function<void(std::size_t)>& fn) {
-  if (pool_ != nullptr) {
-    pool_->parallel_for(shards_.size(), fn);
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);
-  }
+  pool_->parallel_for(shards_.size(), fn);
 }
 
 std::uint64_t Fabric::state_digest() const {

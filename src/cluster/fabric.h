@@ -4,7 +4,7 @@
 // cope with system complexity.  Clustering supports scalability, as the
 // number of systems increase we add new clusters."  A Fabric is a set of
 // independently led clusters -- *shards* -- each with its own leader, event
-// queue and regime index, stepped concurrently on ThreadPool workers under
+// queue and regime index, stepped concurrently on ThreadPool lanes under
 // conservative interval-barrier synchronization:
 //
 //   1. Parallel phase: every shard runs one reallocation round of interval T
@@ -27,7 +27,7 @@
 // decorrelated streams.
 //
 // A lone shard is a plain cluster: it keeps the template seed unmixed, gets
-// no overflow mailbox (there is no sibling to route to) and no worker pool,
+// no overflow mailbox (there is no sibling to route to) and steps inline,
 // so a 1-shard fabric replays exactly the run of one Cluster built from the
 // template.
 #pragma once
@@ -52,10 +52,10 @@ struct FabricConfig {
   /// Route overflow demand to sibling shards (off = isolated clusters).
   /// Ignored with one shard, which has no sibling.
   bool inter_cluster_overflow{true};
-  /// Worker threads stepping the shards; 1 = step inline on the calling
-  /// thread, 0 = hardware concurrency.  Any value replays bit-identically.
-  /// The pool never holds more workers than shards, so one shard always
-  /// steps inline.
+  /// Threads stepping the shards, the stepping thread included; 1 = step
+  /// inline on the calling thread, 0 = hardware concurrency.  Any value
+  /// replays bit-identically.  The pool never runs more threads than
+  /// shards, so one shard always steps inline.
   std::size_t threads{1};
 };
 
@@ -156,15 +156,13 @@ class Fabric {
 
   /// Total servers across the fabric.
   [[nodiscard]] std::size_t total_servers() const;
-  /// Worker threads the parallel phase actually uses: config threads with 0
-  /// resolved to hardware concurrency, capped at the shard count; 1 when
-  /// stepping inline.  Benchmarks
+  /// Threads the parallel phase actually uses, the stepping thread
+  /// included: config threads with 0 resolved to hardware concurrency,
+  /// capped at the shard count; 1 when stepping inline.  Benchmarks
   /// report this per row so cross-machine comparisons are honest.
-  [[nodiscard]] std::size_t resolved_threads() const {
-    return pool_ != nullptr ? pool_->size() : 1;
-  }
+  [[nodiscard]] std::size_t resolved_threads() const { return pool_->size(); }
   /// Sum of the per-shard coalesced-pipeline counters.  The flush kernels
-  /// run inside the workers stepping each shard, so these also serve as the
+  /// run inside the lanes stepping each shard, so these also serve as the
   /// TSan probe that the phase-boundary path is exercised under threads.
   [[nodiscard]] index::PipelineStats pipeline_stats() const;
   /// Enables flush-phase wall timing on every shard's index.
@@ -189,7 +187,7 @@ class Fabric {
   /// count.
   FabricIntervalReport step();
 
-  /// Runs fn(i) for every shard index i on the parallel phase's workers
+  /// Runs fn(i) for every shard index i on the parallel phase's lanes
   /// (inline, in shard order, when stepping inline) and returns once all
   /// have finished.  fn(i) must touch only shard i's state; callers use this
   /// to fan per-shard work that sits outside step() -- such as the request
@@ -211,10 +209,9 @@ class Fabric {
   /// own worker, so the phase is race-free without locks; the barrier drains
   /// them all.
   std::vector<std::vector<OverflowRequest>> outboxes_;
-  /// Workers for the parallel phase, min(resolved threads, shards) of them;
-  /// null when that is 1 (the shards then step inline, which must produce
-  /// identical results -- the pool is an execution detail, never a semantic
-  /// one).
+  /// The parallel phase's lanes, min(resolved threads, shards) of them; at
+  /// 1 the shards step inline, which must produce identical results -- the
+  /// pool is an execution detail, never a semantic one.
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

@@ -3,19 +3,26 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <utility>
 
 #include "common/assert.h"
 
 namespace eclb::common {
 
-namespace {
+/// The pool whose phase the current thread is working, if any: a worker's
+/// own pool, or the pool a caller lane runs a phase on.
+static thread_local const ThreadPool* tls_lane_pool = nullptr;
 
-/// The pool the current thread is a worker of, if any.  Used to detect
-/// re-entrant parallel_for calls, which would deadlock: the calling worker
-/// blocks on futures only the (possibly fully-blocked) pool can complete.
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-
-}  // namespace
+/// One phase's job slot.  It lives on the caller's stack, so no lane may
+/// touch it once it has checked out.
+struct ThreadPool::Phase {
+  const std::function<void(std::size_t)>* fn;
+  std::size_t n;
+  std::atomic<std::size_t> next{0};  ///< The next unclaimed index.
+  std::size_t running;               ///< Lanes not yet checked out (mu_).
+  std::size_t failed;                ///< Lowest failing index, or n (mu_).
+  std::exception_ptr error;          ///< The exception of `failed` (mu_).
+};
 
 std::size_t ThreadPool::resolve(std::size_t threads) {
   return threads != 0
@@ -24,9 +31,7 @@ std::size_t ThreadPool::resolve(std::size_t threads) {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  threads = resolve(threads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+  for (std::size_t lane = 1; lane < resolve(threads); ++lane) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -36,61 +41,63 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  wake_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::worker_loop() {
-  tls_worker_pool = this;
+  tls_lane_pool = this;
+  std::uint64_t seen = 0;
+  std::unique_lock lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to do
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
+    wake_.wait(lock, [&] { return stop_ || started_ != seen; });
+    if (stop_) return;
+    seen = started_;
+    Phase& phase = *phase_;
+    lock.unlock();
+    work(phase, lock);
   }
+}
+
+void ThreadPool::work(Phase& phase, std::unique_lock<std::mutex>& lock) {
+  for (std::size_t i = phase.next.fetch_add(1, std::memory_order_relaxed);
+       i < phase.n; i = phase.next.fetch_add(1, std::memory_order_relaxed)) {
+    try {
+      (*phase.fn)(i);
+    } catch (...) {
+      const std::lock_guard failure(mu_);
+      if (i < phase.failed) {
+        phase.failed = i;
+        phase.error = std::current_exception();
+      }
+    }
+  }
+  lock.lock();
+  if (--phase.running == 0) done_.notify_all();
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  ECLB_ASSERT(tls_worker_pool != this,
-              "parallel_for: re-entrant call from a worker thread deadlocks");
+  ECLB_ASSERT(tls_lane_pool != this,
+              "parallel_for: re-entrant call from one of the pool's lanes");
   if (n == 0) return;
-  // A task claims indices in increasing order, so the first failure it
-  // catches is its lowest; the lowest over all tasks is the global lowest.
-  struct Failure {
-    std::size_t index;
-    std::exception_ptr error;
-  };
-  std::atomic<std::size_t> next{0};
-  const auto claim = [&fn, &next, n] {
-    Failure first{n, nullptr};
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (first.error == nullptr) first = {i, std::current_exception()};
-      }
-    }
-    return first;
-  };
-  const std::size_t tasks = std::min(n, workers_.size());
-  std::vector<std::future<Failure>> futures;
-  futures.reserve(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) futures.push_back(submit(claim));
-  // Every task must finish before this frame (and `fn`, `next`) unwinds;
-  // the claim loop catches everything, so get() itself never throws.
-  Failure lowest{n, nullptr};
-  for (auto& f : futures) {
-    Failure r = f.get();
-    if (r.index < lowest.index) lowest = std::move(r);
-  }
-  if (lowest.error != nullptr) std::rethrow_exception(lowest.error);
+  Phase phase{&fn, n, {0}, size(), n, nullptr};
+  const ThreadPool* const outer = std::exchange(tls_lane_pool, this);
+  std::unique_lock lock(mu_);
+  done_.wait(lock, [this] { return phase_ == nullptr; });
+  phase_ = &phase;
+  ++started_;
+  lock.unlock();
+  wake_.notify_all();
+  work(phase, lock);
+  // Every lane must check out before this frame (and `fn`, `phase`)
+  // unwinds; the claim loop catches everything, so nothing skips the wait.
+  done_.wait(lock, [&phase] { return phase.running == 0; });
+  phase_ = nullptr;
+  done_.notify_all();  // wakes a call from another thread waiting its turn
+  lock.unlock();
+  tls_lane_pool = outer;
+  if (phase.error != nullptr) std::rethrow_exception(phase.error);
 }
 
 }  // namespace eclb::common

@@ -1,76 +1,68 @@
-// Fixed-size worker pool for independent simulation work: the replications
-// of an experiment and the per-shard phases of a fabric interval.
+// Fork-join pool for independent simulation work: the replications of an
+// experiment and the per-shard phases of a fabric interval.
 //
-// Tasks go through one shared queue.  parallel_for layers index claiming on
-// top: a handful of tasks draw indices from one atomic counter, so uneven
-// per-index costs balance out without a work-stealing scheduler.
+// A pool of n lanes spawns n-1 workers; the thread that calls parallel_for
+// is lane 0 and claims indices from the same atomic counter as the workers,
+// so uneven per-index costs balance out without a work-stealing scheduler
+// and the caller never sits idle in a join.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace eclb::common {
 
-/// A simple thread pool; tasks are std::function<void()> and results flow
-/// back through futures.
 class ThreadPool {
  public:
-  /// Spawns resolve(threads) workers.
+  /// Runs resolve(threads) lanes, the calling thread included; a 1-lane
+  /// pool spawns no thread and runs inline.
   explicit ThreadPool(std::size_t threads = 0);
 
   /// `threads`, with 0 meaning std::thread::hardware_concurrency() (at
   /// least 1).
   [[nodiscard]] static std::size_t resolve(std::size_t threads);
 
-  /// Drains the queue and joins all workers.
+  /// Joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
+  /// Number of lanes, the calling thread included.
+  [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
-  /// Schedules a callable; the returned future carries its result (or
-  /// exception).
-  template <class F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mu_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// complete.  min(n, size()) tasks each claim the next unclaimed index
-  /// from a shared counter until none is left, so a slow index or a
-  /// preempted worker holds back only the index in hand while the other
-  /// tasks keep claiming.  Which task runs which index depends on timing:
-  /// fn must be safe to invoke concurrently, and callers that need
+  /// Runs fn(i) for i in [0, n) across the lanes and returns once every lane
+  /// has finished.  Each lane claims the next unclaimed index from a shared
+  /// counter until none is left, so a slow index or a preempted worker holds
+  /// back only the index in hand.  Which lane runs which index depends on
+  /// timing: fn must be safe to invoke concurrently, and callers that need
   /// reproducible output keep per-index work independent.  Every index runs
-  /// even when some throw; after the barrier the exception of the lowest
-  /// failing index is rethrown, so which one surfaces does not depend on
-  /// timing.  Calling this from one of the pool's own worker threads
-  /// asserts (it would deadlock).
+  /// even when some throw; once every lane has finished, the exception of
+  /// the lowest failing index is rethrown, so which one surfaces does not
+  /// depend on timing.  Starting a phase allocates nothing.  Phases run one
+  /// at a time: a call from another thread waits its turn, and a re-entrant
+  /// call from fn on any lane, the caller's included, asserts (it would
+  /// deadlock).  A nested call on a distinct pool is fine.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
+  struct Phase;
+
   void worker_loop();
+  /// Claims `phase`'s indices on this lane, then checks the lane out.
+  /// `lock` is released on entry and holds mu_ on return.
+  void work(Phase& phase, std::unique_lock<std::mutex>& lock);
 
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  std::condition_variable wake_;  ///< Workers: a phase started, or stop_.
+  std::condition_variable done_;  ///< Callers: a phase's lanes checked out.
+  Phase* phase_{nullptr};         ///< The running phase, on its caller's stack.
+  std::uint64_t started_{0};      ///< Phases published so far.
   bool stop_{false};
   std::vector<std::thread> workers_;
 };

@@ -36,7 +36,7 @@
 // order and residues in ascending VmId order.  Two runs with the same
 // cluster seed and workload config are bit-identical.
 // FabricRequestSession advances the per-shard drivers in parallel on the
-// fabric's workers; each driver touches only its own cluster, engine and
+// fabric's pool lanes; each driver touches only its own cluster, engine and
 // histogram, so a fabric run stays bit-identical at any thread count.
 //
 // Overload resilience (flag-gated; defaults reproduce PR 8 byte-for-byte):
@@ -249,8 +249,8 @@ class RequestDriver {
     std::size_t shard_count);
 
 /// One RequestDriver per fabric shard, advanced in parallel on the fabric's
-/// workers (Fabric::for_each_shard).  Drivers share no mutable state, so a
-/// fabric run stays bit-identical at any worker thread count.  Call
+/// pool lanes (Fabric::for_each_shard).  Drivers share no mutable state, so
+/// a fabric run stays bit-identical at any thread count.  Call
 /// advance_interval() immediately before every fabric.step().
 class FabricRequestSession {
  public:

@@ -242,9 +242,48 @@ TEST(Fabric, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(digest_run(8), baseline);
 }
 
+/// Per-interval digests, the final state digest and the completed-request
+/// count of a faulted 4-shard request run.
+std::vector<std::uint64_t> digest_request_run(std::size_t threads) {
+  FabricConfig cfg = make_config(4, 0.3, 0.6, threads);
+  cfg.cluster_template.demand_evolution_enabled = false;  // requests drive it
+  Fabric fabric(cfg);
+  std::string error;
+  const auto plan = fault::FaultPlan::parse(
+      "loss@0:p=0.1;crash@120:s=2;part@240:g=0-14|15-29,heal=480;seed=5",
+      &error);
+  EXPECT_TRUE(plan.has_value()) << error;
+  const auto requests = workload::engine::RequestWorkloadConfig::parse(
+      "poisson:rate=200;flash:rate=100,burst=8;seed=3", &error);
+  EXPECT_TRUE(requests.has_value()) << error;
+  const fault::FabricFaultSession faults(fabric, *plan);
+  experiment::FabricRequestSession session(fabric, *requests);
+  std::vector<std::uint64_t> digests;
+  for (int i = 0; i < 12; ++i) {
+    session.advance_interval();
+    digests.push_back(fabric_report_digest(fabric.step()));
+  }
+  digests.push_back(fabric.state_digest());
+  digests.push_back(session.summary().completed);
+  return digests;
+}
+
+TEST(Fabric, OddLaneCountMatchesInline) {
+  // Three lanes on four shards -- two workers plus the stepping thread --
+  // leave one lane two shards a phase, in the request pass and the step
+  // alike; the run must replay the inline one exactly.
+  const auto inline_run = digest_request_run(1);
+  EXPECT_GT(inline_run.back(), 0U);
+  EXPECT_EQ(digest_request_run(3), inline_run);
+}
+
 TEST(Fabric, PoolNeverOutnumbersShards) {
-  // parallel_for submits at most one task per shard, so the pool is sized
-  // at min(resolved threads, shards): extra workers would only sit idle.
+  // A phase has one index per shard, so the pool runs min(resolved
+  // threads, shards) lanes, the stepping thread included: extra lanes would
+  // only sit idle.
+  EXPECT_EQ(Fabric(make_config(4, 0.3, 0.6, 1)).resolved_threads(), 1U);
+  EXPECT_EQ(Fabric(make_config(4, 0.3, 0.6, 3)).resolved_threads(), 3U);
+  EXPECT_EQ(Fabric(make_config(4, 0.3, 0.6, 8)).resolved_threads(), 4U);
   EXPECT_EQ(Fabric(make_config(2, 0.3, 0.6, 8)).resolved_threads(), 2U);
   EXPECT_EQ(Fabric(make_config(3, 0.3, 0.6, 2)).resolved_threads(), 2U);
   EXPECT_EQ(Fabric(make_config(3, 0.3, 0.6, 1)).resolved_threads(), 1U);
@@ -314,7 +353,7 @@ std::size_t expect_single_shard_is_plain_cluster(
 TEST(Fabric, SingleShardMatchesPlainCluster) {
   // A lone shard is a plain cluster: the fabric, its fault session and its
   // request session keep the cluster, plan and workload seeds unmixed, and
-  // install no overflow mailbox and no worker pool.  At load 70 under a
+  // install no overflow mailbox and no worker thread.  At load 70 under a
   // crash and a partition, stochastic demand growth overflows the cluster,
   // so a mailbox that swallowed the overflow changes the digests; the flash
   // crowd run covers the request workload's seed.

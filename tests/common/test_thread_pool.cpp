@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,31 +16,70 @@ namespace eclb::common {
 namespace {
 
 TEST(ThreadPool, DefaultHasAtLeastOneWorker) {
+  // size() counts lanes, the calling thread included.
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1U);
 }
 
-TEST(ThreadPool, SubmitReturnsResult) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ManyTasksAllRun) {
   ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4U);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
+  pool.parallel_for(200, [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 200);
+}
+
+TEST(ThreadPool, OneLaneRunsInlineInIndexOrder) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1U);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, FnRunsOnTheCallingThread) {
+  // The caller is lane 0.  The workers hold their index until the caller has
+  // run one, so with one index more than lanes the caller must claim one.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<bool> worker_gave_up{false};
+  pool.parallel_for(pool.size() + 1, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      caller_ran = true;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!caller_ran) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        worker_gave_up = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(caller_ran.load());
+  EXPECT_FALSE(worker_gave_up.load());
+}
+
+TEST(ThreadPool, NLanePoolUsesAtMostNThreads) {
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  for (int phase = 0; phase < 50; ++phase) {
+    pool.parallel_for(16, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::lock_guard lock(mu);
+      seen.insert(std::this_thread::get_id());
+    });
+  }
+  EXPECT_LE(seen.size(), pool.size());
+  EXPECT_GE(seen.size(), 1U);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -56,14 +97,17 @@ TEST(ThreadPool, ParallelForZeroIsNoop) {
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {
+  // Destroying a pool right after a phase, or one that never ran a phase,
+  // joins its workers without losing an index or hanging.
   std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      (void)pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after finishing queued work
-  EXPECT_EQ(counter.load(), 20);
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool pool(4);
+    pool.parallel_for(20, [&counter](std::size_t) { counter.fetch_add(1); });
+  }
+  EXPECT_EQ(counter.load(), 400);
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool idle(4);
+  }
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
@@ -201,16 +245,76 @@ TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex) {
   }
 }
 
-TEST(ThreadPoolDeathTest, ReentrantParallelForFromSubmittedTaskAsserts) {
-#ifndef NDEBUG
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  ThreadPool pool(2);
+TEST(ThreadPool, CallerLaneFailureRethrownAfterWorkersFinish) {
+  // The caller's first index throws only once a worker holds an index, and
+  // every worker index takes a while; the rethrow must still wait for them,
+  // since fn and the phase live on the caller's stack.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> caller_threw{false};
+  std::atomic<int> finished{0};
+  const std::size_t n = 12;
+  EXPECT_THROW(
+      pool.parallel_for(n,
+                        [&](std::size_t) {
+                          if (std::this_thread::get_id() == caller &&
+                              !caller_threw.exchange(true)) {
+                            const auto deadline =
+                                std::chrono::steady_clock::now() +
+                                std::chrono::seconds(10);
+                            while (!worker_started &&
+                                   std::chrono::steady_clock::now() < deadline) {
+                              std::this_thread::yield();
+                            }
+                            throw std::runtime_error("caller lane");
+                          }
+                          if (std::this_thread::get_id() != caller) {
+                            worker_started = true;
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(20));
+                          }
+                          finished.fetch_add(1);
+                        }),
+      std::runtime_error);
+  EXPECT_TRUE(worker_started.load());
+  EXPECT_EQ(finished.load(), static_cast<int>(n) - 1);
+}
+
+TEST(ThreadPoolDeathTest, ReentrantParallelForFromWorkerLaneAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
-      pool.submit([&pool] {
+      {
+        // The caller holds its first index until a worker re-enters, so a
+        // worker lane is sure to claim one.
+        ThreadPool pool(2);
+        const auto caller = std::this_thread::get_id();
+        pool.parallel_for(3, [&pool, caller](std::size_t) {
+          if (std::this_thread::get_id() != caller) {
             pool.parallel_for(1, [](std::size_t) {});
-          }).get(),
+          }
+          std::this_thread::sleep_for(std::chrono::seconds(10));
+        });
+      },
       "re-entrant");
-#endif
+}
+
+TEST(ThreadPoolDeathTest, ReentrantParallelForFromCallerLaneAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // The worker holds its index, so the caller lane is sure to claim
+        // one of the other two.
+        ThreadPool pool(2);
+        const auto caller = std::this_thread::get_id();
+        pool.parallel_for(3, [&pool, caller](std::size_t) {
+          if (std::this_thread::get_id() == caller) {
+            pool.parallel_for(1, [](std::size_t) {});
+          }
+          std::this_thread::sleep_for(std::chrono::seconds(10));
+        });
+      },
+      "re-entrant");
 }
 
 }  // namespace

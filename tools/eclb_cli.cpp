@@ -54,9 +54,10 @@ int usage() {
       "            runs the energy-aware protocol, prints per-interval CSV;\n"
       "            --shards M (default 1, a plain cluster) splits --servers\n"
       "            evenly across M shards of a sharded fabric, stepped on T\n"
-      "            worker threads (default 1; 0 = hardware; any T is\n"
-      "            bit-identical), with faults injected and traces written\n"
-      "            per shard and offloaded/unplaced CSV columns added;\n"
+      "            threads, this one included (default 1; 0 = hardware;\n"
+      "            any T is bit-identical), with faults injected and traces\n"
+      "            written per shard and offloaded/unplaced CSV columns\n"
+      "            added;\n"
       "            --trace writes a JSONL protocol trace into DIR, --metrics\n"
       "            writes aggregated counters as JSON, --profile prints a\n"
       "            wall-clock phase table to stderr, --mem-stats prints peak\n"

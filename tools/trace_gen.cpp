@@ -7,7 +7,9 @@
 //   trace-gen --out day.trs --profile diurnal --base 200 --hours 48
 //   eclb_cli cluster --requests "trace:file=day.trs"
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/flags.h"
@@ -36,21 +38,42 @@ int usage() {
 
 int main(int argc, char** argv) {
   auto flags = common::Flags::parse(argc, argv);
-  const std::string out = flags.get("out");
-  if (out.empty()) return usage();
+  const auto bad = flags.unknown({"out", "profile", "base", "amp", "period",
+                                  "hours", "dt", "chunk", "codec", "seed"});
+  for (const auto& name : bad) {
+    std::fprintf(stderr, "trace-gen: unknown flag --%s\n", name.c_str());
+  }
+  for (const auto& word : flags.positional()) {
+    std::fprintf(stderr, "trace-gen: unexpected argument '%s'\n",
+                 word.c_str());
+  }
+  if (!bad.empty() || !flags.positional().empty()) return usage();
 
+  const std::string out = flags.get("out");
   const std::string profile = flags.get("profile", "diurnal");
   const double base = flags.get_double("base", 100.0);
   const double amp = flags.get_double("amp", 0.6);
   const double period = flags.get_double("period", 24.0 * 3600.0);
   const double hours = flags.get_double("hours", 24.0);
   const double dt = flags.get_double("dt", 60.0);
-  const auto chunk = static_cast<std::uint32_t>(flags.get_int("chunk", 4096));
+  const long long chunk_flag = flags.get_int("chunk", 4096);
   const std::string codec_name = flags.get("codec", "binary");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  for (const auto& err : flags.errors()) {
+    std::fprintf(stderr, "trace-gen: %s\n", err.c_str());
+  }
+  if (!flags.errors().empty()) return usage();
+  // The chunk size is a 32-bit header field.
+  constexpr std::uint32_t kMaxChunk = std::numeric_limits<std::uint32_t>::max();
+  if (chunk_flag < 1 || chunk_flag > kMaxChunk) {
+    std::fprintf(stderr, "trace-gen: --chunk must be in [1, %u], got %lld\n",
+                 kMaxChunk, chunk_flag);
+    return 2;
+  }
+  const auto chunk = static_cast<std::uint32_t>(chunk_flag);
 
-  if (base < 0.0 || amp < 0.0 || amp >= 1.0 || period <= 0.0 || hours <= 0.0 ||
-      dt <= 0.0 || chunk == 0) {
+  if (out.empty() || base < 0.0 || amp < 0.0 || amp >= 1.0 ||
+      period <= 0.0 || hours <= 0.0 || dt <= 0.0) {
     return usage();
   }
   workload::stream::StreamCodec codec;

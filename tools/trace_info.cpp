@@ -48,10 +48,19 @@ int main(int argc, char** argv) {
   auto flags = common::Flags::parse(argc, argv);
   const std::string file = flags.get("file");
   const bool validate = flags.get_bool("validate");
-  for (const auto& err : flags.errors()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
+  const auto bad = flags.unknown({"file", "validate"});
+  for (const auto& name : bad) {
+    std::fprintf(stderr, "trace-info: unknown flag --%s\n", name.c_str());
   }
-  if (file.empty() || !flags.errors().empty()) {
+  for (const auto& word : flags.positional()) {
+    std::fprintf(stderr, "trace-info: unexpected argument '%s'\n",
+                 word.c_str());
+  }
+  for (const auto& err : flags.errors()) {
+    std::fprintf(stderr, "trace-info: %s\n", err.c_str());
+  }
+  if (file.empty() || !bad.empty() || !flags.positional().empty() ||
+      !flags.errors().empty()) {
     std::fprintf(stderr, "usage: trace-info --file FILE [--validate]\n");
     return 2;
   }
