@@ -84,17 +84,17 @@ void Cluster::populate() {
 common::VmId Cluster::spawn_vm(server::Server& host, common::AppId app,
                                double demand, bool force) {
   const common::VmId id{next_vm_id_++};
-  vm::Vm instance(id, app, demand);
+  // Placing draws no randomness, so sampling the rate first keeps the
+  // stream order of a draw-after-place.
+  const double lambda = vm::Application::sample_growth(
+      rng_, config_.lambda_min, config_.lambda_max).lambda;
+  vm::Vm instance(id, app, demand, {}, lambda);
   if (force) {
     host.force_place(std::move(instance));
   } else {
     const bool ok = host.place(std::move(instance));
     ECLB_ASSERT(ok, "spawn_vm: placement rejected after leader admitted it");
   }
-  if (growth_.size() <= id.value) growth_.resize(id.value + 1);
-  growth_[id.value] = {vm::Application::sample_growth(rng_, config_.lambda_min,
-                                                      config_.lambda_max),
-                       true};
   return id;
 }
 
@@ -145,11 +145,6 @@ common::Joules Cluster::total_energy() const {
   common::Joules total = traffic_energy_;
   for (const auto& s : servers_) total += s.energy_used();
   return total;
-}
-
-const vm::DemandGrowthSpec* Cluster::growth_of(common::VmId id) const {
-  if (id.value >= growth_.size() || !growth_[id.value].valid) return nullptr;
-  return &growth_[id.value].spec;
 }
 
 common::VmId Cluster::inject_vm(common::ServerId server, common::AppId app,
@@ -241,8 +236,7 @@ void Cluster::crash_server(common::ServerId id) {
   ++failed_count_;
   std::size_t orphaned = 0;
   for (auto& v : displaced) {
-    // The replacement VM gets a fresh id and growth spec on re-placement.
-    retire_growth(v.id());
+    // The replacement VM gets a fresh id and rate on re-placement.
     if (take_shadow_entry(v.id())) {
       // A shadow lost to a crash is not re-placed: its original still runs
       // on the other side of the partition, so no service was lost and a

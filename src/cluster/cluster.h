@@ -278,7 +278,7 @@ class Cluster {
   bool accept_external(common::AppId app, double demand);
 
   /// Injects a workload VM onto a specific server (scenario setup: heating
-  /// a cluster, replaying a placement).  Registers the growth spec like any
+  /// a cluster, replaying a placement).  Samples the VM's growth rate like any
   /// protocol-created VM.  May oversubscribe the server.  Returns the id.
   common::VmId inject_vm(common::ServerId server, common::AppId app,
                          double demand);
@@ -287,8 +287,6 @@ class Cluster {
 
   /// Direct mutable access for tests and custom policies.
   [[nodiscard]] std::span<server::Server> mutable_servers() { return servers_; }
-  /// The growth spec attached to a VM; nullptr if unknown.
-  [[nodiscard]] const vm::DemandGrowthSpec* growth_of(common::VmId id) const;
   /// The RNG (forked from the master seed).
   [[nodiscard]] common::Rng& rng() { return rng_; }
   /// The incremental regime index (always present).
@@ -403,19 +401,6 @@ class Cluster {
   /// so it is destroyed first; servers never notify from their destructor,
   /// so the dangling listener pointer is harmless.
   std::unique_ptr<index::RegimeIndex> index_;
-  /// Growth specs by VM id.  Ids are allocated sequentially (next_vm_id_),
-  /// so a flat id-indexed registry replaces the hash map on the evolve hot
-  /// path: one predictable load per lookup.  Retired ids (crash, shadow
-  /// retirement) keep a tombstone entry -- growth_of returns nullptr for
-  /// them, exactly like an erased map entry.
-  struct GrowthEntry {
-    vm::DemandGrowthSpec spec{};
-    bool valid{false};
-  };
-  std::vector<GrowthEntry> growth_;
-  void retire_growth(common::VmId id) {
-    if (id.value < growth_.size()) growth_[id.value].valid = false;
-  }
   MessageStats messages_;
   vm::ScalingCost local_cost_{};
   vm::ScalingCost in_cluster_cost_{};

@@ -141,17 +141,19 @@ std::uint64_t fabric_report_digest(const FabricIntervalReport& report) {
 
 Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
   ECLB_ASSERT(config_.shard_count > 0, "Fabric: need at least one shard");
-  shards_.reserve(config_.shard_count);
-  for (std::size_t i = 0; i < config_.shard_count; ++i) {
+  // A phase never has more indices than shards, so more lanes would only
+  // sit idle.
+  pool_ = std::make_unique<common::ThreadPool>(std::min(
+      common::ThreadPool::resolve(config_.threads), config_.shard_count));
+  // Construction is the first phase: shard i reads only the template and
+  // its own shard_seed(i), so which lane builds it cannot leak in.
+  shards_.resize(config_.shard_count);
+  for_each_shard([this](std::size_t i) {
     ClusterConfig member = config_.cluster_template;
     member.seed =
         shard_seed(config_.cluster_template.seed, i, config_.shard_count);
-    shards_.push_back(std::make_unique<Cluster>(std::move(member)));
-  }
-  // A phase never has more indices than shards, so more lanes would only
-  // sit idle.
-  pool_ = std::make_unique<common::ThreadPool>(
-      std::min(common::ThreadPool::resolve(config_.threads), shards_.size()));
+    shards_[i] = std::make_unique<Cluster>(std::move(member));
+  });
   // A lone shard is a plain cluster: no sibling to route overflow to.
   if (shards_.size() == 1) return;
   if (config_.inter_cluster_overflow) {

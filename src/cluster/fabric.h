@@ -19,9 +19,10 @@
 //      leaders would report upward -- applying accepted placements before
 //      interval T+1 begins.
 //
-// Because the parallel phase touches only per-shard state and the barrier
-// resolution is a pure function of the merged mailbox order, a fabric run is
-// bit-identical for any worker thread count, including 1.  Per-shard seeds
+// Shards are also *built* on the lanes, each from its own seed only.  As
+// every parallel phase touches only per-shard state and the barrier is a
+// pure function of the merged mailbox order, a fabric run is bit-identical
+// for any worker thread count, including 1.  Per-shard seeds
 // derive from the template seed via Fabric::shard_seed (the splitmix64
 // common::mix_seed, never `seed + i`), so adjacent shards draw from
 // decorrelated streams.
@@ -209,9 +210,10 @@ class Fabric {
   /// own worker, so the phase is race-free without locks; the barrier drains
   /// them all.
   std::vector<std::vector<OverflowRequest>> outboxes_;
-  /// The parallel phase's lanes, min(resolved threads, shards) of them; at
-  /// 1 the shards step inline, which must produce identical results -- the
-  /// pool is an execution detail, never a semantic one.
+  /// The lanes that build and step the shards, min(resolved threads,
+  /// shards) of them; at 1 the shards build and step inline, which must
+  /// produce identical results -- the pool is an execution detail, never a
+  /// semantic one.
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

@@ -53,7 +53,6 @@ void RegimeIndex::rebuild() {
   max_opt_halfwidth_ = 0.0;
   max_sopt_halfwidth_ = 0.0;
 
-  slots_.assign(servers_.size(), Slot{});
   rows_.assign(servers_.size(), server::ServerStateTable::IndexRow{});
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const auto& t = servers_[i].thresholds();
@@ -62,14 +61,14 @@ void RegimeIndex::rebuild() {
     max_sopt_halfwidth_ =
         std::max(max_sopt_halfwidth_, t.alpha_sopt_high - center);
     rows_[i] = servers_[i].state_table().index_row(servers_[i].slot());
-    slots_[i] = slot_from_row(rows_[i]);
-    file_slot(static_cast<std::uint32_t>(i), slots_[i], KeyEdits::kInPlace);
+    file_slot(static_cast<std::uint32_t>(i), slot_from_row(rows_[i]),
+              KeyEdits::kInPlace);
   }
 }
 
 void RegimeIndex::server_state_changed(const server::Server& s) {
   const std::size_t i = s.id().index();
-  ECLB_ASSERT(i < slots_.size(), "RegimeIndex: server index out of range");
+  ECLB_ASSERT(i < rows_.size(), "RegimeIndex: server index out of range");
   // The no-op gate: a notification whose packed row still matches the
   // mirror cannot change any index structure (Slot is a pure function of
   // the row), so it never even enters the dirty set.  Settle sweeps and
@@ -151,9 +150,10 @@ void RegimeIndex::apply_row(std::uint32_t id, KeyEdits edits) {
   // exactly the state the index last applied (an ABA within the phase);
   // the record compare drops it before any slot derivation.
   if (row == rows_[id]) return;
+  // The slot the index last filed is the one its mirrored row derives.
+  const Slot cur = slot_from_row(rows_[id]);
   rows_[id] = row;
   const Slot fresh = slot_from_row(row);
-  Slot& cur = slots_[id];
   if (fresh == cur) return;
   // The most common change is a demand nudge that keeps the server in its
   // regime with every membership flag unchanged: then only the key-ordered
@@ -179,7 +179,6 @@ void RegimeIndex::apply_row(std::uint32_t id, KeyEdits edits) {
     unfile_slot(id, cur, edits);
     file_slot(id, fresh, edits);
   }
-  cur = fresh;
 }
 
 void RegimeIndex::flush_impl() {
@@ -240,7 +239,6 @@ std::size_t RegimeIndex::memory_bytes() const {
   for (const auto& b : by_id_) bytes += b.memory_bytes();
   for (const auto& b : sleepers_) bytes += b.memory_bytes();
   bytes += above_center_.memory_bytes() + awake_empty_.memory_bytes();
-  bytes += slots_.capacity() * sizeof(Slot);
   bytes += rows_.capacity() * sizeof(server::ServerStateTable::IndexRow);
   bytes += dirty_.memory_bytes();
   for (const auto& r : erase_runs_) bytes += r.capacity() * sizeof(LoadKey);
@@ -505,8 +503,8 @@ std::optional<std::string> RegimeIndex::self_check() const {
   RegimeIndex fresh(servers_);
   std::ostringstream err;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    const Slot& a = slots_[i];
-    const Slot& b = fresh.slots_[i];
+    const Slot a = slot_from_row(rows_[i]);
+    const Slot b = slot_from_row(fresh.rows_[i]);
     if (a != b) {
       err << "slot " << i << " stale (regime " << int(a.regime) << " vs "
           << int(b.regime) << ", load " << a.load << " vs " << b.load << ")";

@@ -268,12 +268,12 @@ class RegimeIndex final : public server::ServerStateListener {
       const Admit& admit) const;
 
   std::span<const server::Server> servers_;
-  std::vector<Slot> slots_;
   /// Mirror of each server's packed IndexRow as of the last time the index
-  /// applied it (rebuild or flush).  A notification whose current row
-  /// equals the mirror is a no-op for every structure the index keeps, so
-  /// the dirty-mark path drops it after one 32-byte compare -- settle
-  /// sweeps and other fact-free notifications never reach the refile
+  /// applied it (rebuild or flush) -- the index's one per-server copy: the
+  /// Slot it filed is slot_from_row of this row.  A notification whose
+  /// current row equals the mirror is a no-op for every structure the index
+  /// keeps, so the dirty-mark path drops it after one 32-byte compare --
+  /// settle sweeps and other fact-free notifications never reach the refile
   /// machinery.
   std::vector<server::ServerStateTable::IndexRow> rows_;
 

@@ -10,6 +10,9 @@ namespace eclb::cluster::protocol {
 
 namespace {
 constexpr double kEps = 1e-9;
+/// The demand floor and cap every VM shares (sample_growth varies only
+/// lambda).
+constexpr vm::DemandGrowthSpec kGrowth{};
 }  // namespace
 
 void evolve_and_scale(ClusterView& view) {
@@ -52,11 +55,10 @@ void evolve_and_scale(ClusterView& view) {
                   "evolve: roster changed under the index walk");
       const vm::Vm& v = s.vms()[j];
       const common::VmId vm_id = v.id();
-      const vm::DemandGrowthSpec* g = view.growth_of(vm_id);
-      ECLB_ASSERT(g != nullptr, "evolve: VM without growth spec");
-      const double step_size = rng.uniform(-g->max_shrink, g->lambda);
-      const double requested =
-          std::clamp(v.demand() + step_size, g->min_demand, g->max_demand);
+      // The VM record carries its own rate: the hit costs one record load.
+      const double step_size = rng.uniform(-v.lambda(), v.lambda());
+      const double requested = std::clamp(
+          v.demand() + step_size, kGrowth.min_demand, kGrowth.max_demand);
 
       if (requested <= v.demand() + kEps) {
         // Shrinking (or unchanged) always succeeds locally and is free.

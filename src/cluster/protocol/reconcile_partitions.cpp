@@ -100,7 +100,6 @@ void Cluster::reconcile_partitions() {
       // placement) wins and the quorum's shadow is retired.
       auto removed = host->remove(entry.shadow);
       ECLB_ASSERT(removed.has_value(), "reconcile: ledger shadow vanished");
-      retire_growth(entry.shadow);
       recorder_.duplicate_resolved(host->id());
       continue;
     }

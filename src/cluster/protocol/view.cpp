@@ -64,10 +64,6 @@ std::size_t ClusterView::interval_index() const {
 
 double ClusterView::load_fraction() const { return cluster_.load_fraction(); }
 
-const vm::DemandGrowthSpec* ClusterView::growth_of(common::VmId id) const {
-  return cluster_.growth_of(id);
-}
-
 std::optional<common::ServerId> ClusterView::pick_horizontal_target(
     double demand, common::ServerId exclude) {
   if (!leader_available()) return std::nullopt;

@@ -62,8 +62,6 @@ class ClusterView {
   [[nodiscard]] std::size_t interval_index() const;
   /// Cluster demand over capacity (the 60 % rule input).
   [[nodiscard]] double load_fraction() const;
-  /// Growth spec attached to a VM; nullptr if unknown.
-  [[nodiscard]] const vm::DemandGrowthSpec* growth_of(common::VmId id) const;
 
   // --- placement queries ---------------------------------------------------
 

@@ -1,5 +1,8 @@
 #include "energy/cstates.h"
 
+#include <deque>
+#include <mutex>
+
 #include "common/assert.h"
 
 namespace eclb::energy {
@@ -45,31 +48,34 @@ bool specs_equal(const CStateSpec& a, const CStateSpec& b) {
          a.wake_power_fraction == b.wake_power_fraction;
 }
 
-/// Shared instance of the default table; the fleet-wide common case.
-std::shared_ptr<const std::array<CStateSpec, kCStateCount>> shared_default_table() {
-  static const auto kShared =
-      std::make_shared<const std::array<CStateSpec, kCStateCount>>(
-          default_cstate_table());
-  return kShared;
+bool tables_equal(const std::array<CStateSpec, kCStateCount>& a,
+                  const std::array<CStateSpec, kCStateCount>& b) {
+  for (std::size_t i = 0; i < kCStateCount; ++i) {
+    if (!specs_equal(a[i], b[i])) return false;
+  }
+  return true;
 }
 
-std::shared_ptr<const std::array<CStateSpec, kCStateCount>> intern_table(
+/// The process-wide copy of `table`: the default table itself, or one
+/// interned entry per distinct custom table, kept for the life of the
+/// process.  Lanes building shards concurrently may intern, hence the lock;
+/// the default case takes none.
+const std::array<CStateSpec, kCStateCount>* intern_table(
     const std::array<CStateSpec, kCStateCount>& table) {
   const auto& def = default_cstate_table();
-  bool is_default = true;
-  for (std::size_t i = 0; i < kCStateCount; ++i) {
-    if (!specs_equal(table[i], def[i])) {
-      is_default = false;
-      break;
-    }
+  if (tables_equal(table, def)) return &def;
+  static std::mutex mu;
+  static std::deque<std::array<CStateSpec, kCStateCount>> interned;
+  const std::lock_guard lock(mu);
+  for (const auto& t : interned) {
+    if (tables_equal(t, table)) return &t;
   }
-  if (is_default) return shared_default_table();
-  return std::make_shared<const std::array<CStateSpec, kCStateCount>>(table);
+  return &interned.emplace_back(table);
 }
 
 }  // namespace
 
-CStateMachine::CStateMachine() : table_(shared_default_table()) {}
+CStateMachine::CStateMachine() : table_(&default_cstate_table()) {}
 
 CStateMachine::CStateMachine(std::array<CStateSpec, kCStateCount> table)
     : table_(intern_table(table)) {}

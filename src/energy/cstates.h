@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -97,10 +96,11 @@ class CStateMachine {
   [[nodiscard]] const std::array<CStateSpec, kCStateCount>& table() const { return *table_; }
 
  private:
-  /// Interned: the ~160-byte spec table is shared, not copied per machine.
-  /// Nearly every server uses the default table, so the common case is one
-  /// static instance for the whole fleet and a Server shrinks accordingly.
-  std::shared_ptr<const std::array<CStateSpec, kCStateCount>> table_;
+  /// Interned and immutable: the ~160-byte spec table is shared, not copied
+  /// per machine, and lives for the whole process.  Nearly every server uses
+  /// the default table, so the common case is one static instance for the
+  /// whole fleet, reached without touching any shared counter.
+  const std::array<CStateSpec, kCStateCount>* table_;
   CState state_{CState::kC0};
   std::optional<CState> target_;
   common::Seconds transition_end_{};

@@ -6,10 +6,12 @@
 
 namespace eclb::vm {
 
-Vm::Vm(common::VmId id, common::AppId app, double demand, VmSpec spec)
+Vm::Vm(common::VmId id, common::AppId app, double demand, VmSpec spec,
+       double lambda)
     : id_(id), app_(app), spec_(spec), demand_(std::clamp(demand, 0.0, 1.0)),
-      served_(demand_) {
+      served_(demand_), lambda_(lambda) {
   ECLB_ASSERT(id.valid(), "Vm: invalid id");
+  ECLB_ASSERT(lambda >= 0.0, "Vm: lambda must be >= 0");
 }
 
 void Vm::set_demand(double d) {

@@ -9,6 +9,7 @@
 
 #include "common/types.h"
 #include "common/units.h"
+#include "vm/application.h"
 
 namespace eclb::vm {
 
@@ -23,8 +24,10 @@ struct VmSpec {
 class Vm {
  public:
   /// Creates a VM for application `app` with initial CPU demand `demand`
-  /// (fraction of server capacity, in [0,1]).
-  Vm(common::VmId id, common::AppId app, double demand, VmSpec spec = {});
+  /// (fraction of server capacity, in [0,1]) whose demand may move by at
+  /// most `lambda` per interval.
+  Vm(common::VmId id, common::AppId app, double demand, VmSpec spec = {},
+     double lambda = DemandGrowthSpec{}.lambda);
 
   /// Unique id.
   [[nodiscard]] common::VmId id() const { return id_; }
@@ -32,6 +35,11 @@ class Vm {
   [[nodiscard]] common::AppId app() const { return app_; }
   /// Static sizing.
   [[nodiscard]] const VmSpec& spec() const { return spec_; }
+
+  /// The paper's lambda_{i,k}: the largest demand change per interval, up
+  /// or down (DemandGrowthSpec's max_shrink equals it; its floor and cap are
+  /// the struct defaults).  Fixed for the VM's life, migrations included.
+  [[nodiscard]] double lambda() const { return lambda_; }
 
   /// Current CPU demand (fraction of server capacity).
   [[nodiscard]] double demand() const { return demand_; }
@@ -51,6 +59,7 @@ class Vm {
   VmSpec spec_;
   double demand_;
   double served_;
+  double lambda_;
 };
 
 }  // namespace eclb::vm

@@ -49,10 +49,8 @@ TEST(Cluster, EveryVmHasGrowthSpec) {
   Cluster c(small_config(0.2, 0.4));
   for (const auto& s : c.servers()) {
     for (const auto& v : s.vms()) {
-      const auto* g = c.growth_of(v.id());
-      ASSERT_NE(g, nullptr);
-      EXPECT_GE(g->lambda, c.config().lambda_min);
-      EXPECT_LE(g->lambda, c.config().lambda_max);
+      EXPECT_GE(v.lambda(), c.config().lambda_min);
+      EXPECT_LE(v.lambda(), c.config().lambda_max);
     }
   }
 }

@@ -293,6 +293,36 @@ TEST(Fabric, PoolNeverOutnumbersShards) {
   EXPECT_LE(hardware, 2U);
 }
 
+/// A 16 x 64 fabric's state straight after construction -- the state digest
+/// and every shard's exact heap footprint -- then three steps' digests.
+std::vector<std::uint64_t> parallel_build_run(std::size_t threads) {
+  FabricConfig cfg = make_config(16, 0.3, 0.6, threads);
+  cfg.cluster_template.server_count = 64;
+  Fabric fabric(cfg);
+  std::vector<std::uint64_t> out{fabric.state_digest()};
+  for (std::size_t i = 0; i < fabric.size(); ++i) {
+    const ClusterMemoryStats m = fabric.cluster(i).memory_stats();
+    out.insert(out.end(), {m.state_table_bytes, m.index_bytes,
+                           m.server_objects_bytes, m.vm_storage_bytes,
+                           m.total_bytes});
+    const auto audit = fabric.cluster(i).self_audit();
+    EXPECT_FALSE(audit.has_value()) << "shard " << i << ": " << *audit;
+  }
+  for (int step = 0; step < 3; ++step) {
+    out.push_back(fabric_report_digest(fabric.step()));
+  }
+  return out;
+}
+
+TEST(Fabric, ParallelBuildIsThreadIndependent) {
+  // Construction is a pool phase: shard i is built on whichever lane
+  // claims it, from its own shard_seed(i) only, so the built fabric and
+  // its first steps match the inline build at any lane count.
+  const auto inline_build = parallel_build_run(1);
+  EXPECT_EQ(parallel_build_run(3), inline_build);
+  EXPECT_EQ(parallel_build_run(8), inline_build);
+}
+
 TEST(Fabric, BitIdenticalAcrossRuns) {
   EXPECT_EQ(digest_run(2), digest_run(2));
 }

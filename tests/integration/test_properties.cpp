@@ -118,9 +118,10 @@ TEST_P(ClusterPropertySweep, DemandBoundedRatePerInterval) {
     std::unordered_map<common::VmId, Snap> before;
     for (const auto& s : c.servers()) {
       for (const auto& v : s.vms()) {
-        const auto* g = c.growth_of(v.id());
-        ASSERT_NE(g, nullptr);
-        before[v.id()] = {v.demand(), g->lambda, g->max_shrink};
+        EXPECT_GE(v.lambda(), c.config().lambda_min);
+        EXPECT_LE(v.lambda(), c.config().lambda_max);
+        // sample_growth matches the shrink bound to lambda.
+        before[v.id()] = {v.demand(), v.lambda(), v.lambda()};
       }
     }
     c.step();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "server/server.h"
+
 namespace eclb::vm {
 namespace {
 
@@ -65,6 +69,32 @@ TEST(Vm, CustomSpecStored) {
   EXPECT_DOUBLE_EQ(v.spec().image_size.value, 8192.0);
   EXPECT_DOUBLE_EQ(v.spec().ram.value, 4096.0);
   EXPECT_DOUBLE_EQ(v.spec().dirty_rate.value, 100.0);
+}
+
+// The VM carries its growth rate inline; it must stay one cache line.
+static_assert(sizeof(Vm) <= 64);
+
+TEST(Vm, KeepsItsRateAcrossAMove) {
+  // A migration moves the record itself (remove, then place on the
+  // target), so lambda_{i,k} travels with the VM.
+  server::ServerConfig cfg;
+  cfg.power_model =
+      std::make_shared<energy::LinearPowerModel>(common::Watts{200.0}, 0.5);
+  server::Server source(common::ServerId{0}, cfg);
+  server::Server target(common::ServerId{1}, cfg);
+  source.force_place(Vm(VmId{7}, AppId{3}, 0.2, {}, 0.042));
+  auto moved = source.remove(VmId{7});
+  ASSERT_TRUE(moved.has_value());
+  target.force_place(std::move(*moved));
+  const Vm* v = target.find(VmId{7});
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->lambda(), 0.042);
+  EXPECT_EQ(v->app(), AppId{3});
+}
+
+TEST(Vm, DefaultRateIsTheGrowthSpecDefault) {
+  const Vm v(VmId{1}, AppId{1}, 0.1);
+  EXPECT_EQ(v.lambda(), DemandGrowthSpec{}.lambda);
 }
 
 }  // namespace

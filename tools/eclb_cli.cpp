@@ -11,6 +11,7 @@
 //   eclb_cli farm --policy autoscale --workload spiky --servers 100
 //   eclb_cli migrate --ram 4096 --dirty 200 --bandwidth 1000
 //   eclb_cli model --a-avg 0.3 --b-avg 0.6 --a-opt 0.9 --b-opt 0.8
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -60,7 +61,8 @@ int usage() {
       "            added;\n"
       "            --trace writes a JSONL protocol trace into DIR, --metrics\n"
       "            writes aggregated counters as JSON, --profile prints a\n"
-      "            wall-clock phase table to stderr, --mem-stats prints peak\n"
+      "            wall-clock phase table and the build time to stderr,\n"
+      "            --mem-stats prints peak\n"
       "            RSS and the data-plane memory breakdown (state table,\n"
       "            regime index, per-server bytes; summed over shards) plus\n"
       "            the notification pipeline counters; --faults injects a\n"
@@ -368,6 +370,7 @@ int cmd_cluster(common::Flags& flags) {
   }
   if (profile) obs_cfg.profiler = &profiler;
 
+  const auto build_start = std::chrono::steady_clock::now();
   cluster::Fabric fabric(fcfg);
   if (profile) fabric.set_pipeline_phase_timing(true);
   std::optional<fault::FabricFaultSession> faults;
@@ -380,6 +383,8 @@ int cmd_cluster(common::Flags& flags) {
       return 2;
     }
   }
+  const std::chrono::duration<double, std::milli> build_ms =
+      std::chrono::steady_clock::now() - build_start;
 
   // One probe per shard: traces split per shard file; each shard counts
   // into its own registry, merged in shard order after the run.
@@ -455,6 +460,7 @@ int cmd_cluster(common::Flags& flags) {
                         faults->combined_stats());
   }
   if (session.has_value()) print_sla_trailer(session->summary());
+  if (profile) std::cerr << "build: " << build_ms.count() << " ms\n";
   for (const auto& probe : probes) {
     if (probe->trace() != nullptr) {
       std::cerr << "trace: " << probe->trace()->path() << "\n";
