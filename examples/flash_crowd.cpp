@@ -3,14 +3,16 @@
 // A 500-server cluster has spent the night consolidating at ~25 % load:
 // a good chunk of the fleet is parked or deep asleep.  At t = 30 min a
 // flash crowd triples the demand within one reallocation interval.  The
-// scripted DES driver injects the shock; we watch the protocol wake
+// shock is an event on the cluster's own simulation clock, so it lands at
+// its exact time between reallocation rounds; we watch the protocol wake
 // capacity (C1 parks return instantly, C6 sleepers take 180 s), shed the
 // hotspots and settle -- and we count what the crowd cost in violations.
 //
 //   $ ./flash_crowd
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
-#include "experiment/driver.h"
 #include "experiment/scenario.h"
 
 int main() {
@@ -23,16 +25,35 @@ int main() {
   cfg.initial_load_max = 0.35;
   cluster::Cluster cluster(cfg);
 
-  experiment::DesClusterDriver driver(cluster);
-  // The crowd: 600 VMs of 0.25 server each (150 capacity units) at t=30 min.
-  driver.inject_demand_at(Seconds{30.0 * 60.0}, 600, 0.25);
+  // The crowd: 600 VMs of 0.25 server each (150 capacity units) at t=30 min,
+  // spread over the least-loaded awake servers.  Scheduled before the first
+  // step, it fires ahead of the round that shares its time.
+  const auto crowd = [&cluster](sim::Simulation&) {
+    std::vector<const server::Server*> awake;
+    for (const auto& s : cluster.servers()) {
+      if (s.awake(cluster.now())) awake.push_back(&s);
+    }
+    std::sort(awake.begin(), awake.end(),
+              [](const server::Server* a, const server::Server* b) {
+                return a->load() < b->load();
+              });
+    std::uint32_t app = 900000;
+    for (std::size_t i = 0; i < 600 && !awake.empty(); ++i) {
+      const auto* target = awake[i % awake.size()];
+      (void)cluster.inject_vm(target->id(), common::AppId{app++}, 0.25);
+    }
+  };
+  cluster.simulation().schedule_at(Seconds{30.0 * 60.0}, crowd);
 
   std::printf("flash crowd drill: 500 servers, shock of +150 capacity at"
               " t=30min\n\n");
   std::printf("%8s %8s %8s %8s %8s %8s %10s\n", "t (min)", "load%", "awake",
               "parked", "deep", "wakes", "unserved");
 
-  const auto reports = driver.run_until(Seconds{90.0 * 60.0});
+  std::vector<cluster::IntervalReport> reports;
+  for (int interval = 0; interval < 90; ++interval) {  // tau = 1 min
+    reports.push_back(cluster.step());
+  }
   double unserved_total = 0.0;
   std::size_t wakes_total = 0;
   for (const auto& r : reports) {

@@ -22,22 +22,4 @@ double utilization_cap(const QosTarget& target) {
   return std::max(0.0, cap);
 }
 
-bool meets_sla(const QosTarget& target, double utilization) {
-  // Compare in utilization space with a small tolerance so that operating
-  // exactly at the cap (a common configuration) counts as compliant despite
-  // floating-point rounding.
-  return utilization <= utilization_cap(target) + 1e-12;
-}
-
-QosRegimeFit fit_qos_to_regimes(const QosTarget& target,
-                                const energy::RegimeThresholds& t) {
-  QosRegimeFit fit;
-  const double cap = utilization_cap(target);
-  fit.utilization_ceiling = std::min(cap, t.alpha_sopt_high);
-  fit.sla_below_optimal_region = cap < t.alpha_opt_low;
-  fit.sla_shrinks_optimal_region =
-      !fit.sla_below_optimal_region && cap < t.alpha_opt_high;
-  return fit;
-}
-
 }  // namespace eclb::analytic

@@ -4,13 +4,8 @@
 // time", and Section 6 notes that SaaS servers with real-time requirements
 // may be forced to run *below* the energy-optimal region.  This module
 // provides the standard M/M/1-style response-time proxy used to translate a
-// response-time SLA into a utilization cap, and helpers to reconcile that
-// cap with a server's energy-optimal region.
+// response-time SLA into a utilization cap.
 #pragma once
-
-#include <optional>
-
-#include "energy/regimes.h"
 
 namespace eclb::analytic {
 
@@ -30,22 +25,5 @@ struct QosTarget {
 /// response_time(u) <= max_response_time, i.e. 1 - service/max.
 /// Returns 0 when the SLA is tighter than the bare service time.
 [[nodiscard]] double utilization_cap(const QosTarget& target);
-
-/// True when operating at `utilization` meets the SLA.
-[[nodiscard]] bool meets_sla(const QosTarget& target, double utilization);
-
-/// Reconciles a QoS cap with a server's energy regimes (the Section 6
-/// tension).  Returns the utilization ceiling the scheduler should enforce:
-/// min(alpha_sopt_high, cap) -- and reports whether the SLA forces the
-/// server below its energy-optimal region (cap < alpha_opt_low would make
-/// optimal operation impossible; cap in [opt_low, opt_high) shrinks it).
-struct QosRegimeFit {
-  double utilization_ceiling{1.0};
-  bool sla_below_optimal_region{false};  ///< SLA excludes the whole optimal region.
-  bool sla_shrinks_optimal_region{false};///< SLA cuts into the optimal region.
-};
-
-[[nodiscard]] QosRegimeFit fit_qos_to_regimes(const QosTarget& target,
-                                              const energy::RegimeThresholds& t);
 
 }  // namespace eclb::analytic

@@ -16,8 +16,9 @@
 //
 // Time lives on the sim::Simulation event kernel: reallocation boundaries
 // and C-state transition completions are scheduled events on one clock, so
-// scripted scenario events (experiment/driver.h) interleave exactly where
-// they are scheduled.  See DESIGN.md "Architecture layers".
+// a scenario event scheduled on simulation() (e.g. examples/flash_crowd's
+// demand shock) interleaves exactly where it is scheduled.  See DESIGN.md
+// "Architecture layers".
 #pragma once
 
 #include <cstdint>
@@ -160,9 +161,10 @@ class Cluster {
   /// round there.  Returns the interval report.
   IntervalReport step();
 
-  /// The event kernel the cluster lives on.  Scenario drivers schedule
-  /// scripted events here; they interleave with rounds and transitions on
-  /// the one shared clock.
+  /// The event kernel the cluster lives on.  A scenario schedules its
+  /// events here; they interleave with rounds and transitions on the one
+  /// shared clock, and an event at a round's time runs before that round
+  /// if it was scheduled before the step() that reaches it.
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
   [[nodiscard]] const sim::Simulation& simulation() const { return sim_; }
 

@@ -18,13 +18,10 @@ class CountingMemoryResource final : public std::pmr::memory_resource {
  public:
   /// Bytes currently allocated and not yet returned.
   [[nodiscard]] std::size_t live_bytes() const { return live_; }
-  /// High-water mark of live_bytes() over the resource's lifetime.
-  [[nodiscard]] std::size_t peak_bytes() const { return peak_; }
 
  private:
   void* do_allocate(std::size_t bytes, std::size_t alignment) override {
     live_ += bytes;
-    if (live_ > peak_) peak_ = live_;
     return std::pmr::new_delete_resource()->allocate(bytes, alignment);
   }
 
@@ -39,7 +36,6 @@ class CountingMemoryResource final : public std::pmr::memory_resource {
   }
 
   std::size_t live_{0};
-  std::size_t peak_{0};
 };
 
 }  // namespace eclb::common

@@ -39,13 +39,6 @@ Rng::Rng(std::uint64_t seed) {
   } while (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0);
 }
 
-Rng Rng::fork() {
-  // Mixing two draws keeps parent and child streams decorrelated.
-  std::uint64_t a = next_u64();
-  std::uint64_t b = next_u64();
-  return Rng(a ^ std::rotl(b, 17));
-}
-
 double Rng::uniform(double lo, double hi) {
   ECLB_ASSERT(lo <= hi, "uniform: lo must be <= hi");
   return lo + (hi - lo) * uniform01();

@@ -10,7 +10,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "common/assert.h"
 
@@ -28,17 +27,14 @@ namespace eclb::common {
 
 /// Seedable xoshiro256** PRNG plus the small set of distributions the
 /// simulator needs.  The per-request draws (next_u64, uniform01,
-/// exponential) are defined here so hot loops inline them.  Copyable: copying forks the stream (both copies produce
-/// the same subsequent values), which is how per-replication streams are
-/// derived deterministically.
+/// exponential) are defined here so hot loops inline them.  Copyable: a copy
+/// replays the same stream as the original.  Independent streams come from
+/// distinct seeds, derived with mix_seed (experiment::replication_seed, the
+/// fabric's per-shard seeds).
 class Rng {
  public:
   /// Constructs a generator whose entire stream is a function of `seed`.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
-
-  /// Derives an independent child generator; child `n` of a given parent is
-  /// deterministic.  Used to give each replication / server its own stream.
-  [[nodiscard]] Rng fork();
 
   /// Next raw 64-bit value.
   [[nodiscard]] std::uint64_t next_u64() {
@@ -80,16 +76,6 @@ class Rng {
     double u = uniform01();
     if (u <= 0.0) u = 0x1.0p-53;
     return -std::log(u) / rate;
-  }
-
-  /// In-place Fisher-Yates shuffle.
-  template <class T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = index(i);
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
   }
 
  private:

@@ -108,10 +108,4 @@ std::optional<double> percentile(std::span<const double> data, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-RunningStats summarize(const TimeSeries& series) {
-  RunningStats s;
-  for (double v : series.y) s.add(v);
-  return s;
-}
-
 }  // namespace eclb::common

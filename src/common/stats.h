@@ -107,7 +107,4 @@ struct TimeSeries {
   [[nodiscard]] std::size_t size() const { return x.size(); }
 };
 
-/// Summary statistics over the y values of a series.
-[[nodiscard]] RunningStats summarize(const TimeSeries& series);
-
 }  // namespace eclb::common

@@ -35,10 +35,6 @@ const CStateSpec& spec_for(const std::array<CStateSpec, kCStateCount>& table, CS
   return table[0];  // unreachable
 }
 
-common::Joules wake_energy(const CStateSpec& s, common::Watts peak) {
-  return (peak * s.wake_power_fraction) * s.wake_latency;
-}
-
 namespace {
 
 bool specs_equal(const CStateSpec& a, const CStateSpec& b) {

@@ -51,9 +51,6 @@ struct CStateSpec {
 [[nodiscard]] const CStateSpec& spec_for(const std::array<CStateSpec, kCStateCount>& table,
                                          CState s);
 
-/// Energy spent waking from `s` to C0 given the server's peak power.
-[[nodiscard]] common::Joules wake_energy(const CStateSpec& s, common::Watts peak);
-
 /// Tracks which C-state a server occupies, including in-flight transitions.
 /// A transition occupies the wall-clock interval [start, end); during a wake
 /// transition the server burns wake_power_fraction of peak.

@@ -3,7 +3,7 @@
 namespace eclb::energy {
 
 EnergyMeter::EnergyMeter(common::Seconds start, common::Watts p0)
-    : start_(start), last_(start), power_(p0) {}
+    : last_(start), power_(p0) {}
 
 void EnergyMeter::advance(common::Seconds now, common::Watts power) {
   ECLB_ASSERT(now >= last_, "EnergyMeter: time went backwards");
@@ -20,12 +20,6 @@ void EnergyMeter::advance(common::Seconds now, common::Watts power) {
 void EnergyMeter::charge(common::Joules amount) {
   ECLB_ASSERT(amount.value >= 0.0, "EnergyMeter: negative charge");
   total_ += amount;
-}
-
-common::Watts EnergyMeter::average_power() const {
-  const common::Seconds elapsed = last_ - start_;
-  if (elapsed.value <= 0.0) return common::Watts{0.0};
-  return total_ / elapsed;
 }
 
 }  // namespace eclb::energy

@@ -1,8 +1,8 @@
 // Energy accounting.
 //
 // Integrates piecewise-constant power over time and accumulates discrete
-// energy charges (wake-ups, migrations).  One meter per server plus one per
-// cluster-level cost category gives the per-run energy totals the
+// energy charges (a server's share of a migration or a VM start).  Each
+// server owns one meter; their totals are the per-run server energy the
 // experiments report.
 #pragma once
 
@@ -14,8 +14,11 @@ namespace eclb::energy {
 /// Piecewise-constant power integrator.
 ///
 /// Usage: call `advance(t, p)` whenever power may have changed; the meter
-/// charges the *previous* power level for the elapsed interval.  Discrete
-/// costs (e.g. a wake-up's fixed energy) go through `charge`.
+/// charges the *previous* power level for the elapsed interval.  A wake-up
+/// is not a discrete cost: while the transition is in flight the server's
+/// power() reports the wake draw, and the meter integrates it like any other
+/// level.  Discrete costs (e.g. a migration's transfer energy) go through
+/// `charge`.
 class EnergyMeter {
  public:
   /// Starts metering at time `start` with initial power `p0`.
@@ -36,14 +39,7 @@ class EnergyMeter {
   /// Power level currently being charged.
   [[nodiscard]] common::Watts current_power() const { return power_; }
 
-  /// Time of the last advance.
-  [[nodiscard]] common::Seconds last_update() const { return last_; }
-
-  /// Average power over [start, last update); zero if no time has elapsed.
-  [[nodiscard]] common::Watts average_power() const;
-
  private:
-  common::Seconds start_;
   common::Seconds last_;
   common::Watts power_;
   common::Joules total_{};

@@ -48,12 +48,6 @@ double Server::served_load() const { return std::min(load(), capacity()); }
 
 double Server::overload() const { return std::max(0.0, load() - capacity()); }
 
-double Server::headroom() const { return std::max(0.0, capacity() - load()); }
-
-double Server::headroom_to(double a_target) const {
-  return std::max(0.0, std::min(a_target, capacity()) - load());
-}
-
 std::optional<energy::Regime> Server::regime() const {
   if (failed() || cstates_.state() != energy::CState::kC0) return std::nullopt;
   return thresholds_.classify(served_load());

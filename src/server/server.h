@@ -111,20 +111,9 @@ class Server {
   /// Demand beyond capacity (0 when not oversubscribed).
   [[nodiscard]] double overload() const;
 
-  /// Spare capacity up to full utilization: max(0, capacity - load).
-  [[nodiscard]] double headroom() const;
-
-  /// Spare capacity up to a target normalized performance `a_target`.
-  [[nodiscard]] double headroom_to(double a_target) const;
-
   /// Current operating regime, from the served load.  Asleep servers have
   /// no regime (nullopt).
   [[nodiscard]] std::optional<energy::Regime> regime() const;
-
-  /// Regime the server *would* be in at hypothetical load `a`.
-  [[nodiscard]] energy::Regime regime_at(double a) const {
-    return thresholds_.classify(a);
-  }
 
   // --- VM management -------------------------------------------------------
 

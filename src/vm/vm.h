@@ -47,18 +47,11 @@ class Vm {
   /// Sets the CPU demand; clamped to [0, 1].
   void set_demand(double d);
 
-  /// CPU demand actually served this interval (set by the host when the
-  /// server is oversubscribed; equals demand() otherwise).
-  [[nodiscard]] double served() const { return served_; }
-  /// Records the served amount (<= demand).
-  void set_served(double s);
-
  private:
   common::VmId id_;
   common::AppId app_;
   VmSpec spec_;
   double demand_;
-  double served_;
   double lambda_;
 };
 

@@ -17,13 +17,6 @@ void save_trace(std::ostream& out, const Trace& trace) {
   }
 }
 
-bool save_trace_file(const std::string& path, const Trace& trace) {
-  std::ofstream out(path);
-  if (!out) return false;
-  save_trace(out, trace);
-  return static_cast<bool>(out);
-}
-
 std::optional<Trace> load_trace(std::istream& in) {
   std::string line;
   if (!std::getline(in, line)) return std::nullopt;

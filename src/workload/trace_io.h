@@ -14,9 +14,6 @@ namespace eclb::workload {
 /// Writes `trace` to `out` as CSV with a header row.
 void save_trace(std::ostream& out, const Trace& trace);
 
-/// Writes `trace` to the file at `path`.  Returns false on I/O failure.
-bool save_trace_file(const std::string& path, const Trace& trace);
-
 /// Parses a trace from CSV previously written by save_trace.  Returns
 /// nullopt on malformed input (missing header, non-numeric cells, fewer
 /// than two samples, or non-uniform time spacing).

@@ -48,49 +48,5 @@ TEST(Qos, ImpossibleSlaCapsAtZero) {
   EXPECT_DOUBLE_EQ(utilization_cap(t), 0.0);
 }
 
-TEST(Qos, MeetsSlaAtAndBelowCap) {
-  QosTarget t;
-  t.service_time = 0.020;
-  t.max_response_time = 0.100;
-  EXPECT_TRUE(meets_sla(t, 0.5));
-  EXPECT_TRUE(meets_sla(t, 0.8));
-  EXPECT_FALSE(meets_sla(t, 0.81));
-  EXPECT_FALSE(meets_sla(t, 1.0));
-}
-
-TEST(Qos, FitLeavesOptimalRegionWhenSlack) {
-  QosTarget t;
-  t.service_time = 0.010;
-  t.max_response_time = 0.100;  // cap 0.9
-  energy::RegimeThresholds thresholds;  // defaults: opt [0.35, 0.675]
-  const auto fit = fit_qos_to_regimes(t, thresholds);
-  EXPECT_FALSE(fit.sla_below_optimal_region);
-  EXPECT_FALSE(fit.sla_shrinks_optimal_region);
-  EXPECT_DOUBLE_EQ(fit.utilization_ceiling, thresholds.alpha_sopt_high);
-}
-
-TEST(Qos, FitDetectsShrunkOptimalRegion) {
-  QosTarget t;
-  t.service_time = 0.050;
-  t.max_response_time = 0.100;  // cap 0.5 -- inside [0.35, 0.675]
-  energy::RegimeThresholds thresholds;
-  const auto fit = fit_qos_to_regimes(t, thresholds);
-  EXPECT_FALSE(fit.sla_below_optimal_region);
-  EXPECT_TRUE(fit.sla_shrinks_optimal_region);
-  EXPECT_DOUBLE_EQ(fit.utilization_ceiling, 0.5);
-}
-
-TEST(Qos, FitDetectsSlaBelowOptimalRegion) {
-  // Section 6: real-time SaaS may be forced below the energy-optimal region.
-  QosTarget t;
-  t.service_time = 0.080;
-  t.max_response_time = 0.100;  // cap 0.2 < alpha_opt_low
-  energy::RegimeThresholds thresholds;
-  const auto fit = fit_qos_to_regimes(t, thresholds);
-  EXPECT_TRUE(fit.sla_below_optimal_region);
-  EXPECT_FALSE(fit.sla_shrinks_optimal_region);
-  EXPECT_DOUBLE_EQ(fit.utilization_ceiling, 0.2);
-}
-
 }  // namespace
 }  // namespace eclb::analytic

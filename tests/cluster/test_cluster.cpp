@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace eclb::cluster {
 namespace {
@@ -544,6 +545,59 @@ TEST(Cluster, ObservationDoesNotPerturbSimulation) {
     EXPECT_DOUBLE_EQ(rp.interval_energy.value, rw.interval_energy.value);
   }
   EXPECT_DOUBLE_EQ(plain.total_energy().value, watched.total_energy().value);
+}
+
+// Scenario events go on the cluster's own event kernel and interleave with
+// the reallocation rounds (tau = 60 s) at their exact times.
+TEST(Cluster, ScheduledEventFiresAtItsExactTime) {
+  Cluster c(small_config(0.2, 0.4, 9));
+  CountingObserver obs;
+  c.attach_observer(&obs);
+  std::vector<double> fired_at;
+  int rounds_before = -1;
+  c.simulation().schedule_at(common::Seconds{90.0}, [&](sim::Simulation&) {
+    fired_at.push_back(c.now().value);
+    rounds_before = obs.ends;
+  });
+  for (int i = 0; i < 5; ++i) (void)c.step();
+  ASSERT_EQ(fired_at.size(), 1U);
+  EXPECT_DOUBLE_EQ(fired_at[0], 90.0);
+  EXPECT_EQ(rounds_before, 1);  // after the round at 60 s, before 120 s
+}
+
+TEST(Cluster, InjectedShockRaisesDemandAndTriggersResponse) {
+  auto cfg = small_config(0.2, 0.4, 9);
+  cfg.server_count = 60;
+  cfg.demand_change_probability = 0.0;  // isolate the shock
+  Cluster c(cfg);
+  const double before = c.total_demand();
+  // A heavy flash crowd at 150 s: 50 VMs of 0.55 push their hosts into the
+  // suboptimal/undesirable-high regimes, forcing shed migrations.
+  c.simulation().schedule_at(common::Seconds{150.0}, [&c](sim::Simulation&) {
+    std::vector<common::ServerId> awake;
+    for (const auto& s : c.servers()) {
+      if (s.awake(c.now())) awake.push_back(s.id());
+    }
+    ASSERT_FALSE(awake.empty());
+    for (std::uint32_t i = 0; i < 50; ++i) {
+      (void)c.inject_vm(awake[i % awake.size()], common::AppId{900000 + i},
+                        0.55);
+    }
+  });
+  std::vector<IntervalReport> reports;
+  for (int i = 0; i < 10; ++i) reports.push_back(c.step());
+  EXPECT_NEAR(c.total_demand(), before + 50 * 0.55, 1e-9);
+  // The shock lands before the round at 180 s (index 2); the protocol
+  // reacts with in-cluster activity from that round on.
+  std::size_t before_shock = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    before_shock += reports[i].in_cluster_decisions;
+  }
+  std::size_t after_shock = 0;
+  for (std::size_t i = 2; i < reports.size(); ++i) {
+    after_shock += reports[i].in_cluster_decisions;
+  }
+  EXPECT_GT(after_shock, before_shock);
 }
 
 }  // namespace

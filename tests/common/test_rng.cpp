@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -124,43 +123,6 @@ TEST(Rng, ExponentialMean) {
 TEST(Rng, ExponentialNonNegative) {
   Rng rng(43);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.exponential(3.0), 0.0);
-}
-
-TEST(Rng, ForkDecorrelatesStreams) {
-  Rng parent(47);
-  Rng child = parent.fork();
-  // Parent and child should produce different sequences.
-  int differing = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.next_u64() != child.next_u64()) ++differing;
-  }
-  EXPECT_GT(differing, 60);
-}
-
-TEST(Rng, ForkIsDeterministic) {
-  Rng a(53);
-  Rng b(53);
-  Rng ca = a.fork();
-  Rng cb = b.fork();
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(59);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, ShuffleActuallyPermutes) {
-  Rng rng(61);
-  std::vector<int> v(100);
-  for (int i = 0; i < 100; ++i) v[static_cast<std::size_t>(i)] = i;
-  auto original = v;
-  rng.shuffle(v);
-  EXPECT_NE(v, original);  // astronomically unlikely to be identity
 }
 
 TEST(MixSeed, IsDeterministic) {

@@ -148,7 +148,8 @@ TEST(TimeSeries, AddAndSummarize) {
   ts.add(1.0, 3.0);
   ts.add(2.0, 5.0);
   EXPECT_EQ(ts.size(), 3U);
-  const RunningStats s = summarize(ts);
+  RunningStats s;
+  for (double v : ts.y) s.add(v);
   EXPECT_EQ(s.count(), 3U);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);

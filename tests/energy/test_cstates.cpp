@@ -27,16 +27,6 @@ TEST(CStates, DefaultTableOrdering) {
   EXPECT_LT(c3.wake_latency, c6.wake_latency);
 }
 
-TEST(CStates, WakeEnergyScalesWithLatencyAndPeak) {
-  const auto& table = default_cstate_table();
-  const auto& c3 = spec_for(table, CState::kC3);
-  const auto& c6 = spec_for(table, CState::kC6);
-  const Watts peak{225.0};
-  EXPECT_GT(wake_energy(c6, peak).value, wake_energy(c3, peak).value);
-  // C3: 30 s at 0.95 * 225 W.
-  EXPECT_NEAR(wake_energy(c3, peak).value, 30.0 * 0.95 * 225.0, 1e-9);
-}
-
 TEST(CStateMachine, StartsAwake) {
   CStateMachine m;
   EXPECT_EQ(m.state(), CState::kC0);

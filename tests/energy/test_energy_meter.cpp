@@ -12,7 +12,6 @@ using common::Watts;
 TEST(EnergyMeter, StartsAtZero) {
   EnergyMeter m;
   EXPECT_DOUBLE_EQ(m.total().value, 0.0);
-  EXPECT_DOUBLE_EQ(m.average_power().value, 0.0);
 }
 
 TEST(EnergyMeter, ChargesPreviousPowerOverInterval) {
@@ -49,19 +48,10 @@ TEST(EnergyMeter, AdditivityOfSubdividedIntervals) {
   EXPECT_NEAR(coarse.total().value, fine.total().value, 1e-9);
 }
 
-TEST(EnergyMeter, AveragePower) {
-  EnergyMeter m(Seconds{0.0}, Watts{100.0});
-  m.advance(Seconds{5.0}, Watts{200.0});
-  m.advance(Seconds{10.0}, Watts{0.0});
-  // (100*5 + 200*5) / 10 = 150 W.
-  EXPECT_DOUBLE_EQ(m.average_power().value, 150.0);
-}
-
 TEST(EnergyMeter, NonZeroStartTime) {
   EnergyMeter m(Seconds{100.0}, Watts{10.0});
   m.advance(Seconds{110.0}, Watts{10.0});
   EXPECT_DOUBLE_EQ(m.total().value, 100.0);
-  EXPECT_DOUBLE_EQ(m.average_power().value, 10.0);
 }
 
 TEST(EnergyMeterDeathTest, TimeBackwardsAborts) {

@@ -91,14 +91,6 @@ TEST(Server, FindLocatesHostedVm) {
   EXPECT_EQ(s.find(VmId{99}), nullptr);
 }
 
-TEST(Server, HeadroomCalculations) {
-  Server s = make_server();
-  ASSERT_TRUE(s.place(make_vm(1, 0.4)));
-  EXPECT_DOUBLE_EQ(s.headroom(), 0.6);
-  EXPECT_DOUBLE_EQ(s.headroom_to(0.7), 0.3);
-  EXPECT_DOUBLE_EQ(s.headroom_to(0.3), 0.0);  // already above target
-}
-
 TEST(Server, VerticalScaleWithinCapacity) {
   Server s = make_server();
   ASSERT_TRUE(s.place(make_vm(1, 0.3)));

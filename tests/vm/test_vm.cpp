@@ -17,7 +17,6 @@ TEST(Vm, ConstructionStoresFields) {
   EXPECT_EQ(v.id(), VmId{1});
   EXPECT_EQ(v.app(), AppId{2});
   EXPECT_DOUBLE_EQ(v.demand(), 0.25);
-  EXPECT_DOUBLE_EQ(v.served(), 0.25);
 }
 
 TEST(Vm, DemandClampedToUnitInterval) {
@@ -33,24 +32,6 @@ TEST(Vm, SetDemandClamps) {
   EXPECT_DOUBLE_EQ(v.demand(), 0.7);
   v.set_demand(2.0);
   EXPECT_DOUBLE_EQ(v.demand(), 1.0);
-}
-
-TEST(Vm, ShrinkingDemandCapsServed) {
-  Vm v(VmId{1}, AppId{1}, 0.8);
-  v.set_served(0.8);
-  v.set_demand(0.5);
-  EXPECT_LE(v.served(), v.demand());
-}
-
-TEST(Vm, SetServedWithinDemand) {
-  Vm v(VmId{1}, AppId{1}, 0.6);
-  v.set_served(0.4);
-  EXPECT_DOUBLE_EQ(v.served(), 0.4);
-}
-
-TEST(VmDeathTest, ServedAboveDemandAborts) {
-  Vm v(VmId{1}, AppId{1}, 0.5);
-  EXPECT_DEATH(v.set_served(0.9), "served must be in");
 }
 
 TEST(Vm, DefaultSpecIsSane) {
@@ -72,7 +53,7 @@ TEST(Vm, CustomSpecStored) {
 }
 
 // The VM carries its growth rate inline; it must stay one cache line.
-static_assert(sizeof(Vm) <= 64);
+static_assert(sizeof(Vm) <= 56);
 
 TEST(Vm, KeepsItsRateAcrossAMove) {
   // A migration moves the record itself (remove, then place on the

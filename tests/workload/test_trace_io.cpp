@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 namespace eclb::workload {
@@ -33,7 +34,11 @@ TEST(TraceIo, RoundTrip) {
 TEST(TraceIo, FileRoundTrip) {
   const Trace original(Seconds{10.0}, {1.0, 2.0, 3.0});
   const std::string path = ::testing::TempDir() + "/eclb_trace_io_test.csv";
-  ASSERT_TRUE(save_trace_file(path, original));
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(out);
+    save_trace(out, original);
+  }
   const auto loaded = load_trace_file(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->size(), 3U);

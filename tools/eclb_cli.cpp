@@ -595,7 +595,7 @@ int cmd_migrate(common::Flags& flags) {
 
 int cmd_model(common::Flags& flags) {
   analytic::HomogeneousModel m;
-  m.n = static_cast<std::size_t>(flags.get_int("n", 100));
+  if (!read_count(flags, "n", 100, 1, &m.n)) return 2;
   const double a_avg = flags.get_double("a-avg", 0.3);
   m.a_min = 0.0;
   m.a_max = 2.0 * a_avg;
